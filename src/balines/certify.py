@@ -7,22 +7,33 @@ the first-order family
 
 and the locus family
 
-    sum_{i != j} m_i (m_i + 1) z_i (z_i + z_j)^{2k-1} / (z_i - z_j)^{2k+1} = 0,
+    sum_{i != j} m_i (m_i + 1) z_i (z_i + z_j)^{2k-1} / (z_i - z_j)^{2k+1} = 0.
 
-plus their Cartesian counterparts written in the angle differences.  A
-certificate aggregates relative residuals over all (j, k) of both families.
+With c_i = cot(phi_i - phi_j), the unit-circle chart z = e^{2i phi} gives
+
+    (z_i + z_j) / (z_i - z_j) = -i c_i,
+    z_i / (z_i - z_j)^2 = -(1 + c_i^2) / (4 z_j),
+
+so each family is a unimodular constant times a real sum:
+
+    first:  sum_{i != j} m_i c_i^{2k-1}
+    locus:  sum_{i != j} m_i (m_i + 1) c_i^{2k-1} (1 + c_i^2) / 4.
+
+One real kernel evaluates both sums for every form.  The Cartesian
+conditions, written in the angle differences at x = (-sin phi_j, cos phi_j),
+are the same sums times -1 (first) and -4 (locus).  A certificate aggregates
+relative residuals over all (j, k) of both families.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import mpmath as mp
 
-from .config import Configuration, Line
+from .config import Configuration, Line, _two_mult_ode_residual
 from .errors import Collinear, MissingExactData
 from .numeric import log2_abs, working
 from .poly import DensePoly
@@ -32,7 +43,7 @@ from .poly import DensePoly
 class ConditionResidual:
     j: int
     k: int
-    value: object  # mpc
+    value: object  # mpf, the real cot sum
     scale: object  # mpf, largest summand magnitude (floored at 1)
     form: str  # polar-first | polar-locus | cartesian-first | cartesian-locus
 
@@ -72,64 +83,81 @@ class BACertificate:
         }
 
 
-def _distinct_or_raise(zs, j):
-    zj = zs[j]
-    for i, zi in enumerate(zs):
-        if i != j and zi == zj:
-            raise Collinear(f"lines {i} and {j} are collinear")
+def _cot(lines: Sequence[Line], i: int, j: int):
+    """cot(phi_i - phi_j); Collinear when the two lines coincide."""
+    cos, sin = mp.cos_sin(lines[i].phi - lines[j].phi)
+    if sin == 0:
+        raise Collinear(f"lines {i} and {j} are collinear")
+    return cos / sin
 
 
-def _first_residual(zs, mults, j: int, k: int) -> ConditionResidual:
-    _distinct_or_raise(zs, j)
-    zj = zs[j]
-    total = mp.mpc(0)
-    scale = mp.mpf(1)
-    for i, zi in enumerate(zs):
+def _cot_row(lines: Sequence[Line], j: int) -> list:
+    return [None if i == j else _cot(lines, i, j) for i in range(len(lines))]
+
+
+def _cot_table(lines: Sequence[Line]) -> List[list]:
+    """rows[j][i] = cot(phi_i - phi_j), one cot per unordered pair since the
+    table is antisymmetric."""
+    n = len(lines)
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            rows[j][i] = _cot(lines, i, j)
+            rows[i][j] = -rows[j][i]
+    return rows
+
+
+def _residuals(lines: Sequence[Line], j: int, row: Sequence, kmax: int
+               ) -> List[Tuple[ConditionResidual, ConditionResidual]]:
+    """(first, locus) residuals at line j for k = 1..kmax, in one pass over
+    the other lines; row[i] = cot(phi_i - phi_j).  The odd powers of c_i
+    come from repeated multiplication by c_i^2."""
+    first = [mp.mpf(0)] * kmax
+    locus = [mp.mpf(0)] * kmax
+    first_scale = [mp.mpf(1)] * kmax
+    locus_scale = [mp.mpf(1)] * kmax
+    for i, ln in enumerate(lines):
         if i == j:
             continue
-        term = mults[i] * ((zi + zj) / (zi - zj)) ** (2 * k - 1)
-        scale = max(scale, abs(term))
-        total += term
-    return ConditionResidual(j=j, k=k, value=total, scale=scale, form="polar-first")
+        c = row[i]
+        c2 = c * c
+        weight = (ln.mult + 1) * (1 + c2) / 4
+        term = ln.mult * c
+        for k in range(kmax):
+            locus_term = term * weight
+            first[k] += term
+            locus[k] += locus_term
+            first_scale[k] = max(first_scale[k], abs(term))
+            locus_scale[k] = max(locus_scale[k], abs(locus_term))
+            term *= c2
+    return [(ConditionResidual(j=j, k=k + 1, value=first[k],
+                               scale=first_scale[k], form="polar-first"),
+             ConditionResidual(j=j, k=k + 1, value=locus[k],
+                               scale=locus_scale[k], form="polar-locus"))
+            for k in range(kmax)]
 
 
-def _locus_residual(zs, mults, j: int, k: int) -> ConditionResidual:
-    _distinct_or_raise(zs, j)
-    zj = zs[j]
-    total = mp.mpc(0)
-    scale = mp.mpf(1)
-    for i, zi in enumerate(zs):
-        if i == j:
-            continue
-        num = mults[i] * (mults[i] + 1) * zi * (zi + zj) ** (2 * k - 1)
-        term = num / (zi - zj) ** (2 * k + 1)
-        scale = max(scale, abs(term))
-        total += term
-    return ConditionResidual(j=j, k=k, value=total, scale=scale, form="polar-locus")
+def _residual_pair(lines: Sequence[Line], j: int, k: int):
+    return _residuals(lines, j, _cot_row(lines, j), k)[k - 1]
+
+
+def _checked_pair(c: Configuration, j: int, k: int):
+    if not 1 <= k <= c.lines[j].mult:
+        raise ValueError(f"need 1 <= k <= mult, got k={k}")
+    with working(c.precision):
+        return _residual_pair(c.lines, j, k)
 
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
-    zs = [ln.z() for ln in lines]
-    return _first_residual(zs, [ln.mult for ln in lines], j, k)
-
-
-def locus_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
-    zs = [ln.z() for ln in lines]
-    return _locus_residual(zs, [ln.mult for ln in lines], j, k)
+    return _residual_pair(lines, j, k)[0]
 
 
 def first_condition_residual(c: Configuration, j: int, k: int) -> ConditionResidual:
-    if not 1 <= k <= c.lines[j].mult:
-        raise ValueError(f"need 1 <= k <= mult, got k={k}")
-    with working(c.precision):
-        return first_condition_residual_lines(c.lines, j, k)
+    return _checked_pair(c, j, k)[0]
 
 
 def locus_condition_residual(c: Configuration, j: int, k: int) -> ConditionResidual:
-    if not 1 <= k <= c.lines[j].mult:
-        raise ValueError(f"need 1 <= k <= mult, got k={k}")
-    with working(c.precision):
-        return locus_condition_residual_lines(c.lines, j, k)
+    return _checked_pair(c, j, k)[1]
 
 
 def cartesian_condition_residual(c: Configuration, j: int, k: int,
@@ -138,30 +166,13 @@ def cartesian_condition_residual(c: Configuration, j: int, k: int,
 
     first:  sum m_i cos^{2k-1}(phi_j - phi_i) / sin^{2k-1}(phi_j - phi_i)
     locus:  sum m_i (m_i+1) cos^{2k-1}(phi_j - phi_i) / sin^{2k+1}(phi_j - phi_i)
-    """
+
+    These are -1 and -4 times the kernel's real sums; the residual carries
+    the kernel's value and scale, so it matches the polar one."""
     if which not in ("first", "locus"):
         raise ValueError(f"unknown family {which!r}")
-    if not 1 <= k <= c.lines[j].mult:
-        raise ValueError(f"need 1 <= k <= mult, got k={k}")
-    with working(c.precision):
-        phij = c.lines[j].phi
-        total = mp.mpf(0)
-        scale = mp.mpf(1)
-        for i, ln in enumerate(c.lines):
-            if i == j:
-                continue
-            d = phij - ln.phi
-            s, co = mp.sin(d), mp.cos(d)
-            if s == 0:
-                raise Collinear(f"lines {i} and {j} are collinear")
-            if which == "first":
-                term = ln.mult * co ** (2 * k - 1) / s ** (2 * k - 1)
-            else:
-                term = ln.mult * (ln.mult + 1) * co ** (2 * k - 1) / s ** (2 * k + 1)
-            scale = max(scale, abs(term))
-            total += term
-        return ConditionResidual(j=j, k=k, value=mp.mpc(total), scale=scale,
-                                 form=f"cartesian-{which}")
+    first, locus = _checked_pair(c, j, k)
+    return replace(first if which == "first" else locus, form=f"cartesian-{which}")
 
 
 def default_threshold(precision: int):
@@ -179,13 +190,10 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
             raise ValueError("certification needs integer multiplicities")
     with working(c.precision):
         thr = mp.mpf(threshold) if threshold is not None else default_threshold(c.precision)
-        zs = [ln.z() for ln in c.lines]
-        mults = [ln.mult for ln in c.lines]
-        residuals: List[ConditionResidual] = []
-        for j, ln in enumerate(c.lines):
-            for k in range(1, int(ln.mult) + 1):
-                residuals.append(_first_residual(zs, mults, j, k))
-                residuals.append(_locus_residual(zs, mults, j, k))
+        rows = _cot_table(c.lines)
+        residuals = [res for j, ln in enumerate(c.lines)
+                     for pair in _residuals(c.lines, j, rows[j], int(ln.mult))
+                     for res in pair]
         worst = max(r.relative() for r in residuals)
         verdict = "pass" if worst < thr else "fail"
     return BACertificate(digest=c.digest(), precision=c.precision,
@@ -219,24 +227,4 @@ def ode_residual_two_mult(c: Configuration) -> DensePoly:
         raise MissingExactData("configuration lacks exact P")
     if c.kind != "twomult":
         raise MissingExactData(f"expected a twomult configuration, got {c.kind}")
-    m, n = c.m, c.n
-    mt = c.mtilde or 0
-    P = c.P
-    P1 = P.derivative()
-    P2 = P1.derivative()
-    w = DensePoly.rational([0, 1])
-    one = DensePoly.rational([1])
-    wsq = w * w - one
-    term2 = (wsq.scale(Fraction(n - 1))
-             - ((w + one) * (w + one)).scale(Fraction(m))
-             - ((w - one) * (w - one)).scale(Fraction(mt)))
-    rhs = DensePoly.rational([n * (m - mt), n * (m + mt)]) * P
-    return (w * wsq) * P2 - term2 * P1 - rhs
-
-
-def certificate_to_json(cert: BACertificate, path: Optional[str] = None) -> str:
-    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return _two_mult_ode_residual(c.m, c.mtilde or 0, c.n, c.P)

@@ -35,6 +35,10 @@ EXIT_USAGE = 2
 EXIT_ERROR = 3
 
 
+class UsageError(Exception):
+    """Input the command cannot act on; reported with exit code 2."""
+
+
 @dataclass
 class RunManifest:
     subcommand: str
@@ -76,6 +80,19 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         print(text)
 
 
+def _require(args, what: str, *names: str) -> None:
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{what} needs {' and '.join(missing)}")
+
+
+def _load(path: str) -> Configuration:
+    try:
+        return Configuration.load(path)
+    except KeyError as ex:
+        raise UsageError(f"{path} lacks the key {ex}") from None
+
+
 def _threshold(args, precision: int):
     log2 = args.threshold_log2 if args.threshold_log2 is not None else precision - 32
     return mp.mpf(2) ** (-log2)
@@ -84,18 +101,20 @@ def _threshold(args, precision: int):
 # --- construct -----------------------------------------------------------------
 
 
+_CONSTRUCT_NEEDS = {"am1n": ("m", "n"), "twomult": ("m", "n"), "tq": ("input",),
+                    "random": ("m", "n"), "locus": ("mults",)}
+
+
 def cmd_construct(args) -> int:
     precision = args.precision
+    _require(args, f"construct {args.family}", *_CONSTRUCT_NEEDS[args.family])
     t0 = time.perf_counter()
     if args.family == "am1n":
         cfg = build_am1n(args.m, args.n, precision)
     elif args.family == "twomult":
         cfg = build_two_mult(args.m, args.mt, args.n, precision)
     elif args.family == "tq":
-        if not args.input:
-            print("construct tq needs --input", file=sys.stderr)
-            return EXIT_USAGE
-        base = Configuration.load(args.input)
+        base = _load(args.input)
         cfg = t_q_expand(base, args.q)
     elif args.family == "random":
         cfg = random_type_m1n(args.m, args.n, args.seed, precision)
@@ -103,8 +122,6 @@ def cmd_construct(args) -> int:
         mults = [int(v) if float(v).is_integer() else float(v)
                  for v in args.mults.split(",")]
         cfg = solve_general_locus(mults, precision)
-    else:
-        return EXIT_USAGE
     elapsed = time.perf_counter() - t0
     if args.output:
         cfg.save(args.output)
@@ -125,8 +142,10 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     precision = args.precision
+    if not args.input and args.family is not None:
+        _require(args, f"certify --family {args.family}", "m", "n")
     if args.input:
-        cfg = Configuration.load(args.input)
+        cfg = _load(args.input)
     elif args.family == "am1n":
         cfg = build_am1n(args.m, args.n, precision)
     elif args.family == "twomult":
@@ -159,8 +178,9 @@ def cmd_certify(args) -> int:
 def cmd_hilbert(args) -> int:
     precision = args.precision
     if args.input:
-        cfg = Configuration.load(args.input)
+        cfg = _load(args.input)
     elif args.random:
+        _require(args, "hilbert --random", "m", "n")
         cfg = random_type_m1n(args.m, args.n, args.seed, precision)
     elif args.m is not None and args.n is not None:
         cfg = build_am1n(args.m, args.n, precision)
@@ -391,6 +411,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     except BalinesError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR

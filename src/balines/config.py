@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .errors import CollisionError, NoConvergence, RecurrenceBreakdown
+from .errors import CollisionError, IdentityFailed, RecurrenceBreakdown
 from .numeric import (check_precision, hex_to_mpf, mpf_to_hex,
                       reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
@@ -254,56 +254,51 @@ def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
     return [e[j] for j in range(1, n + 1)]
 
 
-def _first_condition_max_residual(lines: List[Line]):
-    """max over multiplicity-1 lines of the k=1 polar sum, relative scale."""
-    from .certify import first_condition_residual_lines
-
-    worst = mp.mpf(0)
-    for j, ln in enumerate(lines):
-        if ln.mult != 1:
-            continue
-        res = first_condition_residual_lines(lines, j, 1)
-        worst = max(worst, res.relative())
-    return worst
+def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
+    """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
+    - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1)."""
+    P1 = P.derivative()
+    P2 = P1.derivative()
+    w = DensePoly.rational([0, 1])
+    one = DensePoly.rational([1])
+    wsq = w * w - one
+    term2 = (wsq.scale(Fraction(n - 1))
+             - ((w + one) * (w + one)).scale(Fraction(m))
+             - ((w - one) * (w - one)).scale(Fraction(mt)))
+    rhs = DensePoly.rational([n * (m - mt), n * (m + mt)]) * P
+    return (w * wsq) * P2 - term2 * P1 - rhs
 
 
 def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configuration:
     """Arrangement with multiplicity m at phi = 0, mt at phi = pi/2 (omitted
     when mt = 0) and n multiplicity-1 lines produced by the recurrence.
 
-    The seed e_{n-1} has an ambiguous sign; both branches are built and the
-    one whose first-order residuals vanish is kept (reported in
-    e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1))."""
+    The seed e_{n-1} has an ambiguous sign; the branch kept is the one whose
+    polynomial P satisfies the two-multiplicity ODE exactly (reported in
+    e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1)).  With
+    m = mt the seed is zero and the sign is 1."""
     if m < 1 or mt < 0:
         raise ValueError("need m >= 1 and mt >= 0")
     if n < 2 or n % 2 != 0:
         raise ValueError("the two-multiplicity family needs even n >= 2")
     check_precision(precision)
 
-    candidates = [-1] if m != mt else [1]
-    if m != mt:
-        candidates.append(1)
-    best = None
+    for sign in ((1,) if m == mt else (-1, 1)):
+        e = _two_mult_recurrence(m, mt, n, sign)
+        P = poly_from_elementary(e, n)
+        residual = _two_mult_ode_residual(m, mt, n, P)
+        if residual.is_zero:
+            break
+    else:
+        raise IdentityFailed(
+            f"neither sign branch satisfies the two-multiplicity ODE "
+            f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
     with working(precision):
-        tol = mp.mpf(2) ** (-(precision - 32))
-        for sign in candidates:
-            e = _two_mult_recurrence(m, mt, n, sign)
-            P = poly_from_elementary(e, n)
-            lines = [Line(mult=m, phi=mp.mpf(0), alpha_exact=INF)]
-            if mt > 0:
-                lines.append(Line(mult=mt, phi=mp.pi / 2,
-                                  alpha_exact=Fraction(0)))
-            lines += _lines_from_poly_roots(P, precision)
-            lines.sort(key=lambda ln: ln.phi)
-            worst = _first_condition_max_residual(lines)
-            if worst < tol:
-                best = (sign, e, P, lines)
-                break
-        if best is None:
-            raise NoConvergence(
-                f"neither sign branch satisfies the first-order residual test "
-                f"for (m, mt, n) = ({m}, {mt}, {n})")
-        sign, e, P, lines = best
+        lines = [Line(mult=m, phi=mp.mpf(0), alpha_exact=INF)]
+        if mt > 0:
+            lines.append(Line(mult=mt, phi=mp.pi / 2, alpha_exact=Fraction(0)))
+        lines += _lines_from_poly_roots(P, precision)
+        lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in lines], precision)
     return Configuration(kind="twomult", lines=tuple(lines), precision=precision,
                          m=m, mtilde=mt, n=n, e=tuple(e), P=P,

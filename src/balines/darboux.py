@@ -21,10 +21,9 @@ symmetric values of the configuration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .config import Configuration
 from .errors import IdentityFailed, InvalidOrder, MissingExactData
@@ -234,10 +233,3 @@ def chain_report(chain: DarbouxChain, config: Configuration,
         run(f"q_scaling_{q}", lambda q=q: q_scaling_check(chain, q))
     return out
 
-
-def report_to_json(report: dict, path: Optional[str] = None) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

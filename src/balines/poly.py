@@ -176,9 +176,6 @@ class DensePoly:
             acc = acc * lin + DensePoly([c])
         return acc
 
-    def reversed_coeffs(self) -> "DensePoly":
-        return DensePoly(list(reversed(self.coeffs)))
-
     def __repr__(self):
         if self.is_zero:
             return "DensePoly(0)"

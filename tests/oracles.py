@@ -176,3 +176,27 @@ def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:
         return b[k] if 0 <= k < len(b) else 0
 
     return [at(k) - 2 * at(k - 2) + at(k - 4) for k in range(deg + 1)]
+
+
+# --- existence conditions in the unit-circle chart --------------------------------
+
+
+def polar_condition_residual(lines, j: int, k: int, family: str):
+    """(value, scale) of the first or locus condition at line j and order k,
+    summed in z = e^{2i phi} with complex powers and division; scale is the
+    largest summand magnitude, floored at 1."""
+    zs = [mp.expj(2 * ln.phi) for ln in lines]
+    zj = zs[j]
+    total = mp.mpc(0)
+    scale = mp.mpf(1)
+    for i, (ln, zi) in enumerate(zip(lines, zs)):
+        if i == j:
+            continue
+        if family == "first":
+            term = ln.mult * ((zi + zj) / (zi - zj)) ** (2 * k - 1)
+        else:
+            num = ln.mult * (ln.mult + 1) * zi * (zi + zj) ** (2 * k - 1)
+            term = num / (zi - zj) ** (2 * k + 1)
+        scale = max(scale, abs(term))
+        total += term
+    return total, scale

@@ -71,6 +71,17 @@ def test_certify_perturbed_fails(tmp_path):
     assert run(["certify", "--input", str(path)]) == 1
 
 
+def test_certify_duplicated_line_is_collinear(tmp_path, capsys):
+    from balines.config import build_am1n
+
+    data = build_am1n(2, 2, 256).to_json_dict()
+    data["lines"].append(dict(data["lines"][1]))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert run(["certify", "--input", str(path)]) == 3
+    assert "collinear" in capsys.readouterr().err
+
+
 def test_hilbert_outputs(tmp_path):
     out = tmp_path / "h.json"
     csvp = tmp_path / "h.csv"
@@ -139,6 +150,34 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["construct", "nonsense"])
     assert err.value.code == 2
+
+
+# (argv, key dropped from the --input JSON written to INPUT)
+BAD_INPUT = [
+    (["construct", "am1n", "--n", "2"], None),
+    (["construct", "twomult", "--m", "2"], None),
+    (["construct", "random"], None),
+    (["construct", "locus"], None),
+    (["construct", "tq", "--q", "2"], None),
+    (["certify", "--family", "am1n", "--m", "2"], None),
+    (["hilbert", "--random", "--n", "2"], None),
+    (["certify", "--input", "INPUT"], "lines"),
+    (["hilbert", "--input", "INPUT"], "kind"),
+    (["construct", "tq", "--input", "INPUT", "--q", "2"], "precision_bits"),
+]
+
+
+@pytest.mark.parametrize("argv,drop", BAD_INPUT)
+def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
+    from balines.config import build_am1n
+
+    path = tmp_path / "partial.json"
+    data = build_am1n(2, 2, 128).to_json_dict()
+    data.pop(drop, None)
+    path.write_text(json.dumps(data))
+    assert run([str(path) if a == "INPUT" else a for a in argv]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
 
 
 def test_computation_error_exit_three(tmp_path):
