@@ -25,6 +25,7 @@ from .certify import certify_ba
 from .darboux import build_chain, chain_report
 from .errors import BalinesError, CollisionError
 from .locus import solve_general_locus
+from .numeric import MIN_PRECISION
 from .quasi import (am1n_hilbert_numerator, hilbert_coefficients,
                     hilbert_rational_form, is_gorenstein, m1n_parameters,
                     r_parameter)
@@ -91,6 +92,22 @@ def _load(path: str) -> Configuration:
         return Configuration.load(path)
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
+    except (TypeError, json.JSONDecodeError) as ex:
+        raise UsageError(f"{path}: {ex}") from None
+
+
+# Lowest accepted value of each integer option; scan takes these options as
+# range strings instead, which the check skips.
+_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1}
+
+
+def _check_ranges(args) -> None:
+    if args.precision < MIN_PRECISION:
+        raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if isinstance(value, int) and value < low:
+            raise UsageError(f"--{name} must be >= {low}")
 
 
 def _threshold(args, precision: int):
@@ -189,6 +206,8 @@ def cmd_hilbert(args) -> int:
         return EXIT_USAGE
     m, n = m1n_parameters(cfg)
     D = args.D if args.D is not None else 2 * m + 2 * n + 4
+    if D < 2 * m + 2 * n + 2:
+        raise UsageError(f"--D must be >= {2 * m + 2 * n + 2} for m={m}, n={n}")
     t0 = time.perf_counter()
     coeffs = hilbert_coefficients(cfg, D)
     series = hilbert_rational_form(coeffs, m, n)
@@ -410,6 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)

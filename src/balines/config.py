@@ -146,6 +146,8 @@ class Configuration:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Configuration":
+        if not isinstance(d, dict):
+            raise TypeError(f"a configuration is a JSON object, not {type(d).__name__}")
         lines = []
         for entry in d["lines"]:
             alpha = entry.get("alpha")

@@ -9,12 +9,20 @@ equals {c : R(alpha) divides g_c(alpha)} where R is the monic polynomial with
 the slopes as roots, so dimensions reduce to exact ranks of rational
 remainder-map matrices.  A full-pivot numeric rank serves configurations
 carrying only numeric charts.
+
+Column i of the degree-d matrix is g = (d-i) alpha^(d-1-i) - i alpha^(d+1-i)
+mod R, formed from one table of alpha^k mod R (k <= D+1) that a Hilbert
+series builds once.  The exact rank is certified in two steps: with rows
+scaled to integers, the rank mod the prime 2^61 - 1 is a lower bound and is
+returned when it is full; otherwise Bareiss elimination over the integers
+gives the rank exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,32 +38,72 @@ from .poly import DensePoly
 # --- linear algebra kernels ---------------------------------------------------
 
 
-def rank_exact(rows: List[List[Fraction]]) -> int:
-    """Row rank over the rationals by Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
+# Prime modulus of the rank certificate: a minor that is nonzero mod p is
+# nonzero over Z, so the rank mod p is a lower bound on the rank over Q.
+RANK_PRIME = 2 ** 61 - 1
+
+
+def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Row rank over the rationals of a matrix of ints or Fractions.
+
+    Each row is scaled to integers.  The rank mod RANK_PRIME is a
+    proven lower bound, so it is returned when it reaches min(rows, cols);
+    otherwise fraction-free Bareiss elimination decides the rank exactly."""
+    m = [_integer_row(r) for r in rows]
     if not m or not m[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
+    full = min(len(m), len(m[0]))
+    if _rank_mod_prime(m) == full:
+        return full
+    return _rank_bareiss(m)
+
+
+def _integer_row(row) -> List[int]:
+    """A row of ints or Fractions times the lcm of its denominators."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (lcm // x.denominator) for x in row]
+
+
+def _rank_mod_prime(rows: List[List[int]]) -> int:
+    """Rank of an integer matrix over the field of RANK_PRIME elements."""
+    p = RANK_PRIME
+    m = [[x % p for x in r] for r in rows]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c2 in range(col, ncols):
-                    m[r][c2] -= factor * m[row][c2]
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank][col:]
+        inv = pow(top[0], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            if f:
+                m[r][col:] = [(x - f * y) % p for x, y in zip(m[r][col:], top)]
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == len(m):
+            break
+    return rank
+
+
+def _rank_bareiss(rows: List[List[int]]) -> int:
+    """Fraction-free elimination (Bareiss 1968): after k pivots every live
+    entry is a (k+1)-minor of the input, so each division is exact."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank][col:]
+        pv = top[0]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r][col:] = [(pv * x - f * y) // prev for x, y in zip(m[r][col:], top)]
+        prev = pv
+        rank += 1
+        if rank == len(m):
             break
     return rank
 
@@ -119,16 +167,6 @@ def free_indices(d: int, m: int) -> List[int]:
     return [i for i in range(d + 1) if not (i % 2 == 1 and i <= 2 * m - 1)]
 
 
-def functional_poly(d: int, i: int) -> DensePoly:
-    """(d-i) alpha^(d-1-i) - i alpha^(d+1-i) as an exact polynomial."""
-    coeffs = [Fraction(0)] * (d + 2)
-    if i < d:
-        coeffs[d - 1 - i] += d - i
-    if i > 0:
-        coeffs[d + 1 - i] -= i
-    return DensePoly(coeffs)
-
-
 @dataclass(frozen=True)
 class QISystem:
     """Assembled degree-d system: surviving coefficient indices and the
@@ -144,25 +182,64 @@ class QISystem:
         return len(self.free)
 
     def dimension(self) -> int:
-        return self.free_count - rank_exact([list(r) for r in self.matrix])
+        return self.free_count - rank_exact(self.matrix)
 
 
-def assemble_system(c: Configuration, d: int) -> QISystem:
-    """Exact quasi-invariance system of degree d over the rationals."""
-    if c.R is None:
-        raise MissingExactData("configuration carries no exact slope polynomial R")
-    m, light = _require_m1n_chart(c)
-    R = c.R
+# alpha^k mod R for k = 0, 1, ..., each as (numerators, denominator) of its
+# deg R coefficients.
+PowerTable = Sequence[Tuple[Sequence[int], int]]
+
+
+def power_table(R: DensePoly, top: int) -> PowerTable:
+    """alpha^k mod R for k = 0..top, by shift and reduce against R made
+    monic, so a scaled R gives the same table."""
+    R = R.monic()
     n = R.degree
-    if n != len(light):
-        raise MissingExactData("R degree does not match the number of slope lines")
+    den_r = math.lcm(*(R[j].denominator for j in range(n)))
+    low = [int(R[j] * den_r) for j in range(n)]
+    nums, den = [int(j == 0) for j in range(n)], 1
+    table = []
+    for _ in range(top + 1):
+        table.append((tuple(nums), den))
+        if not n:
+            continue
+        lead, nums = nums[-1], [0] + nums[:-1]
+        if lead:
+            nums = [x * den_r - lead * r for x, r in zip(nums, low)]
+            g = math.gcd(den * den_r, *nums)
+            nums, den = [x // g for x in nums], den * den_r // g
+    return table
+
+
+def assemble_system(c: Configuration, d: int,
+                    table: Optional[PowerTable] = None) -> QISystem:
+    """Exact quasi-invariance system of degree d over the rationals.
+
+    Column i is (d-i) alpha^(d-1-i) - i alpha^(d+1-i) mod R, read off the
+    power table (built here through alpha^(d+1) unless a longer one is
+    passed)."""
+    m, R = _slope_poly(c)
+    if table is None:
+        table = power_table(R, d + 1)
     S = free_indices(d, m)
     cols = []
     for i in S:
-        rem = functional_poly(d, i) % R
-        cols.append([rem[k] for k in range(n)])
-    rows = tuple(tuple(cols[ci][k] for ci in range(len(S))) for k in range(n))
-    return QISystem(degree=d, heavy_mult=m, free=tuple(S), matrix=rows)
+        xs, dx = table[max(d - 1 - i, 0)]
+        ys, dy = table[d + 1 - i]
+        cols.append([Fraction((d - i) * x * dy - i * y * dx, dx * dy)
+                     for x, y in zip(xs, ys)])
+    return QISystem(degree=d, heavy_mult=m, free=tuple(S),
+                    matrix=tuple(zip(*cols)))
+
+
+def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
+    """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n) chart."""
+    if c.R is None:
+        raise MissingExactData("configuration carries no exact slope polynomial R")
+    m, light = _require_m1n_chart(c)
+    if c.R.degree != len(light):
+        raise MissingExactData("R degree does not match the number of slope lines")
+    return m, c.R
 
 
 def m1n_parameters(c: Configuration) -> Tuple[int, int]:
@@ -191,9 +268,10 @@ def _require_m1n_chart(c: Configuration) -> Tuple[int, List]:
     return m, light
 
 
-def qi_dimension_exact(c: Configuration, d: int) -> int:
+def qi_dimension_exact(c: Configuration, d: int,
+                       table: Optional[PowerTable] = None) -> int:
     """dim of degree-d quasi-invariants via the exact remainder-map rank."""
-    return assemble_system(c, d).dimension()
+    return assemble_system(c, d, table).dimension()
 
 
 def qi_dimension_numeric(c: Configuration, d: int, precision: Optional[int] = None,
@@ -220,21 +298,14 @@ def qi_dimension_numeric(c: Configuration, d: int, precision: Optional[int] = No
 
 def is_quasi_invariant(c: Configuration, coeffs: Sequence[Fraction]) -> bool:
     """Exact membership test for a homogeneous polynomial sum c_i x^(d-i) y^i."""
-    if c.R is None:
-        raise MissingExactData("membership test needs exact R")
-    m, _ = _require_m1n_chart(c)
     coeffs = [Fraction(v) for v in coeffs]
     d = len(coeffs) - 1
-    for i in range(1, min(2 * m - 1, d) + 1, 2):
-        if coeffs[i] != 0:
-            return False
-    g = DensePoly.zero()
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        sign = 1 if (d - i - 1) % 2 == 0 else -1
-        g = g + functional_poly(d, i).scale(ci * sign)
-    return (g % c.R).is_zero
+    system = assemble_system(c, d)
+    free = set(system.free)
+    if any(v for i, v in enumerate(coeffs) if i not in free):
+        return False  # the heavy line kills these coefficients
+    signed = [coeffs[i] * (1 if (d - i - 1) % 2 == 0 else -1) for i in system.free]
+    return all(sum(v * s for v, s in zip(row, signed)) == 0 for row in system.matrix)
 
 
 def radial_invariant(d: int = 2) -> List[Fraction]:
@@ -322,7 +393,8 @@ def hilbert_coefficients(c: Configuration, D: int,
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     use_exact = exact if exact is not None else c.R is not None
     if use_exact:
-        return [qi_dimension_exact(c, d) for d in range(D + 1)]
+        table = power_table(_slope_poly(c)[1], D + 1)
+        return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
     return [qi_dimension_numeric(c, d) for d in range(D + 1)]
 
 

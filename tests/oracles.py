@@ -142,6 +142,26 @@ def config_to_oracle_lines(config, precision: int = 512) -> List[Tuple[int, Opti
     return out
 
 
+def remainder_map_matrix(R, d: int, m: int):
+    """Degree-d remainder-map matrix by one polynomial division per column:
+    column i, for each i the heavy line leaves free, holds the coefficients
+    of ((d-i) a^(d-1-i) - i a^(d+1-i)) mod R; one row per power below deg R."""
+    from balines.poly import DensePoly
+
+    cols = []
+    for i in range(d + 1):
+        if i % 2 == 1 and i <= 2 * m - 1:
+            continue
+        coeffs = [Fraction(0)] * (d + 2)
+        if i < d:
+            coeffs[d - 1 - i] += d - i
+        if i > 0:
+            coeffs[d + 1 - i] -= i
+        rem = DensePoly(coeffs) % R
+        cols.append([rem[k] for k in range(R.degree)])
+    return tuple(zip(*cols))
+
+
 # --- symmetric functions over numeric roots --------------------------------------
 
 

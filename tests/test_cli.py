@@ -152,7 +152,10 @@ def test_usage_error_exit_two():
     assert err.value.code == 2
 
 
-# (argv, key dropped from the --input JSON written to INPUT)
+# Texts written to INPUT in place of a configuration, by name.
+RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
+
+# (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT name)
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -164,6 +167,12 @@ BAD_INPUT = [
     (["certify", "--input", "INPUT"], "lines"),
     (["hilbert", "--input", "INPUT"], "kind"),
     (["construct", "tq", "--input", "INPUT", "--q", "2"], "precision_bits"),
+    (["construct", "am1n", "--m", "0", "--n", "2"], None),
+    (["construct", "am1n", "--m", "2", "--n", "2", "--precision", "10"], None),
+    (["hilbert", "--m", "2", "--n", "2", "--D", "3"], None),
+    (["certify", "--input", "INPUT"], "not-an-object"),
+    (["hilbert", "--input", "INPUT"], "not-an-object"),
+    (["certify", "--input", "INPUT"], "not-json"),
 ]
 
 
@@ -172,9 +181,12 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     from balines.config import build_am1n
 
     path = tmp_path / "partial.json"
-    data = build_am1n(2, 2, 128).to_json_dict()
-    data.pop(drop, None)
-    path.write_text(json.dumps(data))
+    if drop in RAW_INPUT:
+        path.write_text(RAW_INPUT[drop])
+    else:
+        data = build_am1n(2, 2, 128).to_json_dict()
+        data.pop(drop, None)
+        path.write_text(json.dumps(data))
     assert run([str(path) if a == "INPUT" else a for a in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err

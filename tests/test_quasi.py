@@ -1,19 +1,25 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balines import quasi
 from balines.config import build_am1n, from_alphas, random_type_m1n
 from balines.errors import MissingExactData, OutOfRange, TailMismatch
 from balines.locus import solve_general_locus
-from balines.quasi import (am1n_hilbert_numerator, expand_numerator,
-                           hilbert_coefficients, hilbert_rational_form,
-                           is_gorenstein, is_quasi_invariant,
-                           is_symmetric_slope_chart, product_invariant,
-                           qi_dimension_exact, qi_dimension_numeric,
-                           r_parameter, radial_invariant, rank_exact,
-                           segment_oracles, segment_prediction)
+from balines.quasi import (am1n_hilbert_numerator, assemble_system,
+                           expand_numerator, hilbert_coefficients,
+                           hilbert_rational_form, is_gorenstein,
+                           is_quasi_invariant, is_symmetric_slope_chart,
+                           product_invariant, qi_dimension_exact,
+                           qi_dimension_numeric, r_parameter,
+                           radial_invariant, rank_exact, segment_oracles,
+                           segment_prediction)
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
+                     echelon_rank_exact, remainder_map_matrix,
                      series_times_denominator)
 
 
@@ -133,6 +139,7 @@ def test_universal_invariants_members():
                 random_type_m1n(2, 3, seed=4), random_type_m1n(3, 2, seed=8)]:
         assert is_quasi_invariant(cfg, radial_invariant())
         assert is_quasi_invariant(cfg, product_invariant(cfg))
+        assert not is_quasi_invariant(cfg, [F(1), F(0), F(2)])  # x^2 + 2y^2
 
 
 def test_r_parameter():
@@ -191,6 +198,44 @@ def test_rank_exact_small_cases():
     assert rank_exact([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert rank_exact([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert rank_exact([]) == 0
+    assert rank_exact([[]]) == 0
+    assert rank_exact([[F(0)] * 3] * 4) == 0
+    assert rank_exact([[F(0), F(-2, 3), F(5)]]) == 1
+    assert rank_exact([[F(0), F(0), F(0)]]) == 0
+
+
+def test_rank_exact_falls_back_when_p_divides_a_minor(monkeypatch):
+    # rank 1 mod 2^61 - 1 but 2 over Q: only the Bareiss route can tell
+    calls = []
+    bareiss = quasi._rank_bareiss
+    monkeypatch.setattr(quasi, "_rank_bareiss",
+                        lambda rows: calls.append(rows) or bareiss(rows))
+    assert rank_exact([[F(2 ** 61 - 1), F(0)], [F(0), F(1)]]) == 2
+    assert len(calls) == 1
+
+
+_ENTRY = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    st.sampled_from([F(quasi.RANK_PRIME), F(-2 * quasi.RANK_PRIME, 3)]))
+
+
+@st.composite
+def _planted_rank_matrices(draw):
+    """Rows from a random basis plus rational combinations of it, shuffled."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    basis = draw(st.lists(row, min_size=1, max_size=5))
+    weights = st.lists(_ENTRY, min_size=len(basis), max_size=len(basis))
+    planted = [[sum((w * b[j] for w, b in zip(ws, basis)), F(0))
+                for j in range(ncols)]
+               for ws in draw(st.lists(weights, max_size=3))]
+    return draw(st.permutations(basis + planted))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_rank_matrices())
+def test_rank_exact_matches_oracle(rows):
+    assert rank_exact(rows) == echelon_rank_exact(rows)
 
 
 def test_exact_needs_rational_data():
@@ -199,9 +244,26 @@ def test_exact_needs_rational_data():
         qi_dimension_exact(lc, 4)
 
 
-def test_assembled_system_shape():
-    from balines.quasi import assemble_system
+def test_power_table_assembly_matches_polynomial_division():
+    for c in [build_am1n(3, 5, 128), random_type_m1n(2, 4, seed=3)]:
+        m, n = c.m, c.n
+        scaled = dataclasses.replace(c, R=c.R.scale(F(3)))
+        for d in range(2 * m + 2 * n + 5):
+            want = remainder_map_matrix(c.R, d, m)
+            assert assemble_system(c, d).matrix == want, d
+            assert assemble_system(scaled, d).matrix == want, d
+            assert qi_dimension_exact(scaled, d) == qi_dimension_exact(c, d)
 
+
+def test_exact_hilbert_series_at_scale():
+    m, n = 4, 20
+    bs = hilbert_coefficients(random_type_m1n(m, n, seed=1), 2 * m + 2 * n + 4)
+    h = hilbert_rational_form(bs, m, n)  # raises TailMismatch off the tail law
+    assert bs[2 * (m + n - 1)] == m + n - 1
+    assert is_gorenstein(h) == (False, None)
+
+
+def test_assembled_system_shape():
     c = build_am1n(2, 2, 128)
     sys6 = assemble_system(c, 6)
     assert sys6.free == (0, 2, 4, 5, 6)
