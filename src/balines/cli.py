@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence
 import mpmath as mp
 
 from . import __version__
-from .config import (Configuration, build_am1n, build_two_mult,
-                     random_type_m1n, t_q_expand)
+from .config import (Configuration, Multiplicities, build_am1n,
+                     build_two_mult, random_type_m1n, t_q_expand)
 from .certify import certify_ba
 from .darboux import build_chain, chain_report
 from .errors import BalinesError, CollisionError
@@ -60,15 +60,19 @@ def default_precision() -> int:
 
 
 def parse_range(text: str) -> List[int]:
-    """'1..4' -> [1,2,3,4]; '2,4,6' -> [2,4,6]; '3' -> [3]."""
+    """'1..4' -> [1,2,3,4]; '2,4,6' -> [2,4,6]; '3' -> [3].  Raises
+    UsageError on any other text."""
     out: List[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+    try:
+        for chunk in text.split(","):
+            chunk = chunk.strip()
+            if ".." in chunk:
+                lo, hi = chunk.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+    except ValueError:
+        raise UsageError(f"cannot read {text!r} as integers or ranges") from None
     return out
 
 
@@ -94,10 +98,12 @@ def _load(path: str) -> Configuration:
         raise UsageError(f"{path} lacks the key {ex}") from None
     except (TypeError, json.JSONDecodeError) as ex:
         raise UsageError(f"{path}: {ex}") from None
+    except OSError as ex:
+        raise UsageError(f"cannot read {path}: {ex.strerror}") from None
 
 
 # Lowest accepted value of each integer option; scan takes these options as
-# range strings instead, which the check skips.
+# range strings, every value of which is checked.
 _MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1}
 
 
@@ -106,8 +112,20 @@ def _check_ranges(args) -> None:
         raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
     for name, low in _MINIMUM.items():
         value = getattr(args, name, None)
-        if isinstance(value, int) and value < low:
+        values = parse_range(value) if isinstance(value, str) else [value]
+        if any(isinstance(v, int) and v < low for v in values):
             raise UsageError(f"--{name} must be >= {low}")
+
+
+def _parse_mults(text: str) -> Multiplicities:
+    try:
+        mults = Multiplicities(tuple(int(v) if float(v).is_integer() else float(v)
+                                     for v in text.split(",")))
+    except ValueError as ex:
+        raise UsageError(f"--mults {text!r}: {ex}") from None
+    if len(mults) < 2:
+        raise UsageError("--mults needs at least two multiplicities")
+    return mults
 
 
 def _threshold(args, precision: int):
@@ -136,9 +154,7 @@ def cmd_construct(args) -> int:
     elif args.family == "random":
         cfg = random_type_m1n(args.m, args.n, args.seed, precision)
     elif args.family == "locus":
-        mults = [int(v) if float(v).is_integer() else float(v)
-                 for v in args.mults.split(",")]
-        cfg = solve_general_locus(mults, precision)
+        cfg = solve_general_locus(_parse_mults(args.mults), precision)
     elapsed = time.perf_counter() - t0
     if args.output:
         cfg.save(args.output)

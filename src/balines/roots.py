@@ -1,24 +1,34 @@
 """Simultaneous (Aberth-type) polynomial root finding in mpmath complex.
 
 Inputs are exact DensePoly instances with rational or Gaussian-rational
-coefficients, assumed squarefree (checked).  Initial points sit on a circle
-of Fujiwara-bound radius with a fixed deterministic jitter, so reruns give
-identical output at identical precision.
+coefficients, assumed squarefree (checked).  Start points sit on a circle
+of Fujiwara-bound radius with a fixed deterministic jitter.  The slow global
+phase of Aberth's method runs from there in double precision (Python
+``complex``); the mpmath Aberth iteration then starts from those seeds,
+where it converges cubically, and alone decides acceptance.  When a seed is
+not finite (a coefficient outside the double range) or two seeds coincide,
+the mpmath iteration starts from the circle itself.  Reruns give identical
+output at identical precision.
 """
 
 from __future__ import annotations
 
-from typing import List
+import cmath
+from typing import List, Optional
 
 import mpmath as mp
 
 from .errors import NoConvergence
 from .poly import DensePoly
-from .numeric import check_precision, to_mp, working
+from .numeric import check_precision, log2_abs, to_mp, working
 
 _MAX_ITER = 400
 # deterministic angular jitter, a fixed irrational multiple per index
 _JITTER = 0.01234567
+# the double-precision phase stops once every step is below this fraction
+# of its point's modulus, or after _SEED_SWEEPS sweeps
+_SEED_TOL = 2.0 ** -40
+_SEED_SWEEPS = 100
 
 
 def fujiwara_bound(coeffs_mp) -> mp.mpf:
@@ -33,11 +43,61 @@ def fujiwara_bound(coeffs_mp) -> mp.mpf:
     return 2 * best if best > 0 else mp.mpf(1)
 
 
-def _polyval(coeffs_mp, x):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs_mp):
+def _polyval(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _aberth_step(dcoeffs, xs, pvs):
+    """One Jacobi sweep of Aberth's method, in the arithmetic of xs: the
+    points minus their offsets, given the values pvs of p at xs.  Each
+    1/(x_i - x_j) is formed once per unordered pair and negated for (j, i);
+    every sum still accumulates its terms in the order j = 0..n-1.
+    """
+    n = len(xs)
+    sums = [0 * x for x in xs]
+    for i in range(n):
+        x = xs[i]
+        for j in range(i + 1, n):
+            d = 1 / (x - xs[j])
+            sums[i] += d
+            sums[j] -= d
+    out = []
+    for x, pv, s in zip(xs, pvs, sums):
+        dv = _polyval(dcoeffs, x)
+        if dv == 0:
+            out.append(x - (0.5 + 0.5j))
+            continue
+        w = pv / dv
+        denom = 1 - w * s
+        out.append(x - (w if denom == 0 else w / denom))
+    return out
+
+
+def _usable(xs) -> bool:
+    return all(cmath.isfinite(x) for x in xs) and len(set(xs)) == len(xs)
+
+
+def _double_seeds(coeffs, start) -> Optional[List[complex]]:
+    """Aberth's method in double precision from the start points, or None
+    when a point leaves the double range or two points coincide."""
+    cs = [complex(c) for c in coeffs]
+    dcs = [k * c for k, c in enumerate(cs)][1:]
+    xs = [complex(x) for x in start]
+    for _ in range(_SEED_SWEEPS):
+        if not _usable(xs):
+            return None
+        new = _aberth_step(dcs, xs, [_polyval(cs, x) for x in xs])
+        try:
+            done = all(abs(b - a) <= _SEED_TOL * abs(a) for a, b in zip(xs, new))
+        except OverflowError:  # abs() of a complex beyond the double range
+            return None
+        xs = new
+        if done:
+            break
+    return xs if _usable(xs) else None
 
 
 def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpc]:
@@ -61,34 +121,24 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpc]:
         radius = fujiwara_bound(coeffs)
         xs = [radius * mp.exp(mp.mpc(0, 1) * (2 * mp.pi * k / n + _JITTER * (k + 1)))
               for k in range(n)]
+        seeds = _double_seeds(coeffs, xs)
+        if seeds is not None:
+            xs = [mp.mpc(x) for x in seeds]
 
-        converged = False
-        for _ in range(_MAX_ITER):
-            offsets = []
-            maxres = mp.mpf(0)
-            for i, x in enumerate(xs):
-                pv = _polyval(coeffs, x)
-                maxres = max(maxres, abs(pv))
-                dv = _polyval(dcoeffs, x)
-                if dv == 0:
-                    offsets.append(mp.mpc(0.5, 0.5))
-                    continue
-                w = pv / dv
-                s = mp.mpc(0)
-                for j, y in enumerate(xs):
-                    if j != i:
-                        s += 1 / (x - y)
-                denom = 1 - w * s
-                offsets.append(w if denom == 0 else w / denom)
-            xs = [x - o for x, o in zip(xs, offsets)]
-            if maxres < target:
-                converged = True
+        sweeps = 0
+        while True:
+            pvs = [_polyval(coeffs, x) for x in xs]
+            # written so that a NaN residual counts as not converged
+            if all(abs(v) < target for v in pvs):
                 break
-        if not converged:
-            # final residual check: the last sweep may have landed the roots
-            if max(abs(_polyval(coeffs, x)) for x in xs) >= target:
+            if sweeps == _MAX_ITER:
+                worst = max(log2_abs(v) for v in pvs)
                 raise NoConvergence(
-                    f"root iteration stalled at precision {precision}")
+                    f"root iteration stalled at precision {precision}: worst "
+                    f"residual log2 {worst:.1f} against target log2 "
+                    f"{log2_abs(target):.1f} after {sweeps} sweep(s)")
+            xs = _aberth_step(dcoeffs, xs, pvs)
+            sweeps += 1
 
         # Newton polish, then deterministic ordering
         for _ in range(3):

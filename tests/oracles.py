@@ -162,6 +162,65 @@ def remainder_map_matrix(R, d: int, m: int):
     return tuple(zip(*cols))
 
 
+# --- reference root finder ----------------------------------------------------------
+
+
+def aberth_roots_reference(p, precision: int):
+    """All roots of a squarefree DensePoly by Aberth's method run entirely in
+    mpmath at precision + 96 bits, from points on the Fujiwara circle with a
+    fixed angular jitter; then three Newton steps and the (argument in
+    [0, 2pi), modulus) order.  No double-precision phase."""
+    from balines.numeric import to_mp
+
+    n = p.degree
+    with mp.workprec(precision + 96):
+        coeffs = [to_mp(c) for c in p.coeffs]
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+        target = mp.mpf(2) ** (-(precision + 48)) * max(abs(c) for c in coeffs)
+
+        def value(cs, x):
+            acc = mp.mpc(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            return acc
+
+        bound = max((abs(coeffs[n - k]) / abs(coeffs[n])) ** (mp.mpf(1) / k)
+                    for k in range(1, n + 1))
+        radius = 2 * bound if bound > 0 else mp.mpf(1)
+        xs = [radius * mp.exp(mp.mpc(0, 1) * (2 * mp.pi * k / n + 0.01234567 * (k + 1)))
+              for k in range(n)]
+        for _ in range(400):
+            offsets = []
+            worst = mp.mpf(0)
+            for i, x in enumerate(xs):
+                pv = value(coeffs, x)
+                worst = max(worst, abs(pv))
+                dv = value(dcoeffs, x)
+                if dv == 0:
+                    offsets.append(mp.mpc(0.5, 0.5))
+                    continue
+                w = pv / dv
+                s = mp.mpc(0)
+                for j, y in enumerate(xs):
+                    if j != i:
+                        s += 1 / (x - y)
+                denom = 1 - w * s
+                offsets.append(w if denom == 0 else w / denom)
+            xs = [x - o for x, o in zip(xs, offsets)]
+            if worst < target:
+                break
+        else:
+            raise AssertionError("reference Aberth iteration did not converge")
+        for _ in range(3):
+            xs = [x - value(coeffs, x) / value(dcoeffs, x) for x in xs]
+
+        def key(z):
+            a = mp.arg(z)
+            return (a + 2 * mp.pi if a < 0 else a, abs(z))
+
+        return sorted(xs, key=key)
+
+
 # --- symmetric functions over numeric roots --------------------------------------
 
 

@@ -155,7 +155,8 @@ def test_usage_error_exit_two():
 # Texts written to INPUT in place of a configuration, by name.
 RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
 
-# (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT name)
+# (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT
+# name); MISSING stands for a path that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -173,6 +174,15 @@ BAD_INPUT = [
     (["certify", "--input", "INPUT"], "not-an-object"),
     (["hilbert", "--input", "INPUT"], "not-an-object"),
     (["certify", "--input", "INPUT"], "not-json"),
+    (["construct", "locus", "--mults", "a,b"], None),
+    (["construct", "locus", "--mults", "0,1"], None),
+    (["scan", "certify", "--m", "x"], None),
+    (["scan", "certify", "--m", "0..1", "--n", "1"], None),
+    (["scan", "darboux", "--m", "1", "--n", "0"], None),
+    (["certify", "--input", "MISSING"], None),
+    (["hilbert", "--input", "MISSING"], None),
+    (["construct", "tq", "--input", "MISSING", "--q", "2"], None),
+    (["construct", "locus", "--mults", "3"], None),
 ]
 
 
@@ -187,7 +197,8 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         data = build_am1n(2, 2, 128).to_json_dict()
         data.pop(drop, None)
         path.write_text(json.dumps(data))
-    assert run([str(path) if a == "INPUT" else a for a in argv]) == 2
+    paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json")}
+    assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
 
