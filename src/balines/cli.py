@@ -61,14 +61,17 @@ def default_precision() -> int:
 
 def parse_range(text: str) -> List[int]:
     """'1..4' -> [1,2,3,4]; '2,4,6' -> [2,4,6]; '3' -> [3].  Raises
-    UsageError on any other text."""
+    UsageError on any other text and on an empty range such as '3..1'."""
     out: List[int] = []
     try:
         for chunk in text.split(","):
             chunk = chunk.strip()
             if ".." in chunk:
                 lo, hi = chunk.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
+                values = range(int(lo), int(hi) + 1)
+                if not values:
+                    raise UsageError(f"the range {chunk!r} holds no value")
+                out.extend(values)
             else:
                 out.append(int(chunk))
     except ValueError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +75,8 @@ class Multiplicities:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty multiplicity list")
-        if any(not (v > 0) for v in self.values):
-            raise ValueError("multiplicities must be positive")
+        if any(not (0 < v < math.inf) for v in self.values):
+            raise ValueError("multiplicities must be positive and finite")
 
     def __len__(self):
         return len(self.values)

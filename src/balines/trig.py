@@ -6,6 +6,7 @@ iff c_{-l} = conj(c_l) for all l.  Differentiation d/dphi maps c_l to i*l*c_l.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Mapping
 
@@ -15,6 +16,7 @@ from .errors import IdentityFailed
 from .scalars import GaussianRational, I
 
 _HALF = Fraction(1, 2)
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), k mod 4
 
 
 class TrigPoly:
@@ -112,12 +114,15 @@ class TrigPoly:
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scale(other)
-        out: Dict[int, GaussianRational] = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                l = l1 + l2
-                out[l] = out.get(l, GaussianRational()) + c1 * c2
-        return TrigPoly(out)
+        terms1, d1 = _integer_terms(self)
+        terms2, d2 = _integer_terms(other)
+        acc: Dict[int, List[int]] = {}
+        for l1, a1, b1 in terms1:
+            for l2, a2, b2 in terms2:
+                slot = acc.setdefault(l1 + l2, [0, 0])
+                slot[0] += a1 * a2 - b1 * b2
+                slot[1] += a1 * b2 + b1 * a2
+        return _from_integers(acc, d1 * d2)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -185,6 +190,25 @@ class TrigPoly:
         return f"TrigPoly({items})"
 
 
+def _integer_terms(f: TrigPoly):
+    """([(l, re, im)], d): f = sum (re + im*i) u^l / d with integer re, im and
+    d the lcm of the coefficient denominators."""
+    coeffs = f.coeffs.values()
+    d = math.lcm(*(c.re.denominator for c in coeffs),
+                 *(c.im.denominator for c in coeffs))
+    return [(l, c.re.numerator * (d // c.re.denominator),
+             c.im.numerator * (d // c.im.denominator))
+            for l, c in f.coeffs.items()], d
+
+
+def _from_integers(acc: Mapping[int, List[int]], d: int) -> TrigPoly:
+    """TrigPoly sum (re + im*i) u^l / d, dropping zero coefficients."""
+    out = TrigPoly()
+    out.coeffs = {l: GaussianRational(Fraction(re, d), Fraction(im, d))
+                  for l, (re, im) in acc.items() if re or im}
+    return out
+
+
 def sin_power(k: int) -> TrigPoly:
     """(sin phi)^k as an exact TrigPoly."""
     return TrigPoly.sin(1) ** k
@@ -197,36 +221,43 @@ def cos_power(k: int) -> TrigPoly:
 def wronskian(fs: List[TrigPoly]) -> TrigPoly:
     """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1.
 
-    Fraction-free (Bareiss) elimination over the Laurent ring: every division
-    by the previous pivot is exact, which keeps intermediate entries small.
+    Expanded multilinearly over the monomials of each f_j: since
+    d/dphi u^l = i*l*u^l, the Wronskian of u^(l_1)..u^(l_n) is the
+    Vandermonde u^(sum l) prod_{a<b} i(l_b - l_a), so
+
+        W = i^(n(n-1)/2) sum prod_j c_(j,l_j) prod_{a<b} (l_b - l_a) u^(sum l)
+
+    over every choice (l_1..l_n) of one monomial per f; a choice with a
+    repeated l contributes nothing.  The sum runs on Gaussian-integer
+    numerators over the product of the f's common denominators and needs no
+    division.  Cost: the product of the support sizes (2^n for n sines).
     """
     if not fs:
         raise ValueError("wronskian of an empty list")
     n = len(fs)
-    rows: List[List[TrigPoly]] = [list(fs)]
-    for _ in range(n - 1):
-        rows.append([f.dphi() for f in rows[-1]])
-    m = [[rows[i][j] for j in range(n)] for i in range(n)]
-
-    sign = 1
-    prev = TrigPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return TrigPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = TrigPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    denom = 1
+    # partial choices (frequencies so far, Vandermonde-weighted numerator),
+    # started from the unit i^(n(n-1)/2)
+    partial = [((),) + _I_POWERS[n * (n - 1) // 2 % 4]]
+    for f in fs:
+        terms, d = _integer_terms(f)
+        denom *= d
+        grown = []
+        for chosen, re, im in partial:
+            for l, a, b in terms:
+                v = 1
+                for k in chosen:
+                    v *= l - k
+                if v:
+                    grown.append((chosen + (l,), (re * a - im * b) * v,
+                                  (re * b + im * a) * v))
+        partial = grown
+    acc: Dict[int, List[int]] = {}
+    for chosen, re, im in partial:
+        slot = acc.setdefault(sum(chosen), [0, 0])
+        slot[0] += re
+        slot[1] += im
+    return _from_integers(acc, denom)
 
 
 def require_identity(lhs: TrigPoly, rhs: TrigPoly, what: str) -> bool:

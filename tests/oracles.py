@@ -4,7 +4,7 @@ Everything here deliberately avoids the code paths it checks: dimensions come
 from the raw definition (one normal-derivative condition per line and order,
 full coefficient vector, no free-index reduction), symmetric functions from
 direct products over numeric roots, Wronskians from closed-form derivative
-matrices and a numeric determinant.
+matrices and a numeric determinant, or from fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -245,6 +245,53 @@ def numeric_wronskian_sines(ks: Sequence[int], phi):
         for j, k in enumerate(ks):
             mat[i, j] = mp.mpf(k) ** i * mp.sin(k * phi + i * mp.pi / 2)
     return mp.det(mat)
+
+
+def termwise_product(a, b) -> dict:
+    """Coefficients of the TrigPoly product a*b as {l: GaussianRational}, one
+    GaussianRational product per pair of terms, zero sums dropped."""
+    from balines.scalars import GaussianRational
+
+    out = {}
+    for l1, c1 in a.coeffs.items():
+        for l2, c2 in b.coeffs.items():
+            out[l1 + l2] = out.get(l1 + l2, GaussianRational()) + c1 * c2
+    return {l: c for l, c in out.items() if not c.is_zero}
+
+
+def bareiss_wronskian(fs):
+    """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1, of TrigPolys by
+    fraction-free (Bareiss) elimination over the Laurent ring: every division
+    by the previous pivot is an exact `TrigPoly.exact_div`."""
+    from balines.trig import TrigPoly
+
+    if not fs:
+        raise ValueError("wronskian of an empty list")
+    n = len(fs)
+    rows = [list(fs)]
+    for _ in range(n - 1):
+        rows.append([f.dphi() for f in rows[-1]])
+    m = [[rows[i][j] for j in range(n)] for i in range(n)]
+
+    sign = 1
+    prev = TrigPoly.const(1)
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return TrigPoly.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = TrigPoly.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:

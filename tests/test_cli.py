@@ -183,6 +183,8 @@ BAD_INPUT = [
     (["hilbert", "--input", "MISSING"], None),
     (["construct", "tq", "--input", "MISSING", "--q", "2"], None),
     (["construct", "locus", "--mults", "3"], None),
+    (["scan", "certify", "--m", "3..1", "--n", "2"], None),
+    (["construct", "locus", "--mults", "inf,1"], None),
 ]
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from balines.scalars import GaussianRational, I, frac_str, parse_frac
 
@@ -48,3 +50,34 @@ def test_rational_serialization():
     assert frac_str(F(5)) == "5"
     assert parse_frac("-4/3") == F(-4, 3)
     assert parse_frac("7") == F(7)
+
+
+_RATIONAL = st.fractions(min_value=-8, max_value=8, max_denominator=16)
+_GAUSSIAN = st.builds(GaussianRational, _RATIONAL, _RATIONAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GAUSSIAN, _GAUSSIAN, _GAUSSIAN)
+def test_field_axioms(a, b, c):
+    zero, one = GaussianRational(), GaussianRational.of(1)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a + (-a) == zero and a - b == a + (-b)
+    assume(not a.is_zero)
+    assert a * (one / a) == one
+    assert (b / a) * a == b
+    assert a ** -2 * a ** 2 == one
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GAUSSIAN, _GAUSSIAN)
+def test_conjugation_laws(a, b):
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert a.conjugate().conjugate() == a
+    norm = a * a.conjugate()
+    assert norm.is_real and norm.re == a.norm2() >= 0
+    assert (norm.re == 0) == a.is_zero

@@ -2,11 +2,14 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balines.darboux import darboux_levels
 from balines.scalars import GaussianRational
 from balines.trig import TrigPoly, cos_power, sin_power, wronskian
 
-from oracles import numeric_wronskian_sines
+from oracles import bareiss_wronskian, numeric_wronskian_sines, termwise_product
 
 
 def test_sin_cos_values():
@@ -85,3 +88,80 @@ def test_exact_division():
 
 def test_subs_power():
     assert TrigPoly.sin(3).subs_power(2) == TrigPoly.sin(6)
+
+
+def _oracle_ladders():
+    """(levels, q): every (m, mt) with m <= 6 at q = 1 and every (m, mt)
+    with m <= 4 at q = 2, 3; n runs over 1..10 (even 2..10 when mt >= 1)
+    up to m = 4 and over 1, 2 (2) above, plus the (6, 3, 10) ladder."""
+    for q, top in ((1, 6), (2, 4), (3, 4)):
+        for m in range(1, top + 1):
+            nmax = 10 if m <= 4 else 2
+            for mt in range(m + 1):
+                for n in range(1 if mt == 0 else 2, nmax + 1, 1 if mt == 0 else 2):
+                    yield darboux_levels(m, mt, n), q
+    yield darboux_levels(6, 3, 10), 1
+
+
+def test_wronskian_matches_bareiss_oracle():
+    a = TrigPoly.sin(1) * TrigPoly.cos(3) + TrigPoly.sin(2) ** 2
+    b = TrigPoly.cos(1) - TrigPoly.sin(5).scale(F(7, 3))
+    cases = [[TrigPoly.sin(q * k) for k in levels]
+             for levels, q in _oracle_ladders()]
+    cases += [[a, b], [b, a, a * b],
+              [TrigPoly.sin(2), TrigPoly.sin(3), TrigPoly.sin(2).scale(F(5, 7))]]
+    for fs in cases:
+        assert wronskian(fs) == bareiss_wronskian(fs)
+    assert wronskian(cases[-1]).is_zero
+
+
+# Sparse Laurent polynomials whose coefficients carry mixed denominators, and
+# real sine/cosine combinations.
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_SPARSE = st.dictionaries(
+    st.integers(-7, 7), st.builds(GaussianRational, _RATIONAL, _RATIONAL),
+    max_size=6).map(TrigPoly)
+_REAL_TRIG = st.lists(
+    st.tuples(st.sampled_from([TrigPoly.sin, TrigPoly.cos]), st.integers(0, 4),
+              _RATIONAL), max_size=4).map(
+    lambda terms: sum((f(k).scale(c) for f, k, c in terms), TrigPoly.zero()))
+_TRIG = st.one_of(_SPARSE, _REAL_TRIG)
+
+
+def test_product_cancellation_drops_zeros():
+    p = TrigPoly.sin(1) * TrigPoly.cos(1)
+    assert p == TrigPoly.sin(2).scale(F(1, 2))
+    assert sorted(p.coeffs) == [-2, 2]
+    q = (TrigPoly.monomial(1) + TrigPoly.const(1)) * \
+        (TrigPoly.monomial(1) - TrigPoly.const(1))
+    assert q.coeffs == {2: GaussianRational.of(1), 0: GaussianRational.of(-1)}
+    assert (TrigPoly.sin(3) * TrigPoly.zero()).is_zero
+
+
+@st.composite
+def _cancelling_pairs(draw):
+    """(a, b) = (g sin(k) u^j, h cos(k) u^j'), Gaussian g, h: the two term
+    products landing on u^(j+j') cancel, since sin*cos = sin(2 phi)/2."""
+    g = GaussianRational(draw(_RATIONAL), draw(_RATIONAL))
+    h = GaussianRational(draw(_RATIONAL), draw(_RATIONAL))
+    k = draw(st.integers(1, 5))
+    j, jj = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return (TrigPoly.sin(k) * TrigPoly.monomial(j, g),
+            TrigPoly.cos(k) * TrigPoly.monomial(jj, h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(_TRIG, _TRIG), _cancelling_pairs()))
+def test_product_matches_termwise_oracle(pair):
+    a, b = pair
+    p = a * b
+    assert p.coeffs == termwise_product(a, b)
+    assert not any(c.is_zero for c in p.coeffs.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TRIG, _TRIG, _TRIG)
+def test_product_commutes_and_distributes(a, b, c):
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
