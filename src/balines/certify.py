@@ -83,26 +83,27 @@ class BACertificate:
         }
 
 
-def _cot(lines: Sequence[Line], i: int, j: int):
+def _cot(phis: Sequence, i: int, j: int):
     """cot(phi_i - phi_j); Collinear when the two lines coincide."""
-    cos, sin = mp.cos_sin(lines[i].phi - lines[j].phi)
+    cos, sin = mp.cos_sin(phis[i] - phis[j])
     if sin == 0:
         raise Collinear(f"lines {i} and {j} are collinear")
     return cos / sin
 
 
 def _cot_row(lines: Sequence[Line], j: int) -> list:
-    return [None if i == j else _cot(lines, i, j) for i in range(len(lines))]
+    phis = [ln.phi for ln in lines]
+    return [None if i == j else _cot(phis, i, j) for i in range(len(lines))]
 
 
-def _cot_table(lines: Sequence[Line]) -> List[list]:
-    """rows[j][i] = cot(phi_i - phi_j), one cot per unordered pair since the
-    table is antisymmetric."""
-    n = len(lines)
+def _cot_table(phis: Sequence) -> List[list]:
+    """rows[j][i] = cot(phi_i - phi_j) for a sequence of angles, one cot per
+    unordered pair since the table is antisymmetric."""
+    n = len(phis)
     rows = [[None] * n for _ in range(n)]
     for j in range(n):
         for i in range(j + 1, n):
-            rows[j][i] = _cot(lines, i, j)
+            rows[j][i] = _cot(phis, i, j)
             rows[i][j] = -rows[j][i]
     return rows
 
@@ -190,7 +191,7 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
             raise ValueError("certification needs integer multiplicities")
     with working(c.precision):
         thr = mp.mpf(threshold) if threshold is not None else default_threshold(c.precision)
-        rows = _cot_table(c.lines)
+        rows = _cot_table([ln.phi for ln in c.lines])
         residuals = [res for j, ln in enumerate(c.lines)
                      for pair in _residuals(c.lines, j, rows[j], int(ln.mult))
                      for res in pair]

@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import mpmath as mp
@@ -121,9 +122,10 @@ def _check_ranges(args) -> None:
 
 
 def _parse_mults(text: str) -> Multiplicities:
+    """Integer-valued entries (2, 2.0, 2e0) become ints, the others floats."""
     try:
-        mults = Multiplicities(tuple(int(v) if float(v).is_integer() else float(v)
-                                     for v in text.split(",")))
+        mults = Multiplicities(tuple(int(v) if v.denominator == 1 else float(v)
+                                     for v in map(Fraction, text.split(","))))
     except ValueError as ex:
         raise UsageError(f"--mults {text!r}: {ex}") from None
     if len(mults) < 2:

@@ -5,96 +5,131 @@ For positive multiplicities m_0..m_n the function
     F(psi) = sum_{i<j} m_i m_j log sin(psi_j - psi_i),   psi_0 = 0,
 
 is strictly concave on the ordered region 0 < psi_1 < ... < psi_n < pi and
-blows down to -inf at its boundary, so it has a unique critical point; the
-first-order conditions there are exactly the k = 1 existence conditions.
-Damped Newton with the analytic Hessian finds it to full precision; a
-golden-section coordinate sweep serves as a stall fallback.
+blows down to -inf at its boundary, so it has a unique critical point
+(Stieltjes' electrostatic equilibrium); the first-order conditions there are
+exactly the k = 1 existence conditions.
+
+Newton's method finds it without evaluating F: damped Newton in floats from
+the equispaced angles, then Newton in mpmath from there (from the equispaced
+angles if the floats fail), both on one gradient/Hessian kernel over a cot
+table.  A step must keep the angles ordered and lower the gradient max-norm.
+A phase ends once it accepts a step of at most 2^-(bits/2), bits being the
+precision of its arithmetic, since Newton's next step would be below
+rounding; the mpmath phase also needs the norm below 2^-(precision - 32).
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
+from .certify import _cot_table
 from .config import Configuration, Multiplicities, general_from_angles
 from .errors import NoConvergence
 from .numeric import check_precision, to_mp, working
 
-_MAX_NEWTON = 200
+_MAX_STEPS = 50
+_HALVINGS = 60
 
 
-def _f_value(mults, psis):
-    total = mp.mpf(0)
-    n = len(psis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = mp.sin(psis[j] - psis[i])
-            if s <= 0:
-                return mp.mpf("-inf")
-            total += mults[i] * mults[j] * mp.log(s)
-    return total
+def _float_cot_table(psis) -> list:
+    """rows[j][i] = cot(psi_i - psi_j) in floats, like `certify._cot_table`."""
+    return [[0.0 if i == j else 1 / math.tan(b - a) for i, b in enumerate(psis)]
+            for j, a in enumerate(psis)]
 
 
-def _gradient(mults, psis):
-    n = len(psis)
+def _newton_system(mults, rows):
+    """Gradient g and negated Hessian A of F in psi_1..psi_n, from the cot
+    table rows[j][i] = cot(psi_i - psi_j), in the arithmetic of the table:
+
+        g_j = m_j sum_{i != j} m_i cot(psi_j - psi_i),
+        A_ji = -m_i m_j (1 + cot^2),   A_jj = -sum_{i != j} A_ji (i = 0 too).
+    """
+    n = len(mults)
     g = []
+    a = [[0] * (n - 1) for _ in range(n - 1)]
     for j in range(1, n):
-        acc = mp.mpf(0)
-        for i in range(n):
-            if i != j:
-                acc += mults[i] * mults[j] * mp.cot(psis[j] - psis[i])
-        g.append(acc)
-    return g
-
-
-def _hessian(mults, psis):
-    n = len(psis)
-    h = mp.matrix(n - 1, n - 1)
-    for j in range(1, n):
-        diag = mp.mpf(0)
+        gj = diag = 0
         for i in range(n):
             if i == j:
                 continue
-            w = mults[i] * mults[j] / mp.sin(psis[j] - psis[i]) ** 2
-            diag -= w
-            if i >= 1:
-                h[j - 1, i - 1] = w
-        h[j - 1, j - 1] = diag
-    return h
+            c = rows[j][i]
+            w = mults[i] * mults[j]
+            gj -= w * c
+            h = w * (1 + c * c)
+            diag += h
+            if i:
+                a[j - 1][i - 1] = -h
+        g.append(gj)
+        a[j - 1][j - 1] = diag
+    return g, a
 
 
-def _ordered(psis) -> bool:
-    if psis[0] != 0:
-        return False
-    for a, b in zip(psis, psis[1:]):
-        if b <= a:
-            return False
-    return psis[-1] < mp.pi
+def _ldl_solve(a, b):
+    """Solve a x = b for symmetric positive definite a by square-root-free
+    Cholesky (a = L D L^T).  A pivot that is not positive means a is singular
+    at this precision: ArithmeticError."""
+    n = len(b)
+    low = [[0] * n for _ in range(n)]
+    d, y = [], []  # y solves L y = b
+    for j in range(n):
+        piv = a[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
+        if not piv > 0:  # also catches NaN
+            raise ArithmeticError("Hessian is singular at working precision")
+        d.append(piv)
+        y.append(b[j] - sum(low[j][k] * y[k] for k in range(j)))
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(low[i][k] * low[j][k] * d[k]
+                                       for k in range(j))) / piv
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = y[i] / d[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))
+    return x
 
 
-def _golden_sweep(mults, psis):
-    """One golden-section coordinate-ascent sweep inside the brackets."""
-    gr = (mp.sqrt(5) - 1) / 2
-    out = list(psis)
-    n = len(out)
-    for j in range(1, n):
-        lo = out[j - 1]
-        hi = out[j + 1] if j + 1 < n else mp.pi
-        a, b = lo, hi
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        for _ in range(80):
-            pc = list(out)
-            pc[j] = c
-            pd = list(out)
-            pd[j] = d
-            if _f_value(mults, pc) > _f_value(mults, pd):
-                b = d
-            else:
-                a = c
-            c = b - gr * (b - a)
-            d = a + gr * (b - a)
-        out[j] = (a + b) / 2
-    return out
+def _newton(mults, psis, table, pi, bits, tol):
+    """Damped Newton from psis in the arithmetic of `table`, whose rounding
+    unit is 2^-bits.  Returns (psis, gradient max-norm) once it accepts a
+    step of at most 2^-(bits/2) at a norm below tol, when no step lowers the
+    norm, or after the step budget."""
+    fine = 2.0 ** -(bits // 2)
+    g, a = _newton_system(mults, table(psis))
+    gnorm = max(abs(v) for v in g)
+    if not gnorm < math.inf:
+        raise ArithmeticError("gradient is not finite")
+    for _ in range(_MAX_STEPS):
+        step = _ldl_solve(a, g)
+        small = max(abs(v) for v in step) <= fine
+        t = 1
+        for _ in range(_HALVINGS):
+            cand = [psis[0]] + [p + t * v for p, v in zip(psis[1:], step)]
+            if all(lo < hi for lo, hi in zip(cand, cand[1:])) and cand[-1] < pi:
+                cg, ca = _newton_system(mults, table(cand))
+                cnorm = max(abs(v) for v in cg)
+                if cnorm < gnorm:  # a NaN norm is never accepted
+                    psis, g, a, gnorm = cand, cg, ca, cnorm
+                    break
+            if small:  # the norm is at rounding level already
+                return psis, gnorm
+            t /= 2
+        else:
+            break
+        if small and gnorm < tol:
+            break
+    return psis, gnorm
+
+
+def _float_seed(mults, start):
+    """Phase 1: damped Newton in floats from the equispaced angles; start
+    itself when the floats overflow, divide by zero, turn non-finite or
+    cannot factor the Hessian."""
+    try:
+        seed, _ = _newton([float(v) for v in mults], [float(v) for v in start],
+                          _float_cot_table, math.pi, 53, math.inf)
+        return [mp.mpf(v) for v in seed]
+    except ArithmeticError:
+        return start
 
 
 def solve_general_locus(mults, precision: int = 256) -> Configuration:
@@ -108,47 +143,17 @@ def solve_general_locus(mults, precision: int = 256) -> Configuration:
     if len(mults) < 2:
         raise ValueError("need at least two multiplicities")
     check_precision(precision)
-    mvals = list(mults)
-    n = len(mvals)
+    n = len(mults)
 
     with working(precision):
         tol = mp.mpf(2) ** (-(precision - 32))
-        mvals = [to_mp(v) for v in mvals]
-        psis = [mp.pi * j / n for j in range(n)]
-        fval = _f_value(mvals, psis)
-        stalls = 0
-        for _ in range(_MAX_NEWTON):
-            g = _gradient(mvals, psis)
-            gnorm = max(abs(v) for v in g)
-            if gnorm < tol:
-                break
-            h = _hessian(mvals, psis)
-            rhs = mp.matrix([-v for v in g])
-            try:
-                step = mp.lu_solve(h, rhs)
-            except ZeroDivisionError:
-                step = None
-            moved = False
-            if step is not None:
-                t = mp.mpf(1)
-                for _ in range(60):
-                    cand = [mp.mpf(0)] + [psis[j] + t * step[j - 1]
-                                          for j in range(1, n)]
-                    if _ordered(cand):
-                        fc = _f_value(mvals, cand)
-                        if fc > fval:
-                            psis, fval = cand, fc
-                            moved = True
-                            break
-                    t /= 2
-            if not moved:
-                stalls += 1
-                if stalls > 3:
-                    raise NoConvergence(
-                        f"locus solver stalled at gradient norm {mp.nstr(gnorm, 5)}")
-                psis = _golden_sweep(mvals, psis)
-                fval = _f_value(mvals, psis)
-        else:
-            raise NoConvergence("locus solver exceeded the iteration budget")
-
+        mvals = [to_mp(v) for v in mults]
+        psis = _float_seed(mults, [mp.pi * j / n for j in range(n)])
+        try:
+            psis, gnorm = _newton(mvals, psis, _cot_table, mp.pi, mp.mp.prec, tol)
+        except ArithmeticError as ex:
+            raise NoConvergence(f"locus solver failed: {ex}") from None
+        if not gnorm < tol:
+            raise NoConvergence(
+                f"locus solver stalled at gradient norm {mp.nstr(gnorm, 5)}")
         return general_from_angles(list(mults), psis, precision)

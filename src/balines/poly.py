@@ -159,23 +159,6 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
-    def eval_numeric(self, x):
-        """Evaluation with coefficients converted next to an mpmath point."""
-        from .numeric import to_mp
-
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + to_mp(c)
-        return acc
-
-    def compose_affine(self, a, b) -> "DensePoly":
-        """Return p(a*x + b) by Horner over polynomials."""
-        lin = DensePoly([b, a])
-        acc = DensePoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + DensePoly([c])
-        return acc
-
     def __repr__(self):
         if self.is_zero:
             return "DensePoly(0)"

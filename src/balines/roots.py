@@ -50,6 +50,15 @@ def _polyval(coeffs, x):
     return acc
 
 
+def _largest_term(sizes, x):
+    """max_k |a_k| |x|^k, given sizes[k] = |a_k|."""
+    r, power, best = abs(x), 1, 0
+    for a in sizes:
+        best = max(best, a * power)
+        power *= r
+    return best
+
+
 def _aberth_step(dcoeffs, xs, pvs):
     """One Jacobi sweep of Aberth's method, in the arithmetic of xs: the
     points minus their offsets, given the values pvs of p at xs.  Each
@@ -103,20 +112,29 @@ def _double_seeds(coeffs, start) -> Optional[List[complex]]:
 def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpc]:
     """All deg(p) roots, ordered by (principal argument in [0, 2pi), modulus).
 
-    Residuals |p(root)| are driven below 2^-(precision-16) * max|coeff|
-    (with extra guard bits internally).  Raises NonSquarefree when p has a
-    repeated root and NoConvergence when iteration stalls.
+    Each residual |p(x)| is driven below 2^-(precision+48) times
+    max_k |a_k| |x|^k, the largest term of p(x), so tiny and huge roots are
+    fixed to the same relative accuracy as roots on the unit circle (with
+    extra guard bits internally).  A root at 0 is taken off exactly.  Raises
+    NonSquarefree when p has a repeated root and NoConvergence when
+    iteration stalls.
     """
     check_precision(precision)
     p.check_squarefree()
-    n = p.degree
-    if n <= 0:
+    if p.degree <= 0:
         return []
+    # p = w q with q(0) != 0 when a_0 = 0, since p is squarefree
+    zero_root = p.coeffs[0] == 0
+    exact = p.coeffs[1:] if zero_root else p.coeffs
+    n = len(exact) - 1
     with working(precision, guard=96):
-        coeffs = [to_mp(c) for c in p.coeffs]
+        coeffs = [to_mp(c) for c in exact]
         dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-        scale = max(abs(c) for c in coeffs)
-        target = mp.mpf(2) ** (-(precision + 48)) * scale
+        sizes = [abs(c) for c in coeffs]
+        tol = mp.mpf(2) ** (-(precision + 48))
+        # tol times a lower bound on every largest term: the k = 0 term
+        # bounds it when |x| <= 1, the k = n term when |x| >= 1
+        floor = tol * min(sizes[0], sizes[-1])
 
         radius = fujiwara_bound(coeffs)
         xs = [radius * mp.exp(mp.mpc(0, 1) * (2 * mp.pi * k / n + _JITTER * (k + 1)))
@@ -128,21 +146,27 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpc]:
         sweeps = 0
         while True:
             pvs = [_polyval(coeffs, x) for x in xs]
-            # written so that a NaN residual counts as not converged
-            if all(abs(v) < target for v in pvs):
+            # a target is formed only when the floor does not decide; written
+            # so that a NaN residual counts as not converged
+            if all(abs(v) < floor or abs(v) < tol * _largest_term(sizes, x)
+                   for v, x in zip(pvs, xs)):
                 break
             if sweeps == _MAX_ITER:
-                worst = max(log2_abs(v) for v in pvs)
+                worst, target = max(((log2_abs(v), log2_abs(tol * _largest_term(sizes, x)))
+                                     for v, x in zip(pvs, xs)),
+                                    key=lambda wt: wt[0] - wt[1])
                 raise NoConvergence(
                     f"root iteration stalled at precision {precision}: worst "
                     f"residual log2 {worst:.1f} against target log2 "
-                    f"{log2_abs(target):.1f} after {sweeps} sweep(s)")
+                    f"{target:.1f} after {sweeps} sweep(s)")
             xs = _aberth_step(dcoeffs, xs, pvs)
             sweeps += 1
 
         # Newton polish, then deterministic ordering
         for _ in range(3):
             xs = [x - _polyval(coeffs, x) / _polyval(dcoeffs, x) for x in xs]
+        if zero_root:
+            xs.append(mp.mpc(0))
 
         def key(z):
             a = mp.arg(z)

@@ -139,8 +139,9 @@ class TrigPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def dphi(self) -> "TrigPoly":
@@ -150,26 +151,6 @@ class TrigPoly:
     def subs_power(self, q: int) -> "TrigPoly":
         """Substitute phi -> q*phi, i.e. u -> u^q."""
         return TrigPoly({q * l: c for l, c in self.coeffs.items()})
-
-    def exact_div(self, other: "TrigPoly") -> "TrigPoly":
-        """Exact division in the Laurent ring; raises if not divisible."""
-        if other.is_zero:
-            raise ZeroDivisionError("TrigPoly division by zero")
-        if self.is_zero:
-            return TrigPoly.zero()
-        from .poly import DensePoly
-
-        a_min, b_min = self.min_freq(), other.min_freq()
-        pa = DensePoly([self.coeffs.get(a_min + k, GaussianRational())
-                        for k in range(self.max_freq() - a_min + 1)])
-        pb = DensePoly([other.coeffs.get(b_min + k, GaussianRational())
-                        for k in range(other.max_freq() - b_min + 1)])
-        q, r = pa.divmod(pb)
-        if not r.is_zero:
-            raise ValueError("inexact TrigPoly division")
-        shift = a_min - b_min
-        return TrigPoly({shift + k: GaussianRational.of(c)
-                         for k, c in enumerate(q.coeffs)})
 
     # --- numerics -----------------------------------------------------------
 

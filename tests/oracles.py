@@ -71,6 +71,53 @@ def echelon_rank_numeric(rows, precision: int = 512) -> int:
     return rank
 
 
+# --- polynomial helpers -----------------------------------------------------------
+
+
+def eval_numeric(p, x):
+    """p(x) with each exact coefficient converted next to the mpmath point x."""
+    from balines.numeric import to_mp
+
+    acc = x * 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + to_mp(c)
+    return acc
+
+
+def compose_affine(p, a, b):
+    """p(a*x + b) by Horner over polynomials."""
+    from balines.poly import DensePoly
+
+    lin = DensePoly([b, a])
+    acc = DensePoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * lin + DensePoly([c])
+    return acc
+
+
+def exact_div(a, b):
+    """a / b for TrigPolys in the Laurent ring by dense polynomial division;
+    ValueError when b does not divide a."""
+    from balines.poly import DensePoly
+    from balines.scalars import GaussianRational
+    from balines.trig import TrigPoly
+
+    if b.is_zero:
+        raise ZeroDivisionError("TrigPoly division by zero")
+    if a.is_zero:
+        return TrigPoly.zero()
+    a_min, b_min = a.min_freq(), b.min_freq()
+    pa = DensePoly([a.coeffs.get(a_min + k, GaussianRational())
+                    for k in range(a.max_freq() - a_min + 1)])
+    pb = DensePoly([b.coeffs.get(b_min + k, GaussianRational())
+                    for k in range(b.max_freq() - b_min + 1)])
+    q, r = pa.divmod(pb)
+    if not r.is_zero:
+        raise ValueError("inexact TrigPoly division")
+    return TrigPoly({a_min - b_min + k: GaussianRational.of(c)
+                     for k, c in enumerate(q.coeffs)})
+
+
 # --- quasi-invariant dimensions from the raw definition -------------------------
 
 
@@ -262,7 +309,7 @@ def termwise_product(a, b) -> dict:
 def bareiss_wronskian(fs):
     """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1, of TrigPolys by
     fraction-free (Bareiss) elimination over the Laurent ring: every division
-    by the previous pivot is an exact `TrigPoly.exact_div`."""
+    by the previous pivot is an exact `exact_div`."""
     from balines.trig import TrigPoly
 
     if not fs:
@@ -287,7 +334,7 @@ def bareiss_wronskian(fs):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
+                m[i][j] = exact_div(num, prev)
             m[i][k] = TrigPoly.zero()
         prev = m[k][k]
     det = m[n - 1][n - 1]

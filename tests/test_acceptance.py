@@ -191,15 +191,16 @@ def test_criterion_6_darboux_identities():
 def test_criterion_7_optimizer_consistency():
     with working(PRECISION):
         tol = mp.mpf(2) ** -216
-    for m in range(1, 5):
-        for n in range(1, 7):
-            t0 = time.time()
-            found = solve_general_locus([m] + [1] * n, PRECISION)
-            ref = build_am1n(m, n, PRECISION)
-            dist = angle_multiset_distance(found, ref)
-            elapsed = time.time() - t0
-            assert dist < tol, (m, n, float(dist))
-            assert elapsed < 10, (m, n, elapsed)
+    cases = [(m, n) for m in range(1, 5) for n in range(1, 7)]
+    cases += [(2, 8), (2, 12), (2, 16)]
+    for m, n in cases:
+        t0 = time.time()
+        found = solve_general_locus([m] + [1] * n, PRECISION)
+        ref = build_am1n(m, n, PRECISION)
+        dist = angle_multiset_distance(found, ref)
+        elapsed = time.time() - t0
+        assert dist < tol, (m, n, float(dist))
+        assert elapsed < 10, (m, n, elapsed)
     print("\n[criterion 7] PASS: variational solver reproduces every "
           "distinguished angle multiset within 2^-216 at precision 256, "
           "under 10 s per instance")

@@ -50,6 +50,16 @@ def test_construct_locus_and_random(tmp_path):
     assert all(l["alpha"] not in (None, "inf") for l in data["lines"][1:])
 
 
+def test_locus_mults_in_exponent_notation(tmp_path):
+    texts = {}
+    for mults in ("2,1", "2e0,1", "2.0,1e0"):
+        out = tmp_path / f"{mults}.json"
+        assert run(["construct", "locus", "--mults", mults, "--precision", "128",
+                    "-o", str(out)]) == 0
+        texts[mults] = out.read_text()
+    assert len(set(texts.values())) == 1
+
+
 def test_certify_exit_codes(tmp_path):
     out = tmp_path / "c.json"
     run(["construct", "am1n", "--m", "4", "--n", "5", "-o", str(out)])
@@ -185,6 +195,7 @@ BAD_INPUT = [
     (["construct", "locus", "--mults", "3"], None),
     (["scan", "certify", "--m", "3..1", "--n", "2"], None),
     (["construct", "locus", "--mults", "inf,1"], None),
+    (["construct", "locus", "--mults", "nan,1"], None),
 ]
 
 

@@ -1,10 +1,22 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balines.certify import cartesian_condition_residual
 from balines.config import Multiplicities, angle_multiset_distance, build_am1n
+from balines.errors import NoConvergence
 from balines.locus import solve_general_locus
 from balines.numeric import working
+
+
+def gradient_norm(c):
+    """max_j |m_j sum_{i != j} m_i cot(phi_j - phi_i)| over every line, by
+    mp.cot at the configuration's working precision."""
+    with working(c.precision):
+        return max(abs(lj.mult * mp.fsum(li.mult * mp.cot(lj.phi - li.phi)
+                                         for li in c.lines if li is not lj))
+                   for lj in c.lines)
 
 
 def test_two_equal_lines_orthogonal():
@@ -36,6 +48,38 @@ def test_real_multiplicities_accepted():
         tol = mp.mpf(2) ** -(128 - 32)
         for j in range(3):
             assert cartesian_condition_residual(c, j, 1).relative() < tol
+
+
+@pytest.mark.parametrize("mults", [(3, 1, 1, 1, 1, 1, 1), (1, 2, 3, 4), (2, 3, 1, 1),
+                                   (2, 1, 1), (4,) + (1,) * 16])
+def test_gradient_at_rounding_level(mults):
+    # 64 bits past the contract of 2^-(p-32): one Newton step after the
+    # contract is met lands on the rounding level of the working precision
+    # (without it, 2,1,1 and 4,1^16 stop near 2^-(p-11) and 2^-(p-15))
+    c = solve_general_locus(mults, 256)
+    assert gradient_norm(c) <= mp.mpf(2) ** -(256 + 32)
+
+
+@pytest.mark.parametrize("mults", [(1e-20, 1, 1), (1, 1e-10, 1e10, 1),
+                                   (1000, 1, 1), (1.5, 2.5, 1.0)])
+def test_extreme_weights(mults):
+    c = solve_general_locus(mults, 128)
+    assert sorted(ln.mult for ln in c.lines) == sorted(mults)
+    assert gradient_norm(c) < mp.mpf(2) ** -(128 - 32)
+
+
+def test_weight_below_working_precision_does_not_converge():
+    # the pull of a weight of 1e-200 on the other two lines is far below
+    # rounding, so the Hessian is singular at working precision
+    with pytest.raises(NoConvergence):
+        solve_general_locus((1e-200, 1, 1), 128)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=6))
+def test_integer_multiplicities_reach_a_critical_point(mults):
+    c = solve_general_locus(mults, 128)
+    assert gradient_norm(c) < mp.mpf(2) ** -(128 - 32)
 
 
 def test_multiplicities_validation():

@@ -10,7 +10,7 @@ from balines.poly import DensePoly
 from balines.roots import poly_roots
 from balines.symfunc import e_values, poly_from_elementary
 
-from oracles import aberth_roots_reference, elementary_from_values
+from oracles import aberth_roots_reference, elementary_from_values, eval_numeric
 
 
 def test_exact_imaginary_pair():
@@ -48,7 +48,7 @@ def test_residual_bound_and_ordering():
     with mp.workprec(prec + 64):
         scale = max(abs(mp.mpf(c.numerator) / c.denominator) for c in p.coeffs)
         for r in roots:
-            assert abs(p.eval_numeric(r)) < mp.mpf(2) ** (-(prec - 16)) * scale
+            assert abs(eval_numeric(p, r)) < mp.mpf(2) ** (-(prec - 16)) * scale
         args = [mp.arg(r) % (2 * mp.pi) for r in roots]
         assert args == sorted(args)
 
@@ -146,6 +146,27 @@ def test_start_points_coinciding_in_doubles():
         for r in got:
             assert mp.isfinite(r)
             assert abs(r * r + mp.mpf(10) ** -800) < mp.mpf(2) ** -240
+
+
+def test_tiny_roots_to_relative_accuracy():
+    # each residual is measured against the largest term of p(x), 10^-800
+    # here, not against max|coeff| = 1, which the start circle already meets
+    got = poly_roots(DensePoly.rational([F(1, 10 ** 800), 0, 1]), 256)
+    with mp.workprec(352):
+        tiny = mp.mpf(10) ** -400
+        assert abs(got[0] - mp.mpc(0, tiny)) < mp.mpf(2) ** -250 * tiny
+        assert abs(got[1] - mp.mpc(0, -tiny)) < mp.mpf(2) ** -250 * tiny
+
+
+@pytest.mark.parametrize("coeffs,rest", [([0, 1], []), ([0, 1, 1], [-1]),
+                                         ([0, 1, 0, 1], [1j, -1j])])
+def test_root_at_zero_is_exact(coeffs, rest):
+    got = poly_roots(DensePoly.rational(coeffs), 128)
+    with mp.workprec(192):
+        assert got[0] == 0
+        assert len(got) == 1 + len(rest)
+        for r, want in zip(got[1:], rest):
+            assert abs(r - want) < mp.mpf(2) ** -120
 
 
 def test_no_convergence_names_sweeps_and_residual(monkeypatch):

@@ -9,7 +9,8 @@ from balines.darboux import darboux_levels
 from balines.scalars import GaussianRational
 from balines.trig import TrigPoly, cos_power, sin_power, wronskian
 
-from oracles import bareiss_wronskian, numeric_wronskian_sines, termwise_product
+from oracles import (bareiss_wronskian, exact_div, numeric_wronskian_sines,
+                     termwise_product)
 
 
 def test_sin_cos_values():
@@ -80,10 +81,29 @@ def test_wronskian_of_dependent_functions_vanishes():
 def test_exact_division():
     a = TrigPoly.sin(3)
     b = TrigPoly.sin(1)
-    q = a.exact_div(b)  # sin3/sin = 2cos2 + 1
+    q = exact_div(a, b)  # sin3/sin = 2cos2 + 1
     assert q == TrigPoly.cos(2).scale(2) + TrigPoly.const(1)
     with pytest.raises(ValueError):
-        TrigPoly.cos(1).exact_div(TrigPoly.sin(2))
+        exact_div(TrigPoly.cos(1), TrigPoly.sin(2))
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    x = TrigPoly.sin(1) + TrigPoly.cos(2).scale(F(1, 3))
+    squarings = []
+    mul = TrigPoly.__mul__
+
+    def counting(a, b):
+        if a is b:
+            squarings.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(TrigPoly, "__mul__", counting)
+    expected = TrigPoly.const(1)
+    for k in range(26):
+        squarings.clear()
+        assert x ** k == expected
+        assert len(squarings) == max(k.bit_length() - 1, 0), k
+        expected = expected * x
 
 
 def test_subs_power():
