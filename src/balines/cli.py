@@ -100,7 +100,7 @@ def _load(path: str) -> Configuration:
         return Configuration.load(path)
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
-    except (TypeError, json.JSONDecodeError) as ex:
+    except (TypeError, ValueError) as ex:
         raise UsageError(f"{path}: {ex}") from None
     except OSError as ex:
         raise UsageError(f"cannot read {path}: {ex.strerror}") from None
@@ -283,8 +283,8 @@ def _scan_certify_item(item) -> dict:
             cfg = build_am1n(m, n, precision)
         else:
             cfg = build_two_mult(m, mt, n, precision)
-        if q > 1:
-            cfg = t_q_expand(cfg, q)
+        cfg = t_q_expand(cfg, q)
+        cfg.lines  # build the chart here, so that a collision skips the item
     except CollisionError as ex:
         return {"family": family, "m": m, "mt": mt, "n": n, "q": q,
                 "skipped": f"collision: {ex}", "ok": True,

@@ -5,8 +5,10 @@ A line is stored by the angle phi in [0, pi) of its unit normal
 alpha = cot(phi) the slope chart (phi = 0 maps to alpha = infinity,
 i.e. the vector (0, 1) of the slope chart).
 
-Exact data (elementary symmetric values, the monic polynomials P and R)
-is carried whenever the construction provides it.
+A Configuration is an exact record (elementary symmetric values, the
+monic polynomials P and R) whenever the construction provides one, and a
+chart of numeric lines, which the am1n and twomult families build from P
+only when something reads them.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import mpf_cos_sin, to_fixed
 
-from .errors import CollisionError, IdentityFailed, RecurrenceBreakdown
-from .numeric import (check_precision, hex_to_mpf, mpf_to_hex,
+from .errors import (CollisionError, IdentityFailed, MissingExactData,
+                     RecurrenceBreakdown)
+from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
                       reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
@@ -85,10 +90,20 @@ class Multiplicities:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
+    """An arrangement as an exact record plus a numeric chart of lines.
+
+    The exact record is kind, precision, m, mtilde, n, q, seed, the
+    elementary values e (z chart) and ehat (squared slopes), the monic
+    polynomials P (roots z_j) and R (roots alpha_j) and the branch sign.
+    The chart is ``lines``: angles at ``precision`` bits.  Families whose
+    lines follow from the record (am1n and twomult) leave ``chart`` unset,
+    and the lines are built from P the first time something reads them
+    (``len`` included), then cached; every other family passes its lines
+    as ``chart``.  Equality and hashing compare the record and the lines."""
+
     kind: str  # am1n | twomult | qexpanded | general | random
-    lines: Tuple[Line, ...]
     precision: int
     m: Optional[int] = None
     mtilde: Optional[int] = None
@@ -100,6 +115,24 @@ class Configuration:
     P: Optional[DensePoly] = None
     R: Optional[DensePoly] = None
     e_branch_sign: Optional[int] = None
+    chart: Optional[Tuple[Line, ...]] = None
+
+    @cached_property
+    def lines(self) -> Tuple[Line, ...]:
+        return self.chart if self.chart is not None else _exact_chart(self)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.lines, self.precision, self.m, self.mtilde,
+                self.n, self.q, self.seed, self.e, self.ehat, self.P, self.R,
+                self.e_branch_sign)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
         return len(self.lines)
@@ -173,12 +206,13 @@ class Configuration:
                       if ln.mult >= 1 and isinstance(ln.alpha_exact, Fraction)]
             if alphas and len(alphas) == sum(1 for ln in lines if ln.alpha_exact is not INF):
                 R = _product_poly(alphas)
-        return Configuration(
-            kind=d["kind"], lines=tuple(lines),
-            precision=d["precision_bits"], m=d.get("m"), mtilde=d.get("mtilde"),
-            n=n, q=d.get("q"), seed=d.get("seed"), e=e, ehat=ehat, P=P, R=R,
-            e_branch_sign=d.get("e_branch_sign"),
-        )
+        c = Configuration(
+            kind=d["kind"], precision=d["precision_bits"], m=d.get("m"),
+            mtilde=d.get("mtilde"), n=n, q=d.get("q"), seed=d.get("seed"),
+            e=e, ehat=ehat, P=P, R=R, e_branch_sign=d.get("e_branch_sign"),
+            chart=tuple(lines))
+        _check_exact_data(c)
+        return c
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -212,6 +246,51 @@ def _check_distinct_angles(phis, precision: int) -> None:
         raise CollisionError("two lines coincide across the pi wrap")
 
 
+def _check_exact_data(c: Configuration) -> None:
+    """ValueError unless the exact P (z chart) and R (slope chart), where
+    carried, each vanish at as many distinct stored lines as its degree.
+    One cos/sin per line, then fixed-point arithmetic on integers; the
+    threshold is 2^-(precision/2), so precision/2 + GUARD_BITS bits carry
+    it.  Nothing is re-solved."""
+    if c.P is None and c.R is None:
+        return
+    bits = check_precision(c.precision) // 2 + GUARD_BITS
+    # (cos phi, sin phi) times 2^bits, one entry per distinct angle
+    points = {ln.phi: tuple(to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits))
+              for ln in c.lines}
+    checks = []
+    if c.P is not None:  # z = e^{2i phi} = (cos + i sin)^2
+        checks.append(("P", c.P, [((x * x - y * y) >> bits, (2 * x * y) >> bits)
+                                  for x, y in points.values()]))
+    if c.R is not None:  # alpha = cot phi; the phi = 0 line has no finite slope
+        checks.append(("R", c.R, [((x << bits) // y, 0)
+                                  for x, y in points.values() if y]))
+    for name, poly, zs in checks:
+        lcm = math.lcm(*(a.denominator for a in poly.coeffs))
+        coeffs = [a.numerator * (lcm // a.denominator) for a in poly.coeffs]
+        zeros = sum(_vanishes(coeffs, x, y, bits, c.precision // 2) for x, y in zs)
+        if zeros < poly.degree:
+            raise ValueError(f"the exact {name} of degree {poly.degree} vanishes at "
+                             f"only {zeros} distinct stored lines")
+
+
+def _vanishes(coeffs: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> bool:
+    """Whether |p(z)| <= 2^-tol_bits times the largest term of p at |z|
+    floored at 1, for p = sum coeffs[k] w^k and z = (x + iy) / 2^bits, by
+    Horner in fixed point; max(|x|, |y|) stands for |z|.  The floor keeps a
+    root at 0 (the pi/2 line of an odd am1n) from having no relative
+    residual."""
+    one = 1 << bits
+    re = im = 0
+    for a in reversed(coeffs):
+        re, im = ((re * x - im * y) >> bits) + a * one, (re * y + im * x) >> bits
+    scale, big, power = max(abs(x), abs(y), one), 0, one
+    for a in coeffs:
+        big = max(big, abs(a) * power)
+        power = power * scale >> bits
+    return re * re + im * im <= (big >> tol_bits) ** 2
+
+
 def _lines_from_poly_roots(P: DensePoly, precision: int) -> List[Line]:
     roots = poly_roots(P, precision)
     lines = []
@@ -225,22 +304,33 @@ def _lines_from_poly_roots(P: DensePoly, precision: int) -> List[Line]:
 
 def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
     """The unique real arrangement with one multiplicity-m line at phi = 0
-    and n multiplicity-1 lines, fixed by its elementary symmetric values."""
+    and n multiplicity-1 lines, fixed by its elementary symmetric values.
+    Its lines are the roots of P, found when first read."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     check_precision(precision)
     e = e_values(m, n)
     ehat = ehat_values(m, n)
-    P = poly_from_elementary(e, n)
-    R = r_poly_from_ehat(ehat, n)
-    with working(precision):
-        lines = [Line(mult=m, phi=mp.mpf(0), alpha_exact=INF)]
-        lines += _lines_from_poly_roots(P, precision)
+    return Configuration(kind="am1n", precision=precision, m=m, n=n,
+                         e=tuple(e), ehat=tuple(ehat),
+                         P=poly_from_elementary(e, n),
+                         R=r_poly_from_ehat(ehat, n))
+
+
+def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
+    """Lines of an am1n or twomult record: multiplicity m at phi = 0,
+    mtilde (when positive) at phi = pi/2 and one line per root of P,
+    sorted by angle.  CollisionError when two of them coincide."""
+    if c.kind not in ("am1n", "twomult") or c.P is None:
+        raise MissingExactData(f"a {c.kind} configuration without lines")
+    with working(c.precision):
+        lines = [Line(mult=c.m, phi=mp.mpf(0), alpha_exact=INF)]
+        if c.mtilde:
+            lines.append(Line(mult=c.mtilde, phi=mp.pi / 2, alpha_exact=Fraction(0)))
+        lines += _lines_from_poly_roots(c.P, c.precision)
         lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind="am1n", lines=tuple(lines), precision=precision,
-                         m=m, mtilde=None, n=n, e=tuple(e), ehat=tuple(ehat),
-                         P=P, R=R)
+        _check_distinct_angles([ln.phi for ln in lines], c.precision)
+    return tuple(lines)
 
 
 def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
@@ -296,16 +386,8 @@ def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configurati
         raise IdentityFailed(
             f"neither sign branch satisfies the two-multiplicity ODE "
             f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
-    with working(precision):
-        lines = [Line(mult=m, phi=mp.mpf(0), alpha_exact=INF)]
-        if mt > 0:
-            lines.append(Line(mult=mt, phi=mp.pi / 2, alpha_exact=Fraction(0)))
-        lines += _lines_from_poly_roots(P, precision)
-        lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind="twomult", lines=tuple(lines), precision=precision,
-                         m=m, mtilde=mt, n=n, e=tuple(e), P=P,
-                         e_branch_sign=sign)
+    return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,
+                         n=n, e=tuple(e), P=P, e_branch_sign=sign)
 
 
 def t_q_expand(c: Configuration, q: int) -> Configuration:
@@ -339,11 +421,10 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
                    for J in range(1, q * n + 1)]
             e = elementary_from_power_sums(big, q * n)
             P = poly_from_elementary(e, q * n)
-    return Configuration(kind="qexpanded", lines=tuple(new_lines),
-                         precision=c.precision, m=c.m, mtilde=c.mtilde,
-                         n=(c.n * q if c.n else None), q=q,
+    return Configuration(kind="qexpanded", precision=c.precision, m=c.m,
+                         mtilde=c.mtilde, n=(c.n * q if c.n else None), q=q,
                          e=tuple(e) if e else None, P=P,
-                         e_branch_sign=c.e_branch_sign)
+                         e_branch_sign=c.e_branch_sign, chart=tuple(new_lines))
 
 
 def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
@@ -366,9 +447,8 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
             lines.append(Line(mult=1, phi=phi, alpha_exact=a))
         lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind=kind, lines=tuple(lines), precision=precision,
-                         m=m, n=len(alphas), seed=seed,
-                         R=_product_poly(alphas))
+    return Configuration(kind=kind, precision=precision, m=m, n=len(alphas),
+                         seed=seed, R=_product_poly(alphas), chart=tuple(lines))
 
 
 def random_type_m1n(m: int, n: int, seed: int, precision: int = 256,
@@ -399,7 +479,7 @@ def general_from_angles(mults: Sequence, phis: Sequence, precision: int = 256) -
             lines.append(Line(mult=mu, phi=phi, alpha_exact=alpha))
         lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind="general", lines=tuple(lines), precision=precision)
+    return Configuration(kind="general", precision=precision, chart=tuple(lines))
 
 
 def perturb_line(c: Configuration, index: int, delta: float) -> Configuration:

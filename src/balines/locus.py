@@ -16,6 +16,8 @@ table.  A step must keep the angles ordered and lower the gradient max-norm.
 A phase ends once it accepts a step of at most 2^-(bits/2), bits being the
 precision of its arithmetic, since Newton's next step would be below
 rounding; the mpmath phase also needs the norm below 2^-(precision - 32).
+An equispaced start that already meets the rule to the requested precision
+(equal multiplicities) is returned as it is.
 """
 
 from __future__ import annotations
@@ -132,6 +134,28 @@ def _float_seed(mults, start):
         return start
 
 
+def _start_is_critical(mults, tol, precision: int) -> bool:
+    """Whether the equispaced angles pi*j/n already meet the stopping rule
+    to the requested precision: gradient max-norm below tol and a Newton
+    step of at most 2^-precision.  Their cot table is circulant, so it takes
+    n - 1 cots, and the Hessian is formed only once the gradient passes.
+    Equal multiplicities start at the critical point."""
+    n = len(mults)
+    cots = [None] + [mp.cot(mp.pi * k / n) for k in range(1, n)]
+    rows = [[cots[(i - j) % n] for i in range(n)] for j in range(n)]
+    for j in range(1, n):
+        others = [i for i in range(n) if i != j]
+        gj = mults[j] * mp.fdot([mults[i] for i in others], [rows[j][i] for i in others])
+        if not abs(gj) < tol:
+            return False
+    g, a = _newton_system(mults, rows)
+    try:
+        step = _ldl_solve(a, g)
+    except ArithmeticError:
+        return False
+    return max(abs(v) for v in step) <= mp.mpf(2) ** -precision
+
+
 def solve_general_locus(mults, precision: int = 256) -> Configuration:
     """Unique critical configuration for the given multiplicities.
 
@@ -148,7 +172,10 @@ def solve_general_locus(mults, precision: int = 256) -> Configuration:
     with working(precision):
         tol = mp.mpf(2) ** (-(precision - 32))
         mvals = [to_mp(v) for v in mults]
-        psis = _float_seed(mults, [mp.pi * j / n for j in range(n)])
+        start = [mp.pi * j / n for j in range(n)]
+        if _start_is_critical(mvals, tol, precision):
+            return general_from_angles(list(mults), start, precision)
+        psis = _float_seed(mults, start)
         try:
             psis, gnorm = _newton(mvals, psis, _cot_table, mp.pi, mp.mp.prec, tol)
         except ArithmeticError as ex:

@@ -236,14 +236,18 @@ def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
     """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n) chart."""
     if c.R is None:
         raise MissingExactData("configuration carries no exact slope polynomial R")
-    m, light = _require_m1n_chart(c)
-    if c.R.degree != len(light):
+    m, n = m1n_parameters(c)
+    if c.R.degree != n:
         raise MissingExactData("R degree does not match the number of slope lines")
     return m, c.R
 
 
 def m1n_parameters(c: Configuration) -> Tuple[int, int]:
-    """(heavy multiplicity, number of slope lines) of a type-(m, 1^n) chart."""
+    """(heavy multiplicity, number of slope lines) of a type-(m, 1^n) chart;
+    an am1n record whose lines are not built yet gives them without its
+    lines, while stored lines (a loaded file) decide for themselves."""
+    if c.kind == "am1n" and c.chart is None:
+        return c.m, c.n
     m, light = _require_m1n_chart(c)
     return m, len(light)
 
@@ -387,8 +391,7 @@ class HilbertSeries:
 def hilbert_coefficients(c: Configuration, D: int,
                          exact: Optional[bool] = None) -> List[int]:
     """[b_0 .. b_D]; exact route when R is available unless overridden."""
-    m, light = _require_m1n_chart(c)
-    n = len(light)
+    m, n = m1n_parameters(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     use_exact = exact if exact is not None else c.R is not None
@@ -467,12 +470,12 @@ def is_gorenstein(h: HilbertSeries) -> Tuple[bool, Optional[int]]:
 
 def r_parameter(c: Configuration) -> int:
     """Number of distinct squared slopes among the multiplicity-1 lines."""
+    if c.kind == "am1n":
+        return (c.n + 1) // 2  # the slopes pair off as +-a, plus 0 for odd n
     _, light = _require_m1n_chart(c)
     exact = [ln.alpha_exact for ln in light]
     if all(isinstance(a, Fraction) for a in exact):
         return len({a * a for a in exact})
-    if c.kind == "am1n":
-        return (c.n + 1) // 2
     with working(c.precision):
         tol = mp.mpf(2) ** (-(c.precision // 2))
         sq = sorted(ln.alpha() ** 2 for ln in light)

@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping
 import mpmath as mp
 
 from .errors import IdentityFailed
-from .scalars import GaussianRational, I
+from .scalars import GaussianRational
 
 _HALF = Fraction(1, 2)
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), k mod 4
@@ -128,8 +128,14 @@ class TrigPoly:
         return self.scale(other)
 
     def scale(self, c) -> "TrigPoly":
-        c = GaussianRational.of(c)
-        return TrigPoly({l: c * v for l, v in self.coeffs.items()})
+        if isinstance(c, GaussianRational):
+            return TrigPoly({l: c * v for l, v in self.coeffs.items()})
+        c = Fraction(c)
+        out = TrigPoly()
+        if c:
+            out.coeffs = {l: GaussianRational(v.re * c, v.im * c)
+                          for l, v in self.coeffs.items()}
+        return out
 
     def __pow__(self, k: int) -> "TrigPoly":
         if k < 0:
@@ -146,7 +152,10 @@ class TrigPoly:
 
     def dphi(self) -> "TrigPoly":
         """Derivative with respect to phi: c_l -> i*l*c_l."""
-        return TrigPoly({l: (I * l) * c for l, c in self.coeffs.items()})
+        out = TrigPoly()
+        out.coeffs = {l: GaussianRational(-l * c.im, l * c.re)
+                      for l, c in self.coeffs.items() if l}
+        return out
 
     def subs_power(self, q: int) -> "TrigPoly":
         """Substitute phi -> q*phi, i.e. u -> u^q."""

@@ -209,6 +209,34 @@ def remainder_map_matrix(R, d: int, m: int):
     return tuple(zip(*cols))
 
 
+# --- eager line charts ------------------------------------------------------------
+
+
+def eager_json(config) -> dict:
+    """to_json_dict of an am1n or twomult record whose lines are found at
+    once from its exact P, as the constructions did before the chart was
+    built on first read: the phi = 0 line, the phi = pi/2 line when mtilde
+    is positive, then arg(z)/2 for every root z of P, sorted by angle."""
+    import dataclasses
+
+    from balines.config import INF, Line
+    from balines.numeric import working
+    from balines.roots import poly_roots
+
+    with working(config.precision):
+        lines = [Line(mult=config.m, phi=mp.mpf(0), alpha_exact=INF)]
+        if config.mtilde:
+            lines.append(Line(mult=config.mtilde, phi=mp.pi / 2,
+                              alpha_exact=Fraction(0)))
+        for z in poly_roots(config.P, config.precision):
+            arg = mp.arg(z)
+            if arg < 0:
+                arg += 2 * mp.pi
+            lines.append(Line(mult=1, phi=arg / 2))
+        lines.sort(key=lambda ln: ln.phi)
+    return dataclasses.replace(config, chart=tuple(lines)).to_json_dict()
+
+
 # --- reference root finder ----------------------------------------------------------
 
 

@@ -144,6 +144,49 @@ def test_scan_darboux(tmp_path):
     assert all(i["factorization"] == "exact-pass" for i in data["items"])
 
 
+def test_exact_requests_find_no_roots(tmp_path, monkeypatch):
+    from balines import config, roots
+    from oracles import eager_json
+
+    def no_roots(*args):
+        raise AssertionError("poly_roots called")
+
+    monkeypatch.setattr(config, "poly_roots", no_roots)
+    monkeypatch.setattr(roots, "poly_roots", no_roots)
+    out = tmp_path / "out.json"
+    assert run(["scan", "darboux", "--m", "1..3", "--n", "1..4", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["all_pass"] is True
+    for m, n in [(1, 1), (2, 3), (3, 4)]:
+        assert run(["hilbert", "--m", str(m), "--n", str(n),
+                    "--check-closed-form", "-o", str(out)]) == 0
+    monkeypatch.undo()
+    # the lines built on first read are those found at once
+    from balines.config import build_am1n, build_two_mult
+
+    for argv, cfg in [(["am1n", "--m", "1", "--n", "1"], build_am1n(1, 1)),
+                      (["am1n", "--m", "3", "--n", "5"], build_am1n(3, 5)),
+                      (["twomult", "--m", "2", "--mt", "1", "--n", "4"],
+                       build_two_mult(2, 1, 4)),
+                      (["twomult", "--m", "3", "--n", "6"], build_two_mult(3, 0, 6))]:
+        assert run(["construct"] + argv + ["-o", str(out)]) == 0
+        assert out.read_text() == json.dumps(eager_json(cfg), indent=2, sort_keys=True)
+
+
+def test_scan_certify_skips_a_collision(tmp_path, monkeypatch):
+    from balines import config
+    from balines.errors import CollisionError
+
+    def collide(phis, precision):
+        raise CollisionError("two lines coincide")
+
+    monkeypatch.setattr(config, "_check_distinct_angles", collide)
+    out = tmp_path / "scan.json"
+    assert run(["scan", "certify", "--family", "twomult", "--m", "2", "--mt", "1",
+                "--n", "2", "-o", str(out)]) == 0
+    (item,) = json.loads(out.read_text())["items"]
+    assert item["skipped"].startswith("collision") and item["ok"] is True
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for p in (a, b):
@@ -164,9 +207,12 @@ def test_usage_error_exit_two():
 
 # Texts written to INPUT in place of a configuration, by name.
 RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
+# Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
+# (3, 2), which has as many slope lines, by name.
+FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT
-# name); MISSING stands for a path that does not exist
+# or FOREIGN name); MISSING stands for a path that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -196,6 +242,8 @@ BAD_INPUT = [
     (["scan", "certify", "--m", "3..1", "--n", "2"], None),
     (["construct", "locus", "--mults", "inf,1"], None),
     (["construct", "locus", "--mults", "nan,1"], None),
+    (["certify", "--input", "INPUT"], "e-of-am1n-3-2"),
+    (["hilbert", "--input", "INPUT"], "ehat-of-am1n-3-2"),
 ]
 
 
@@ -209,6 +257,9 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     else:
         data = build_am1n(2, 2, 128).to_json_dict()
         data.pop(drop, None)
+        if drop in FOREIGN:
+            key = FOREIGN[drop]
+            data[key] = build_am1n(3, 2, 128).to_json_dict()[key]
         path.write_text(json.dumps(data))
     paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json")}
     assert run([paths.get(a, a) for a in argv]) == 2

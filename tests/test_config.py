@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balines.config import (Configuration, angle_multiset_distance,
                             build_am1n, build_two_mult, from_alphas,
@@ -200,13 +203,55 @@ def test_random_collision_rejection():
 
 def test_serialization_bit_exact_round_trip():
     for c in [build_am1n(3, 4, 256), build_two_mult(2, 1, 4, 192),
-              random_type_m1n(2, 3, 5), t_q_expand(build_am1n(2, 2, 128), 3)]:
+              random_type_m1n(2, 3, 5), t_q_expand(build_am1n(2, 2, 128), 3),
+              build_am1n(1, 40, 64)]:
         d = c.to_json_dict()
         c2 = Configuration.from_json_dict(d)
         assert c2.to_json_dict() == d
         assert c2.e == c.e and c2.ehat == c.ehat
         assert c2.P == c.P and c2.R == c.R
         assert all(a.phi == b.phi for a, b in zip(c.lines, c2.lines))
+
+
+@pytest.mark.parametrize("own,other", [
+    (lambda: build_am1n(2, 2, 128), lambda: build_am1n(3, 2, 128)),
+    (lambda: build_two_mult(3, 1, 4, 128), lambda: build_two_mult(2, 1, 4, 128)),
+    (lambda: random_type_m1n(2, 3, 5, 128), lambda: random_type_m1n(2, 3, 6, 128)),
+    (lambda: t_q_expand(build_am1n(2, 2, 128), 2),
+     lambda: t_q_expand(build_am1n(3, 2, 128), 2)),
+    # one angle moved by 2^-40, far above the 2^-64 threshold at 128 bits
+    (lambda: build_am1n(2, 2, 128),
+     lambda: perturb_line(build_am1n(2, 2, 128), 1, 2.0 ** -40)),
+])
+def test_load_rejects_angles_of_another_arrangement(own, other):
+    data = own().to_json_dict()
+    for line, foreign in zip(data["lines"], other().to_json_dict()["lines"]):
+        line["phi_hex"] = foreign["phi_hex"]
+    with pytest.raises(ValueError, match="vanishes at only"):
+        Configuration.from_json_dict(data)
+
+
+_CONFIGS = st.one_of(
+    st.builds(build_am1n, st.integers(1, 4), st.integers(1, 6),
+              st.sampled_from([64, 128, 256])),
+    st.builds(build_two_mult, st.integers(1, 3), st.integers(0, 3),
+              st.sampled_from([2, 4, 6]), st.sampled_from([64, 192])),
+    st.builds(random_type_m1n, st.integers(1, 4), st.integers(1, 6),
+              st.integers(0, 10 ** 6), st.sampled_from([64, 256])),
+    st.lists(st.tuples(st.sampled_from([1, 2, 3, 1.5]), st.integers(0, 999)),
+             min_size=2, max_size=6, unique_by=lambda t: t[1]).map(
+        lambda lines: general_from_angles([mu for mu, _ in lines],
+                                          [k / 318 for _, k in lines], 128)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CONFIGS)
+def test_json_round_trip_is_bit_exact(c):
+    text = json.dumps(c.to_json_dict(), sort_keys=True)
+    loaded = Configuration.from_json_dict(json.loads(text))
+    assert json.dumps(loaded.to_json_dict(), sort_keys=True) == text
+    assert loaded == c and hash(loaded) == hash(c)
 
 
 def test_perturb_line():

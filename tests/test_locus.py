@@ -25,6 +25,12 @@ def test_two_equal_lines_orthogonal():
         assert abs(c.lines[1].phi - mp.pi / 2) < mp.mpf(2) ** -90
 
 
+def test_equal_multiplicities_return_the_equispaced_start():
+    c = solve_general_locus([1] * 13, 256)
+    with working(256):
+        assert [ln.phi for ln in c.lines] == [mp.pi * k / 13 for k in range(13)]
+
+
 def test_reproduces_heavy_line_family():
     for m, n in [(1, 2), (2, 2), (3, 4)]:
         c = solve_general_locus([m] + [1] * n, 256)

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balines.errors import NonSquarefree
 from balines.poly import DensePoly
@@ -63,3 +65,30 @@ def test_gaussian_coefficients():
     assert q == DensePoly([GaussianRational.of(1), 2 * i, GaussianRational.of(-1)])
     quo, rem = q.divmod(p)
     assert rem.is_zero and quo == p
+
+
+_POLY = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                 max_size=6).map(DensePoly)
+_NONZERO = _POLY.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLY, _NONZERO)
+def test_divmod_law(a, b):
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLY, _POLY, _NONZERO)
+def test_gcd_laws(a, b, h):
+    g = a.gcd(b)
+    assert g == b.gcd(a)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.leading() == 1
+    assert (a % g).is_zero and (b % g).is_zero
+    # a common factor comes out made monic, so g is the greatest divisor
+    assert (a * h).gcd(b * h) == g * h.monic()

@@ -185,3 +185,14 @@ def test_product_commutes_and_distributes(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TRIG, st.one_of(_RATIONAL, st.integers(-5, 5)))
+def test_scale_and_derivative_match_termwise_oracle(a, c):
+    assert a.scale(c).coeffs == termwise_product(a, TrigPoly.const(c))
+    derivative = {}
+    for l, v in a.coeffs.items():
+        derivative.update(termwise_product(TrigPoly.monomial(l, v),
+                                           TrigPoly.const(GaussianRational(F(0), F(l)))))
+    assert a.dphi().coeffs == derivative
