@@ -8,6 +8,7 @@ only (JSON/CSV).  Exit codes: 0 success or verified pass, 1 verified fail,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,8 +57,15 @@ class RunManifest:
 
 
 def default_precision() -> int:
+    """BA_PRECISION when set, else 256; UsageError on a value that is not
+    an integer."""
     env = os.environ.get("BA_PRECISION")
-    return int(env) if env else 256
+    if not env:
+        return 256
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"BA_PRECISION={env!r} is not an integer") from None
 
 
 def parse_range(text: str) -> List[int]:
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--precision", type=int, default=default_precision(),
+        p.add_argument("--precision", type=int, default=None,
                        help="mantissa bits (default 256; env BA_PRECISION)")
         p.add_argument("--threshold-log2", type=int, default=None,
                        help="pass threshold 2^-VALUE (default precision-32)")
@@ -446,10 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones in the
+    same process; it holds no default read from the environment."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if args.precision is None:
+            args.precision = default_precision()
         _check_ranges(args)
         return args.func(args)
     except UsageError as ex:

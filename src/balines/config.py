@@ -32,8 +32,7 @@ from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
 from .poly import DensePoly
 from .roots import poly_roots
 from .scalars import frac_str, parse_frac
-from .symfunc import (e_values, ehat_values, elementary_from_power_sums,
-                      poly_from_elementary, power_sums_from_elementary,
+from .symfunc import (e_values, ehat_values, poly_from_elementary,
                       r_poly_from_ehat)
 
 
@@ -395,7 +394,7 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
     so that sin(q*phi - phi_i) factors over the expanded angles.
 
     Exact data transforms too: the multiplicity-1 polynomial becomes
-    P(w^q) (roots are the q-th roots of the z_i), computed from power sums.
+    P(w^q) (roots are the q-th roots of the z_i), read off P's coefficients.
     Raises CollisionError when two expanded lines coincide."""
     if q < 1:
         raise ValueError("need q >= 1")
@@ -413,14 +412,12 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
         e = None
         P = None
         if c.e is not None and c.n:
-            # q-th roots of the z_i: the J-th power sum is q*p_{J/q} when
-            # q | J and 0 otherwise
-            n = c.n
-            p_sums = power_sums_from_elementary(list(c.e), n)
-            big = [Fraction(q) * p_sums[J // q - 1] if J % q == 0 else Fraction(0)
-                   for J in range(1, q * n + 1)]
-            e = elementary_from_power_sums(big, q * n)
-            P = poly_from_elementary(e, q * n)
+            # P(w^q) = sum_j (-1)^j e_j w^(q(n-j)), so E_(qj) = (-1)^((q-1)j) e_j
+            # and E_K = 0 when q does not divide K
+            e = [Fraction(0)] * (q * c.n)
+            for j, ej in enumerate(c.e, 1):
+                e[q * j - 1] = -ej if (q - 1) * j % 2 else ej
+            P = poly_from_elementary(e, q * c.n)
     return Configuration(kind="qexpanded", precision=c.precision, m=c.m,
                          mtilde=c.mtilde, n=(c.n * q if c.n else None), q=q,
                          e=tuple(e) if e else None, P=P,

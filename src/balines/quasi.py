@@ -12,10 +12,21 @@ carrying only numeric charts.
 
 Column i of the degree-d matrix is g = (d-i) alpha^(d-1-i) - i alpha^(d+1-i)
 mod R, formed from one table of alpha^k mod R (k <= D+1) that a Hilbert
-series builds once.  The exact rank is certified in two steps: with rows
-scaled to integers, the rank mod the prime 2^61 - 1 is a lower bound and is
-returned when it is full; otherwise Bareiss elimination over the integers
-gives the rank exactly.
+series builds once, and scaled to integers.  The exact rank is certified in
+two steps: the rank mod the prime 2^61 - 1 is a lower bound and is returned
+when it is full; otherwise Bareiss elimination over the integers gives the
+rank exactly.
+
+The numeric route works on bounded rows in fixed point.  Row j of degree d,
+multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
+entries (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), forms of
+degree d in (cos, sin) that are at most d in magnitude: row equilibration in
+closed form (van der Sluis 1969).  One more factor of sin would shrink the
+rows of lines near the heavy one until their part of the rank fell under the
+cutoff.  A series
+builds one table of cos^k and sin^k per line as Python ints with
+precision + GUARD_BITS fraction bits, and the full-pivot elimination runs on
+those ints with the margin rule of rank_numeric.
 """
 
 from __future__ import annotations
@@ -28,10 +39,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import mpf_cos_sin, to_fixed
 
 from .config import INF, Configuration
 from .errors import IllConditioned, MissingExactData, OutOfRange, TailMismatch
-from .numeric import working
+from .numeric import GUARD_BITS, check_precision, working
 from .poly import DensePoly
 
 
@@ -58,8 +70,11 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     return _rank_bareiss(m)
 
 
-def _integer_row(row) -> List[int]:
-    """A row of ints or Fractions times the lcm of its denominators."""
+def _integer_row(row) -> Sequence[int]:
+    """A row of ints or Fractions times the lcm of its denominators; a row
+    of ints is returned as it is."""
+    if all(isinstance(x, int) for x in row):
+        return row
     lcm = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (lcm // x.denominator) for x in row]
 
@@ -108,54 +123,44 @@ def _rank_bareiss(rows: List[List[int]]) -> int:
     return rank
 
 
-def rank_numeric(rows, precision: int, pivot_threshold=None) -> int:
-    """Numeric rank by full-pivot elimination with an explicit margin rule.
+def rank_numeric(rows: Sequence[Sequence[int]], precision: int) -> int:
+    """Numeric rank of a fixed-point matrix by full-pivot elimination with an
+    explicit margin rule.
 
-    Pivoting stops when the remaining submatrix maximum falls under
-    pivot_threshold (default 2^-(precision/2)) times the largest initial
-    entry; the decision is accepted only when the last accepted pivot
-    exceeds the first discarded one by 2^64, else IllConditioned."""
-    m = [[mp.mpf(x) for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    scale0 = max((abs(x) for r in m for x in r), default=mp.mpf(0))
+    Entries are ints carrying F = precision + GUARD_BITS fraction bits.
+    Pivoting stops when the remaining submatrix maximum falls to 2^-(p/2)
+    times max(largest initial entry, 1); the decision is accepted only when
+    the last accepted pivot exceeds the first discarded one by 2^64, else
+    IllConditioned.  Each multiplier is at most 1 in magnitude, so on rows
+    bounded by a small integer every update rounds by about 2^-F, far below
+    the cutoff."""
+    frac = check_precision(precision) + GUARD_BITS
+    m = [list(r) for r in rows]
+    scale0 = max((abs(x) for r in m for x in r), default=0)
     if scale0 == 0:
         return 0
-    thr = (mp.mpf(2) ** (-(precision // 2)) if pivot_threshold is None
-           else mp.mpf(pivot_threshold))
     # the functionals have integer coefficients of order the degree, so unit
     # scale is the natural floor; without it an all-noise matrix (e.g. an
     # exactly-zero slope entering through a numeric chart) looks full rank
-    cutoff = thr * max(scale0, mp.mpf(1))
-
-    live_rows = list(range(nrows))
-    live_cols = list(range(ncols))
-    rank = 0
-    last_pivot = None
-    while live_rows and live_cols:
-        best = mp.mpf(0)
-        br = bc = None
-        for r in live_rows:
-            for c in live_cols:
-                v = abs(m[r][c])
-                if v > best:
-                    best, br, bc = v, r, c
+    cutoff = max(scale0, 1 << frac) >> (precision // 2)
+    rank, last = 0, None
+    while m and m[0]:
+        best, br = max((max(map(abs, r)), k) for k, r in enumerate(m))
         if best <= cutoff:
-            if last_pivot is not None and best > 0 and last_pivot / best < mp.mpf(2) ** 64:
+            if last is not None and best > 0 and last < best << 64:
                 raise IllConditioned(
-                    f"rank margin {mp.nstr(last_pivot / best, 5)} below 2^64")
+                    f"rank margin {mp.nstr(mp.mpf(last) / best, 5)} below 2^64")
             return rank
-        pv = m[br][bc]
-        for r in live_rows:
-            if r != br and m[r][bc] != 0:
-                f = m[r][bc] / pv
-                for c in live_cols:
-                    m[r][c] -= f * m[br][c]
-        live_rows.remove(br)
-        live_cols.remove(bc)
+        top = m.pop(br)
+        bc = next(j for j, x in enumerate(top) if abs(x) == best)
+        pv = top.pop(bc)
+        for r in m:
+            x = r.pop(bc)
+            if x:
+                f = (x << frac) // pv
+                r[:] = [a - ((f * b) >> frac) for a, b in zip(r, top)]
         rank += 1
-        last_pivot = best
+        last = best
     return rank
 
 
@@ -170,12 +175,15 @@ def free_indices(d: int, m: int) -> List[int]:
 @dataclass(frozen=True)
 class QISystem:
     """Assembled degree-d system: surviving coefficient indices and the
-    remainder-map matrix (one row per power of alpha below deg R)."""
+    remainder-map matrix (one row per power of alpha below deg R), each
+    column multiplied by the positive integer in column_scale so that every
+    entry is an int; column scaling leaves the rank unchanged."""
 
     degree: int
     heavy_mult: int
     free: Tuple[int, ...]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    matrix: Tuple[Tuple[int, ...], ...]
+    column_scale: Tuple[int, ...]
 
     @property
     def free_count(self) -> int:
@@ -217,19 +225,19 @@ def assemble_system(c: Configuration, d: int,
 
     Column i is (d-i) alpha^(d-1-i) - i alpha^(d+1-i) mod R, read off the
     power table (built here through alpha^(d+1) unless a longer one is
-    passed)."""
+    passed) and scaled to integers by the product of its two denominators."""
     m, R = _slope_poly(c)
     if table is None:
         table = power_table(R, d + 1)
     S = free_indices(d, m)
-    cols = []
+    cols, scales = [], []
     for i in S:
         xs, dx = table[max(d - 1 - i, 0)]
         ys, dy = table[d + 1 - i]
-        cols.append([Fraction((d - i) * x * dy - i * y * dx, dx * dy)
-                     for x, y in zip(xs, ys)])
+        cols.append([(d - i) * x * dy - i * y * dx for x, y in zip(xs, ys)])
+        scales.append(dx * dy)
     return QISystem(degree=d, heavy_mult=m, free=tuple(S),
-                    matrix=tuple(zip(*cols)))
+                    matrix=tuple(zip(*cols)), column_scale=tuple(scales))
 
 
 def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
@@ -278,26 +286,46 @@ def qi_dimension_exact(c: Configuration, d: int,
     return assemble_system(c, d, table).dimension()
 
 
+# cos^k phi and sin^k phi (k = 0, 1, ...) of every slope line, as ints
+# carrying precision + GUARD_BITS fraction bits.
+CosSinTable = Sequence[Tuple[Sequence[int], Sequence[int]]]
+
+
+def cos_sin_table(c: Configuration, top: int,
+                  precision: Optional[int] = None) -> CosSinTable:
+    """Fixed-point powers cos^k and sin^k, k = 0..top, of the slope lines'
+    angles: one cos/sin evaluation per line, then repeated multiplication."""
+    frac = check_precision(precision or c.precision) + GUARD_BITS
+    one = 1 << frac
+    table = []
+    for ln in _require_m1n_chart(c)[1]:
+        pair = []
+        for v in mpf_cos_sin(ln.phi._mpf_, frac):
+            x, powers = to_fixed(v, frac), [one]
+            for _ in range(top):
+                powers.append((powers[-1] * x) >> frac)
+            pair.append(powers)
+        table.append(tuple(pair))
+    return table
+
+
 def qi_dimension_numeric(c: Configuration, d: int, precision: Optional[int] = None,
-                         pivot_threshold=None) -> int:
-    """Same dimension from the numeric slope chart (full-pivot rank)."""
+                         table: Optional[CosSinTable] = None) -> int:
+    """Same dimension from the numeric chart by the fixed-point full-pivot
+    rank.  Row j is the slope line's functional times sin^d phi_j, so entry
+    i is (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), a form of
+    degree d in (cos, sin) and at most d in magnitude; the cos/sin table is
+    built here through power d unless a longer one (at the same precision)
+    is passed."""
     precision = precision or c.precision
-    m, light = _require_m1n_chart(c)
-    with working(precision):
-        rows = []
-        S = free_indices(d, m)
-        for ln in light:
-            a = ln.alpha()
-            row = []
-            for i in S:
-                v = mp.mpf(0)
-                if i < d:
-                    v += (d - i) * a ** (d - 1 - i)
-                if i > 0:
-                    v -= i * a ** (d + 1 - i)
-                row.append(v)
-            rows.append(row)
-        return len(S) - rank_numeric(rows, precision, pivot_threshold)
+    if table is None:
+        table = cos_sin_table(c, d, precision)
+    frac = precision + GUARD_BITS
+    S = free_indices(d, _require_m1n_chart(c)[0])
+    rows = [[(((d - i) * cs[d - 1 - i] * sn[i + 1] if i < d else 0)
+              - (i * cs[d + 1 - i] * sn[i - 1] if i else 0)) >> frac for i in S]
+            for cs, sn in table]
+    return len(S) - rank_numeric(rows, precision)
 
 
 def is_quasi_invariant(c: Configuration, coeffs: Sequence[Fraction]) -> bool:
@@ -308,7 +336,8 @@ def is_quasi_invariant(c: Configuration, coeffs: Sequence[Fraction]) -> bool:
     free = set(system.free)
     if any(v for i, v in enumerate(coeffs) if i not in free):
         return False  # the heavy line kills these coefficients
-    signed = [coeffs[i] * (1 if (d - i - 1) % 2 == 0 else -1) for i in system.free]
+    signed = [coeffs[i] * (1 if (d - i - 1) % 2 == 0 else -1) / scale
+              for i, scale in zip(system.free, system.column_scale)]
     return all(sum(v * s for v, s in zip(row, signed)) == 0 for row in system.matrix)
 
 
@@ -398,7 +427,8 @@ def hilbert_coefficients(c: Configuration, D: int,
     if use_exact:
         table = power_table(_slope_poly(c)[1], D + 1)
         return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
-    return [qi_dimension_numeric(c, d) for d in range(D + 1)]
+    table = cos_sin_table(c, D)
+    return [qi_dimension_numeric(c, d, table=table) for d in range(D + 1)]
 
 
 def hilbert_rational_form(coeffs: Sequence[int], m: int, n: int) -> HilbertSeries:

@@ -280,11 +280,39 @@ def test_jobs_flag(tmp_path):
 
 
 def test_env_precision(monkeypatch, tmp_path):
-    monkeypatch.setenv("BA_PRECISION", "128")
-    from balines.cli import default_precision
-
-    assert default_precision() == 128
+    # one process, two calls: each reads BA_PRECISION when it runs
     out = tmp_path / "p.json"
-    assert run(["construct", "am1n", "--m", "1", "--n", "1",
-                "--precision", str(default_precision()), "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["precision_bits"] == 128
+    for bits in (128, 192):
+        monkeypatch.setenv("BA_PRECISION", str(bits))
+        assert run(["construct", "am1n", "--m", "1", "--n", "1",
+                    "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["precision_bits"] == bits
+    assert run(["construct", "am1n", "--m", "1", "--n", "1", "--precision",
+                "64", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["precision_bits"] == 64
+
+
+def test_malformed_env_precision_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("BA_PRECISION", "abc")
+    assert run(["construct", "am1n", "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: BA_PRECISION")
+
+
+def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
+    from balines import quasi
+    from balines.config import random_type_m1n
+
+    data = random_type_m1n(2, 3, 1, 128).to_json_dict()
+    data["e"] = data["ehat"] = None
+    for line in data["lines"]:
+        if line["alpha"] != "inf":
+            line["alpha"] = None  # no exact data left: the numeric route
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(data))
+    frac = 128 + quasi.GUARD_BITS
+    ill = [[1 << (frac - 30), 0], [0, 1 << (frac - 70)]]  # margin 2^40
+    rank = quasi.rank_numeric
+    monkeypatch.setattr(quasi, "rank_numeric",
+                        lambda rows, precision: rank(ill, precision))
+    assert run(["hilbert", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: rank margin")

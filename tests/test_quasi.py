@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from balines import quasi
 from balines.config import build_am1n, from_alphas, random_type_m1n
-from balines.errors import MissingExactData, OutOfRange, TailMismatch
+from balines.errors import (IllConditioned, MissingExactData, OutOfRange,
+                            TailMismatch)
 from balines.locus import solve_general_locus
 from balines.quasi import (am1n_hilbert_numerator, assemble_system,
                            expand_numerator, hilbert_coefficients,
@@ -15,8 +16,9 @@ from balines.quasi import (am1n_hilbert_numerator, assemble_system,
                            is_quasi_invariant, is_symmetric_slope_chart,
                            product_invariant, qi_dimension_exact,
                            qi_dimension_numeric, r_parameter,
-                           radial_invariant, rank_exact, segment_oracles,
-                           segment_prediction)
+                           radial_invariant, rank_exact, rank_numeric,
+                           segment_oracles, segment_prediction)
+from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
                      echelon_rank_exact, remainder_map_matrix,
@@ -56,6 +58,66 @@ def test_exact_equals_numeric():
                 random_type_m1n(3, 4, seed=9)]:
         for d in range(0, 15):
             assert qi_dimension_exact(cfg, d) == qi_dimension_numeric(cfg, d)
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256, 512])
+def test_fixed_point_series_equals_exact_series(precision):
+    for m, n, seed in [(1, 4, 2), (2, 7, 5), (3, 10, 1), (1, 16, 3)]:
+        c = random_type_m1n(m, n, seed, precision)
+        D = 2 * m + 2 * n + 4
+        assert hilbert_coefficients(c, D, exact=False) == \
+            hilbert_coefficients(c, D), (m, n, seed)
+
+
+@pytest.mark.parametrize("m, n, seed", [(4, 20, 1), (5, 30, 2)])
+def test_fixed_point_series_at_scale(m, n, seed):
+    # large enough that unscaled monomial columns fail the margin rule
+    c = random_type_m1n(m, n, seed, 256)
+    D = 2 * m + 2 * n + 4
+    assert hilbert_coefficients(c, D, exact=False) == hilbert_coefficients(c, D)
+
+
+def test_fixed_point_series_with_a_line_near_the_heavy_one():
+    # slope 2^k puts a line 2^-k from the heavy line: its row keeps an entry
+    # near 1 only when scaled by sin^d, one more factor of sin pushes its
+    # share of the rank under the cutoff from k = 100 on
+    for k in (20, 60, 100, 120):
+        c = from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
+        assert hilbert_coefficients(c, 16, exact=False) == \
+            hilbert_coefficients(c, 16), k
+
+
+_FRAC = 256 + GUARD_BITS  # fraction bits of the fixed-point rows at 256 bits
+
+
+def test_rank_numeric_margin_rule():
+    # the pivot after 2^-100 sits 2^40 below it, under the cutoff 2^-128
+    # but within the 2^64 margin: refuse rather than guess
+    with pytest.raises(IllConditioned, match="^rank margin"):
+        rank_numeric([[1 << (_FRAC - 100), 0], [0, 1 << (_FRAC - 140)]], 256)
+    assert rank_numeric([[1 << _FRAC, 0], [0, 1 << (_FRAC - 140)]], 256) == 1
+    assert rank_numeric([[0, 0], [0, 0]], 256) == 0
+    assert rank_numeric([], 256) == 0
+
+
+@st.composite
+def _planted_integer_matrices(draw):
+    """Small-integer rows from a random basis plus integer combinations."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    basis = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=1, max_size=5))
+    weights = st.lists(entry, min_size=len(basis), max_size=len(basis))
+    planted = [[sum(w * b[j] for w, b in zip(ws, basis)) for j in range(ncols)]
+               for ws in draw(st.lists(weights, max_size=3))]
+    return draw(st.permutations(basis + planted))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_integer_matrices())
+def test_rank_numeric_matches_exact_rank(rows):
+    fixed = [[x << _FRAC for x in r] for r in rows]
+    assert rank_numeric(fixed, 256) == rank_exact(rows)
 
 
 def test_numeric_handles_locus_output():
@@ -244,14 +306,22 @@ def test_exact_needs_rational_data():
         qi_dimension_exact(lc, 4)
 
 
+def _unscaled(system):
+    """The assembled matrix with each integer column divided by its scale."""
+    assert all(type(x) is int for row in system.matrix for x in row)
+    assert all(s > 0 for s in system.column_scale)
+    return tuple(tuple(F(x, s) for x, s in zip(row, system.column_scale))
+                 for row in system.matrix)
+
+
 def test_power_table_assembly_matches_polynomial_division():
     for c in [build_am1n(3, 5, 128), random_type_m1n(2, 4, seed=3)]:
         m, n = c.m, c.n
         scaled = dataclasses.replace(c, R=c.R.scale(F(3)))
         for d in range(2 * m + 2 * n + 5):
             want = remainder_map_matrix(c.R, d, m)
-            assert assemble_system(c, d).matrix == want, d
-            assert assemble_system(scaled, d).matrix == want, d
+            assert _unscaled(assemble_system(c, d)) == want, d
+            assert _unscaled(assemble_system(scaled, d)) == want, d
             assert qi_dimension_exact(scaled, d) == qi_dimension_exact(c, d)
 
 
