@@ -7,8 +7,8 @@ i.e. the vector (0, 1) of the slope chart).
 
 A Configuration is an exact record (elementary symmetric values, the
 monic polynomials P and R) whenever the construction provides one, and a
-chart of numeric lines, which the am1n and twomult families build from P
-only when something reads them.
+chart of numeric lines, which the am1n and twomult families build from the
+real roots of R only when something reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
 from .poly import DensePoly
 from .roots import poly_roots
 from .scalars import frac_str, parse_frac
-from .symfunc import (e_values, ehat_values, poly_from_elementary,
+from .symfunc import (cayley, e_values, ehat_values, poly_from_elementary,
                       r_poly_from_ehat)
 
 
@@ -98,7 +98,7 @@ class Configuration:
     polynomials P (roots z_j) and R (roots alpha_j) and the branch sign.
     The chart is ``lines``: angles at ``precision`` bits.  Families whose
     lines follow from the record (am1n and twomult) leave ``chart`` unset,
-    and the lines are built from P the first time something reads them
+    and the lines are built from R the first time something reads them
     (``len`` included), then cached; every other family passes its lines
     as ``chart``.  Equality and hashing compare the record and the lines."""
 
@@ -143,13 +143,6 @@ class Configuration:
         """Lines with a finite slope, i.e. everything except phi = 0."""
         return [ln for ln in self.lines
                 if not (ln.phi == 0 or ln.alpha_exact is INF)]
-
-    def heavy_line(self) -> Line:
-        """The phi = 0 line when present, else the largest multiplicity."""
-        for ln in self.lines:
-            if ln.phi == 0 or ln.alpha_exact is INF:
-                return ln
-        return max(self.lines, key=lambda ln: ln.mult)
 
     # --- serialization ------------------------------------------------------
 
@@ -200,6 +193,8 @@ class Configuration:
         P = poly_from_elementary(list(e), n) if (e is not None and n is not None) else None
         R = (r_poly_from_ehat(list(ehat), n)
              if (ehat is not None and n is not None) else None)
+        if R is None and P is not None and d["kind"] == "twomult":
+            R = cayley(P)
         if R is None:
             alphas = [ln.alpha_exact for ln in lines
                       if ln.mult >= 1 and isinstance(ln.alpha_exact, Fraction)]
@@ -210,6 +205,7 @@ class Configuration:
             mtilde=d.get("mtilde"), n=n, q=d.get("q"), seed=d.get("seed"),
             e=e, ehat=ehat, P=P, R=R, e_branch_sign=d.get("e_branch_sign"),
             chart=tuple(lines))
+        _check_record(c)
         _check_exact_data(c)
         return c
 
@@ -245,32 +241,49 @@ def _check_distinct_angles(phis, precision: int) -> None:
         raise CollisionError("two lines coincide across the pi wrap")
 
 
+def _check_record(c: Configuration) -> None:
+    """ValueError unless an am1n or twomult file's lines agree with its
+    record: multiplicity m at phi = 0, mtilde (when positive) at pi/2, n
+    lines of multiplicity 1 besides, and for am1n the closed-form e, ehat."""
+    if c.kind not in ("am1n", "twomult"):
+        return
+    with working(c.precision):
+        heavy = {mp.mpf(0): c.m, **({mp.pi / 2: c.mtilde} if c.mtilde else {})}
+    at = {phi: [ln.mult for ln in c.lines if ln.phi == phi] for phi in heavy}
+    light = [ln.mult for ln in c.lines if ln.phi not in heavy]
+    if any(at[phi] != [mu] for phi, mu in heavy.items()) or light != [1] * c.n:
+        raise ValueError(f"the record has (m, mtilde, n) = ({c.m}, {c.mtilde}, {c.n}), "
+                         f"the lines {[ln.mult for ln in c.lines]}")
+    if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
+                             or list(c.ehat or ()) != ehat_values(c.m, c.n)):
+        raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
+
+
 def _check_exact_data(c: Configuration) -> None:
-    """ValueError unless the exact P (z chart) and R (slope chart), where
-    carried, each vanish at as many distinct stored lines as its degree.
-    One cos/sin per line, then fixed-point arithmetic on integers; the
-    threshold is 2^-(precision/2), so precision/2 + GUARD_BITS bits carry
-    it.  Nothing is re-solved."""
+    """ValueError unless the exact P (z chart), or R (slope chart) where P
+    is not carried, vanishes at as many distinct stored lines as its
+    degree; with P carried, R has P's roots (it is cayley(P), or for am1n
+    the closed form that _check_record compares).  One cos/sin per line,
+    then fixed-point arithmetic on integers; the threshold is
+    2^-(precision/2), so precision/2 + GUARD_BITS bits carry it.  Nothing
+    is re-solved."""
     if c.P is None and c.R is None:
         return
     bits = check_precision(c.precision) // 2 + GUARD_BITS
     # (cos phi, sin phi) times 2^bits, one entry per distinct angle
     points = {ln.phi: tuple(to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits))
               for ln in c.lines}
-    checks = []
     if c.P is not None:  # z = e^{2i phi} = (cos + i sin)^2
-        checks.append(("P", c.P, [((x * x - y * y) >> bits, (2 * x * y) >> bits)
-                                  for x, y in points.values()]))
-    if c.R is not None:  # alpha = cot phi; the phi = 0 line has no finite slope
-        checks.append(("R", c.R, [((x << bits) // y, 0)
-                                  for x, y in points.values() if y]))
-    for name, poly, zs in checks:
-        lcm = math.lcm(*(a.denominator for a in poly.coeffs))
-        coeffs = [a.numerator * (lcm // a.denominator) for a in poly.coeffs]
-        zeros = sum(_vanishes(coeffs, x, y, bits, c.precision // 2) for x, y in zs)
-        if zeros < poly.degree:
-            raise ValueError(f"the exact {name} of degree {poly.degree} vanishes at "
-                             f"only {zeros} distinct stored lines")
+        name, poly, zs = "P", c.P, [((x * x - y * y) >> bits, (2 * x * y) >> bits)
+                                    for x, y in points.values()]
+    else:  # alpha = cot phi; the phi = 0 line has no finite slope
+        name, poly, zs = "R", c.R, [((x << bits) // y, 0) for x, y in points.values() if y]
+    lcm = math.lcm(*(a.denominator for a in poly.coeffs))
+    coeffs = [a.numerator * (lcm // a.denominator) for a in poly.coeffs]
+    zeros = sum(_vanishes(coeffs, x, y, bits, c.precision // 2) for x, y in zs)
+    if zeros < poly.degree:
+        raise ValueError(f"the exact {name} of degree {poly.degree} vanishes at "
+                         f"only {zeros} distinct stored lines")
 
 
 def _vanishes(coeffs: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> bool:
@@ -290,17 +303,6 @@ def _vanishes(coeffs: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -
     return re * re + im * im <= (big >> tol_bits) ** 2
 
 
-def _lines_from_poly_roots(P: DensePoly, precision: int) -> List[Line]:
-    roots = poly_roots(P, precision)
-    lines = []
-    for z in roots:
-        arg = mp.arg(z)
-        if arg < 0:
-            arg += 2 * mp.pi
-        lines.append(Line(mult=1, phi=arg / 2, alpha_exact=None))
-    return lines
-
-
 def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
     """The unique real arrangement with one multiplicity-m line at phi = 0
     and n multiplicity-1 lines, fixed by its elementary symmetric values.
@@ -318,18 +320,22 @@ def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
 
 def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
     """Lines of an am1n or twomult record: multiplicity m at phi = 0,
-    mtilde (when positive) at phi = pi/2 and one line per root of P,
-    sorted by angle.  CollisionError when two of them coincide."""
-    if c.kind not in ("am1n", "twomult") or c.P is None:
+    mtilde (when positive) at pi/2 and phi = acot(alpha) (+ pi for
+    alpha < 0) per real root alpha of R, sorted.  The roots are finite and
+    certified distinct, so only R(0) = 0 with mtilde > 0 is a CollisionError."""
+    if c.kind not in ("am1n", "twomult") or c.R is None:
         raise MissingExactData(f"a {c.kind} configuration without lines")
+    if c.mtilde and c.R[0] == 0:
+        raise CollisionError("a multiplicity-1 line lies on the phi = pi/2 line")
+    alphas = poly_roots(c.R, c.precision)
+    with working(c.precision, guard=96):
+        phis = [mp.acot(a) + mp.pi if a < 0 else mp.acot(a) for a in alphas]
     with working(c.precision):
         lines = [Line(mult=c.m, phi=mp.mpf(0), alpha_exact=INF)]
         if c.mtilde:
             lines.append(Line(mult=c.mtilde, phi=mp.pi / 2, alpha_exact=Fraction(0)))
-        lines += _lines_from_poly_roots(c.P, c.precision)
-        lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], c.precision)
-    return tuple(lines)
+        lines += [Line(mult=1, phi=+phi) for phi in phis]
+    return tuple(sorted(lines, key=lambda ln: ln.phi))
 
 
 def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
@@ -386,7 +392,7 @@ def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configurati
             f"neither sign branch satisfies the two-multiplicity ODE "
             f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
     return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,
-                         n=n, e=tuple(e), P=P, e_branch_sign=sign)
+                         n=n, e=tuple(e), P=P, R=cayley(P), e_branch_sign=sign)
 
 
 def t_q_expand(c: Configuration, q: int) -> Configuration:

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .scalars import GaussianRational
-
 GUARD_BITS = 64
 MIN_PRECISION = 64
 
@@ -35,14 +33,7 @@ def working(precision: int, guard: int = GUARD_BITS):
 
 
 def to_mp(x):
-    """Convert exact scalars to mpf/mpc at the current working precision."""
-    if isinstance(x, GaussianRational):
-        if x.is_real:
-            return mp.mpf(x.re.numerator) / x.re.denominator
-        return mp.mpc(
-            mp.mpf(x.re.numerator) / x.re.denominator,
-            mp.mpf(x.im.numerator) / x.im.denominator,
-        )
+    """Convert exact rationals to mpf at the current working precision."""
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpmathify(x)

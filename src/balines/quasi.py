@@ -32,7 +32,6 @@ those ints with the margin rule of rank_numeric.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,9 +251,9 @@ def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
 
 def m1n_parameters(c: Configuration) -> Tuple[int, int]:
     """(heavy multiplicity, number of slope lines) of a type-(m, 1^n) chart;
-    an am1n record whose lines are not built yet gives them without its
-    lines, while stored lines (a loaded file) decide for themselves."""
-    if c.kind == "am1n" and c.chart is None:
+    an am1n record gives them without its lines (a loaded file's lines were
+    checked against its record)."""
+    if c.kind == "am1n":
         return c.m, c.n
     m, light = _require_m1n_chart(c)
     return m, len(light)
@@ -385,15 +384,6 @@ class HilbertSeries:
     coeffs: Tuple[int, ...]  # b_0 .. b_D
     numerator: Tuple[int, ...]  # N(t) with P(t) = N(t) / (t^2 - 1)^2
 
-    @property
-    def degree_cutoff(self) -> int:
-        return 2 * self.m + 2 * self.n - 1
-
-    def coefficient(self, d: int) -> int:
-        if d < len(self.coeffs):
-            return self.coeffs[d]
-        return d + 1 - self.m - self.n
-
     def to_json_dict(self) -> dict:
         gor, M = is_gorenstein(self)
         return {
@@ -404,10 +394,6 @@ class HilbertSeries:
             "gorenstein": gor,
             "M": M,
         }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
     def save_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

@@ -1,178 +1,162 @@
-"""Simultaneous (Aberth-type) polynomial root finding in mpmath complex.
+"""Certified real roots of a rational polynomial.
 
-Inputs are exact DensePoly instances with rational or Gaussian-rational
-coefficients, assumed squarefree (checked).  Start points sit on a circle
-of Fujiwara-bound radius with a fixed deterministic jitter.  The slow global
-phase of Aberth's method runs from there in double precision (Python
-``complex``); the mpmath Aberth iteration then starts from those seeds,
-where it converges cubically, and alone decides acceptance.  When a seed is
-not finite (a coefficient outside the double range) or two seeds coincide,
-the mpmath iteration starts from the circle itself.  Reruns give identical
-output at identical precision.
+The lines of the exact families are the real roots of their slope
+polynomial R(alpha), alpha = cot phi (``symfunc.cayley``).  Exact
+integer-Horner signs at rational points next to cot((g + 1/2) pi / G),
+g < G = 4n + 4 (doubled up to a cap), and at powers of two beyond every
+root and below every nonzero one change deg p times only when p has deg p
+simple real roots, one per bracket with a sign change (Collins and Akritas
+1976).  Newton's method refines each root in its bracket, seeded in floats
+and finished in mpmath at precision + 96 bits, plus the bits an evaluation
+near the root loses to cancellation, until a step is at most
+2^-(precision + 72) of the root; steps out of the bracket, and all steps
+while its ends differ in scale by more than 4, bisect it.  A root at 0 is
+taken off exactly; unisolated roots raise NonSquarefree or NoConvergence.
 """
 
 from __future__ import annotations
 
-import cmath
-from typing import List, Optional
+import math
+from fractions import Fraction
+from typing import List, Tuple
 
 import mpmath as mp
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonSquarefree
+from .numeric import check_precision, log2_abs, to_mp
 from .poly import DensePoly
-from .numeric import check_precision, log2_abs, to_mp, working
 
-_MAX_ITER = 400
-# deterministic angular jitter, a fixed irrational multiple per index
-_JITTER = 0.01234567
-# the double-precision phase stops once every step is below this fraction
-# of its point's modulus, or after _SEED_SWEEPS sweeps
+# G = 4n + 4 sample points at first, doubled at most this many times
+_DOUBLINGS = 4
+# Newton steps per root in each phase
+_MAX_ITER = 100
+# the float phase stops once a step is below this fraction of the root
 _SEED_TOL = 2.0 ** -40
-_SEED_SWEEPS = 100
 
 
-def fujiwara_bound(coeffs_mp) -> mp.mpf:
-    """Upper bound on root moduli: 2 * max_k |a_{n-k}/a_n|^{1/k}."""
-    n = len(coeffs_mp) - 1
-    an = abs(coeffs_mp[-1])
-    best = mp.mpf(0)
-    for k in range(1, n + 1):
-        c = abs(coeffs_mp[n - k]) / an
-        if c > 0:
-            best = max(best, c ** (mp.mpf(1) / k))
-    return 2 * best if best > 0 else mp.mpf(1)
+def _root_exponent(c: List[int]) -> int:
+    """e with |x| < 2^e for every root x of sum c[k] x^k, from Fujiwara's
+    bound |x| <= 2 max_k |c[n-k] / c[n]|^(1/k) on the bit lengths."""
+    top = abs(c[-1]).bit_length() - 1
+    return 1 + max((-((top - abs(a).bit_length()) // k)
+                    for k, a in enumerate(reversed(c[:-1]), 1) if a), default=0)
 
 
-def _polyval(coeffs, x):
-    acc = 0 * x
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _sign(c: List[int], x: Fraction) -> int:
+    """Sign of sum c[k] x^k, exactly: Horner on b^n p(a/b)."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for ck in reversed(c):
+        acc = acc * a + ck * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _largest_term(sizes, x):
-    """max_k |a_k| |x|^k, given sizes[k] = |a_k|."""
-    r, power, best = abs(x), 1, 0
-    for a in sizes:
-        best = max(best, a * power)
-        power *= r
-    return best
+def _isolate(c: List[int]) -> List[Tuple[Fraction, Fraction, int]]:
+    """(lo, hi, sign of p at lo), one bracket per root of sum c[k] x^k
+    (c[0] != 0), or fewer when too few signs change at the cap."""
+    big, small = Fraction(2) ** _root_exponent(c), Fraction(2) ** -_root_exponent(c[::-1])
+    # an odd numerator over 2^s with 2^s not dividing c[n] is never a root
+    s = 64 + (c[-1] & -c[-1]).bit_length()
+    G = 4 * len(c)  # 4n + 4
+    for _ in range(_DOUBLINGS + 1):
+        grid = {Fraction(int(math.ldexp(1 / math.tan((g + 0.5) * math.pi / G), 64))
+                         << (s - 64) | 1, 1 << s) for g in range(G)}
+        points = sorted({-big, -small, small, big}
+                        | {x for x in grid if small < abs(x) < big})
+        signs = [_sign(c, x) for x in points]
+        brackets = [(lo, hi, a) for lo, hi, a, b
+                    in zip(points, points[1:], signs, signs[1:]) if a != b]
+        if len(brackets) == len(c) - 1:
+            return brackets
+        G *= 2
+    return brackets
 
 
-def _aberth_step(dcoeffs, xs, pvs):
-    """One Jacobi sweep of Aberth's method, in the arithmetic of xs: the
-    points minus their offsets, given the values pvs of p at xs.  Each
-    1/(x_i - x_j) is formed once per unordered pair and negated for (j, i);
-    every sum still accumulates its terms in the order j = 0..n-1.
-    """
-    n = len(xs)
-    sums = [0 * x for x in xs]
-    for i in range(n):
-        x = xs[i]
-        for j in range(i + 1, n):
-            d = 1 / (x - xs[j])
-            sums[i] += d
-            sums[j] -= d
-    out = []
-    for x, pv, s in zip(xs, pvs, sums):
-        dv = _polyval(dcoeffs, x)
-        if dv == 0:
-            out.append(x - (0.5 + 0.5j))
-            continue
-        w = pv / dv
-        denom = 1 - w * s
-        out.append(x - (w if denom == 0 else w / denom))
-    return out
+def _horner(coeffs, x):
+    """(p(x), p'(x)) by one Horner pass, in the arithmetic of x."""
+    v = d = 0 * x
+    for a in reversed(coeffs):
+        d = d * x + v
+        v = v * x + a
+    return v, d
 
 
-def _usable(xs) -> bool:
-    return all(cmath.isfinite(x) for x in xs) and len(set(xs)) == len(xs)
+def _wide(lo, hi) -> bool:
+    """Whether the ends of a bracket of one sign differ in scale by more than 4."""
+    return 0 < 4 * lo < hi or lo < 4 * hi < 0
 
 
-def _double_seeds(coeffs, start) -> Optional[List[complex]]:
-    """Aberth's method in double precision from the start points, or None
-    when a point leaves the double range or two points coincide."""
-    cs = [complex(c) for c in coeffs]
-    dcs = [k * c for k, c in enumerate(cs)][1:]
-    xs = [complex(x) for x in start]
-    for _ in range(_SEED_SWEEPS):
-        if not _usable(xs):
-            return None
-        new = _aberth_step(dcs, xs, [_polyval(cs, x) for x in xs])
-        try:
-            done = all(abs(b - a) <= _SEED_TOL * abs(a) for a, b in zip(xs, new))
-        except OverflowError:  # abs() of a complex beyond the double range
-            return None
-        xs = new
-        if done:
-            break
-    return xs if _usable(xs) else None
+def _mid(lo, hi):
+    """Bisection point: geometric for a wide bracket, else arithmetic."""
+    if _wide(lo, hi):
+        return (lo * hi) ** 0.5 * (1 if lo > 0 else -1)
+    return (lo + hi) / 2
 
 
-def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpc]:
-    """All deg(p) roots, ordered by (principal argument in [0, 2pi), modulus).
+def _refine(coeffs, lo, hi, slo, x, tol, limit):
+    """Newton's method from x for the root of p = sum coeffs[k] x^k in
+    (lo, hi), where p(lo) has the sign slo and p(hi) the other.
+    Returns (x, last Newton step, steps taken) after the first step of at
+    most tol |x| or after limit steps."""
+    for k in range(1, limit + 1):
+        v, d = _horner(coeffs, x)
+        if v == 0:
+            return x, v, k
+        if (v > 0) == (slo > 0):
+            lo = x
+        else:
+            hi = x
+        step = v / d if d else hi - lo  # with no slope, a step out of the bracket
+        if abs(step) <= tol * abs(x):
+            return x - step, step, k
+        x = x - step
+        if not lo < x < hi or _wide(lo, hi):
+            x = _mid(lo, hi)
+    return x, step, k
 
-    Each residual |p(x)| is driven below 2^-(precision+48) times
-    max_k |a_k| |x|^k, the largest term of p(x), so tiny and huge roots are
-    fixed to the same relative accuracy as roots on the unit circle (with
-    extra guard bits internally).  A root at 0 is taken off exactly.  Raises
-    NonSquarefree when p has a repeated root and NoConvergence when
-    iteration stalls.
-    """
+
+def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
+    """The deg(p) real roots of a rational p in increasing order, each to a
+    relative error far below 2^-(precision + 64)."""
     check_precision(precision)
-    p.check_squarefree()
     if p.degree <= 0:
         return []
-    # p = w q with q(0) != 0 when a_0 = 0, since p is squarefree
-    zero_root = p.coeffs[0] == 0
-    exact = p.coeffs[1:] if zero_root else p.coeffs
-    n = len(exact) - 1
-    with working(precision, guard=96):
-        coeffs = [to_mp(c) for c in exact]
-        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-        sizes = [abs(c) for c in coeffs]
-        tol = mp.mpf(2) ** (-(precision + 48))
-        # tol times a lower bound on every largest term: the k = 0 term
-        # bounds it when |x| <= 1, the k = n term when |x| >= 1
-        floor = tol * min(sizes[0], sizes[-1])
-
-        radius = fujiwara_bound(coeffs)
-        xs = [radius * mp.exp(mp.mpc(0, 1) * (2 * mp.pi * k / n + _JITTER * (k + 1)))
-              for k in range(n)]
-        seeds = _double_seeds(coeffs, xs)
-        if seeds is not None:
-            xs = [mp.mpc(x) for x in seeds]
-
-        sweeps = 0
-        while True:
-            pvs = [_polyval(coeffs, x) for x in xs]
-            # a target is formed only when the floor does not decide; written
-            # so that a NaN residual counts as not converged
-            if all(abs(v) < floor or abs(v) < tol * _largest_term(sizes, x)
-                   for v, x in zip(pvs, xs)):
-                break
-            if sweeps == _MAX_ITER:
-                worst, target = max(((log2_abs(v), log2_abs(tol * _largest_term(sizes, x)))
-                                     for v, x in zip(pvs, xs)),
-                                    key=lambda wt: wt[0] - wt[1])
-                raise NoConvergence(
-                    f"root iteration stalled at precision {precision}: worst "
-                    f"residual log2 {worst:.1f} against target log2 "
-                    f"{target:.1f} after {sweeps} sweep(s)")
-            xs = _aberth_step(dcoeffs, xs, pvs)
-            sweeps += 1
-
-        # Newton polish, then deterministic ordering
-        for _ in range(3):
-            xs = [x - _polyval(coeffs, x) / _polyval(dcoeffs, x) for x in xs]
-        if zero_root:
-            xs.append(mp.mpc(0))
-
-        def key(z):
-            a = mp.arg(z)
-            if a < 0:
-                a += 2 * mp.pi
-            return (a, abs(z))
-
-        xs.sort(key=key)
-        return xs
+    den = math.lcm(*(a.denominator for a in p.coeffs))
+    c = [a.numerator * (den // a.denominator) for a in p.coeffs]
+    roots = []
+    if c[0] == 0:
+        c, roots = c[1:], [mp.mpf(0)]
+        if c[0] == 0:
+            raise NonSquarefree("a repeated root at 0")
+    brackets = _isolate(c)
+    if len(brackets) < len(c) - 1:
+        p.check_squarefree()
+        raise NoConvergence(f"isolated {len(brackets)} of {len(c) - 1} real roots")
+    # floats for the seeds unless a coefficient is beyond their range
+    fcoeffs = ([float(a) for a in c]
+               if max(abs(a) for a in c).bit_length() < 1000 else None)
+    with mp.workprec(max(abs(a) for a in c).bit_length()):
+        mcoeffs = [mp.mpf(a) for a in c]  # exact
+    tol = mp.mpf(2) ** -(precision + 72)
+    for lo, hi, slo in brackets:
+        seed, extra = None, 0
+        if fcoeffs:
+            flo, fhi = float(lo), float(hi)
+            x = _refine(fcoeffs, flo, fhi, slo, _mid(flo, fhi), _SEED_TOL, _MAX_ITER)[0]
+            if lo < x < hi:  # converged, or as close as float noise allows
+                # the bits one evaluation of p near the root loses to cancellation
+                size = _horner([abs(a) for a in fcoeffs], abs(x))[0]
+                seed, extra = x, max(0, math.frexp(size / abs(x * _horner(fcoeffs, x)[1]))[1])
+        with mp.workprec(precision + 96 + extra):
+            lo, hi = to_mp(lo), to_mp(hi)
+            x = _mid(lo, hi) if seed is None else mp.mpf(seed)
+            x, step, k = _refine(mcoeffs, lo, hi, slo, x, tol, _MAX_ITER)
+        if abs(step) > tol * abs(x):
+            raise NoConvergence(
+                f"Newton's method stalled at precision {precision} on the root "
+                f"in [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}]: step log2 "
+                f"{log2_abs(step):.1f} against target log2 "
+                f"{log2_abs(tol * x):.1f} after {k} step(s)")
+        roots.append(x)
+    return sorted(roots)

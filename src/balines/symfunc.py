@@ -9,6 +9,7 @@ binomial identities for the distinguished one-heavy-line family.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -131,6 +132,37 @@ def r_poly_from_ehat(ehat: Sequence[Fraction], n: int) -> DensePoly:
     for r in range(0, nu + 1):
         coeffs[2 * (nu - r) + (n % 2)] = (-1) ** r * full[r]
     return DensePoly(coeffs)
+
+
+def _times_linear(re: List[int], im: List[int], s: int):
+    """(re + i im)(alpha + s i) for coefficient lists indexed by power."""
+    return ([a - s * b for a, b in zip([0] + re, im + [0])],
+            [b + s * a for a, b in zip(re + [0], [0] + im)])
+
+
+def cayley(P: DensePoly) -> DensePoly:
+    """The slope chart of a rational z-chart polynomial: the monic R with
+    P(1) R(alpha) = P((alpha+i)/(alpha-i)) (alpha-i)^n, n = deg P, by Horner
+    on Gaussian-integer numerators.  A root e^{2i phi} of P gives the factor
+    -2i e^{i phi} sin(phi) (alpha - cot phi).  ValueError when P(1) = 0 (a
+    root on the phi = 0 line) or the imaginary part does not cancel."""
+    n = P.degree
+    den = math.lcm(*(c.denominator for c in P.coeffs))
+    a = [c.numerator * (den // c.denominator) for c in P.coeffs]
+    p1 = sum(a)
+    if p1 == 0:
+        raise ValueError("P(1) = 0: P has a root on the phi = 0 line")
+    hre, him = [a[n]], [0]  # sum_{k >= j} a_k (alpha+i)^(k-j) (alpha-i)^(n-k)
+    vre, vim = [1], [0]  # (alpha-i)^(n-j)
+    for k in range(n - 1, -1, -1):
+        hre, him = _times_linear(hre, him, 1)
+        vre, vim = _times_linear(vre, vim, -1)
+        hre = [h + a[k] * v for h, v in zip(hre, vre)]
+        him = [h + a[k] * v for h, v in zip(him, vim)]
+    if any(him):
+        raise ValueError("P((alpha+i)/(alpha-i)) (alpha-i)^n is not a real "
+                         "multiple of a real polynomial")
+    return DensePoly([Fraction(c, p1) for c in hre])
 
 
 # --- closed forms for the one-heavy-line family ------------------------------

@@ -214,25 +214,26 @@ def remainder_map_matrix(R, d: int, m: int):
 
 def eager_json(config) -> dict:
     """to_json_dict of an am1n or twomult record whose lines are found at
-    once from its exact P, as the constructions did before the chart was
+    once from its exact data, as the constructions did before the chart was
     built on first read: the phi = 0 line, the phi = pi/2 line when mtilde
-    is positive, then arg(z)/2 for every root z of P, sorted by angle."""
+    is positive, then acot(alpha) (+ pi for alpha < 0) for every real root
+    alpha of cayley(P), sorted by angle."""
     import dataclasses
 
     from balines.config import INF, Line
     from balines.numeric import working
     from balines.roots import poly_roots
+    from balines.symfunc import cayley
 
+    alphas = poly_roots(cayley(config.P), config.precision)
+    with working(config.precision, guard=96):
+        phis = [mp.acot(a) + (mp.pi if a < 0 else 0) for a in alphas]
     with working(config.precision):
         lines = [Line(mult=config.m, phi=mp.mpf(0), alpha_exact=INF)]
         if config.mtilde:
             lines.append(Line(mult=config.mtilde, phi=mp.pi / 2,
                               alpha_exact=Fraction(0)))
-        for z in poly_roots(config.P, config.precision):
-            arg = mp.arg(z)
-            if arg < 0:
-                arg += 2 * mp.pi
-            lines.append(Line(mult=1, phi=arg / 2))
+        lines += [Line(mult=1, phi=+phi) for phi in phis]
         lines.sort(key=lambda ln: ln.phi)
     return dataclasses.replace(config, chart=tuple(lines)).to_json_dict()
 

@@ -82,9 +82,11 @@ def test_certify_perturbed_fails(tmp_path):
 
 
 def test_certify_duplicated_line_is_collinear(tmp_path, capsys):
-    from balines.config import build_am1n
+    # a general chart, which has no record to contradict its lines (an am1n
+    # file with a duplicated line is refused on load, exit 2)
+    from balines.config import general_from_angles
 
-    data = build_am1n(2, 2, 256).to_json_dict()
+    data = general_from_angles([2, 1, 1], [0, 1, 2], 256).to_json_dict()
     data["lines"].append(dict(data["lines"][1]))
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(data))
@@ -176,10 +178,10 @@ def test_scan_certify_skips_a_collision(tmp_path, monkeypatch):
     from balines import config
     from balines.errors import CollisionError
 
-    def collide(phis, precision):
+    def collide(c):
         raise CollisionError("two lines coincide")
 
-    monkeypatch.setattr(config, "_check_distinct_angles", collide)
+    monkeypatch.setattr(config, "_exact_chart", collide)
     out = tmp_path / "scan.json"
     assert run(["scan", "certify", "--family", "twomult", "--m", "2", "--mt", "1",
                 "--n", "2", "-o", str(out)]) == 0
@@ -210,6 +212,9 @@ RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
 # Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
 # (3, 2), which has as many slope lines, by name.
 FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
+# Edits of INPUT that make its record contradict its lines, by name.
+EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
+          "m-3": lambda d: d.update(m=3)}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT
 # or FOREIGN name); MISSING stands for a path that does not exist
@@ -244,6 +249,8 @@ BAD_INPUT = [
     (["construct", "locus", "--mults", "nan,1"], None),
     (["certify", "--input", "INPUT"], "e-of-am1n-3-2"),
     (["hilbert", "--input", "INPUT"], "ehat-of-am1n-3-2"),
+    (["certify", "--input", "INPUT"], "heavy-mult-4"),
+    (["hilbert", "--input", "INPUT"], "m-3"),
 ]
 
 
@@ -260,6 +267,8 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         if drop in FOREIGN:
             key = FOREIGN[drop]
             data[key] = build_am1n(3, 2, 128).to_json_dict()[key]
+        if drop in EDITED:
+            EDITED[drop](data)
         path.write_text(json.dumps(data))
     paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json")}
     assert run([paths.get(a, a) for a in argv]) == 2

@@ -231,6 +231,34 @@ def test_load_rejects_angles_of_another_arrangement(own, other):
         Configuration.from_json_dict(data)
 
 
+# (configuration, edit of its JSON) that makes the record contradict its lines
+_CONTRADICTIONS = {
+    "heavy-mult": (lambda: build_am1n(2, 3, 128), lambda d: d["lines"][0].update(mult=4)),
+    "m": (lambda: build_am1n(2, 3, 128), lambda d: d.update(m=4)),
+    "n": (lambda: build_am1n(2, 3, 128), lambda d: d["lines"][1].update(mult=2)),
+    "e": (lambda: build_am1n(2, 3, 128), lambda d: d["e"].__setitem__(0, "-1")),
+    "mtilde": (lambda: build_two_mult(2, 1, 4, 128), lambda d: d.update(mtilde=2)),
+    "lost-mtilde-line": (lambda: build_two_mult(2, 1, 4, 128),
+                         lambda d: d["lines"].pop(next(i for i, ln in enumerate(d["lines"])
+                                                       if ln["alpha"] == "0"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRADICTIONS))
+def test_load_rejects_a_record_its_lines_contradict(name):
+    build, edit = _CONTRADICTIONS[name]
+    data = build().to_json_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="the record has|not those of"):
+        Configuration.from_json_dict(data)
+
+
+def test_loaded_two_mult_carries_its_slope_polynomial():
+    c = build_two_mult(3, 2, 6, 128)
+    loaded = Configuration.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+    assert loaded.R == c.R and loaded.R.degree == 6 and loaded.ehat is None
+
+
 _CONFIGS = st.one_of(
     st.builds(build_am1n, st.integers(1, 4), st.integers(1, 6),
               st.sampled_from([64, 128, 256])),

@@ -5,7 +5,9 @@ import pytest
 
 from balines.errors import DegenerateConfiguration, OutOfRange
 from balines.poly import DensePoly
-from balines.symfunc import (e_values, ehat_values, elementary_from_power_sums,
+from balines.config import build_am1n, build_two_mult
+from balines.roots import poly_roots
+from balines.symfunc import (cayley, e_values, ehat_values, elementary_from_power_sums,
                              f_to_e, f_to_ehat, f_values, identity_a_lhs,
                              identity_a_rhs, identity_b_lhs, identity_b_rhs,
                              poly_from_elementary, power_sums_from_elementary,
@@ -116,6 +118,37 @@ def test_r_poly_roots_are_slopes():
     assert R == DensePoly.rational([F(-1, 5), 0, 1])
     R13 = r_poly_from_ehat(ehat_values(1, 3), 3)
     assert R13(F(0)) == 0 and R13(F(1)) == 0 and R13(F(-1)) == 0
+
+
+def test_cayley_gives_the_stored_slope_polynomial():
+    for m in range(1, 7):
+        for n in range(1, 11):
+            c = build_am1n(m, n, 64)
+            assert cayley(c.P) == c.R, (m, n)
+
+
+def test_cayley_of_two_mult_is_real_rooted():
+    for m in range(1, 5):
+        for mt in range(0, 5):
+            for n in range(2, 17, 2):
+                R = cayley(build_two_mult(m, mt, n, 64).P)
+                assert R.degree == n and R.leading() == 1
+                assert len(poly_roots(R, 64)) == n
+                assert mt == 0 or R[0] != 0, (m, mt, n)
+
+
+def test_cayley_maps_unit_circle_roots_to_slopes():
+    # roots z = -1, i: phi = pi/2 and pi/4, slopes 0 and 1
+    P = DensePoly.rational([1, 1]) * DensePoly.rational([1, 0, 1])
+    assert cayley(P) == DensePoly.rational([0, -1, 0, 1])
+
+
+@pytest.mark.parametrize("coeffs", [[-1, 1], [1, -3, 2], [1, 2, 3]])
+def test_cayley_refuses(coeffs):
+    # P(1) = 0 (a root on the phi = 0 line) for the first two; the roots of
+    # 3w^2 + 2w + 1 have modulus 1/sqrt(3), so R is not real
+    with pytest.raises(ValueError):
+        cayley(DensePoly.rational(coeffs))
 
 
 def test_newton_round_trip():
