@@ -6,18 +6,15 @@ quasi-invariant algebras with exact ranks, and verifies the Darboux-Wronskian
 operator identities as exact trigonometric-polynomial equalities.
 """
 
-from .certify import (BACertificate, ConditionResidual,
-                      cartesian_condition_residual, certify_ba,
-                      first_condition_residual, locus_condition_residual,
+from .certify import (BACertificate, ConditionResidual, certify_ba,
                       ode_residual_am1n, ode_residual_two_mult)
 from .config import (Configuration, Line, Multiplicities,
                      angle_multiset_distance, build_am1n, build_two_mult,
                      from_alphas, general_from_angles, perturb_line,
                      random_type_m1n, t_q_expand)
-from .darboux import (DarbouxChain, OperatorData, build_chain, chain_report,
-                      darboux_levels, nu_constant, operator_data,
-                      q_scaling_check, q_trig, verify_eigen,
-                      verify_factorization, verify_potential)
+from .darboux import (DarbouxChain, build_chain, chain_report,
+                      darboux_levels, nu_constant, q_scaling_check, q_trig,
+                      verify_eigen, verify_factorization, verify_potential)
 from .locus import solve_general_locus
 from .poly import DensePoly
 from .quasi import (HilbertSeries, QISystem, am1n_hilbert_numerator,
@@ -36,19 +33,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BACertificate", "ConditionResidual", "Configuration", "DarbouxChain",
     "DensePoly", "GaussianRational", "HilbertSeries", "Line",
-    "Multiplicities", "OperatorData", "QISystem", "Rational", "TrigPoly",
+    "Multiplicities", "QISystem", "Rational", "TrigPoly",
     "am1n_hilbert_numerator", "angle_multiset_distance", "assemble_system",
-    "build_am1n", "build_chain", "build_two_mult",
-    "cartesian_condition_residual", "certify_ba", "chain_report",
-    "darboux_levels", "e_values", "ehat_values", "expand_numerator",
-    "f_to_e", "f_to_ehat", "f_values", "first_condition_residual",
-    "from_alphas", "general_from_angles", "hilbert_coefficients",
-    "hilbert_rational_form", "is_gorenstein", "is_quasi_invariant",
-    "locus_condition_residual", "nu_constant", "ode_residual_am1n",
-    "ode_residual_two_mult", "operator_data", "perturb_line",
-    "poly_from_elementary", "poly_roots", "q_scaling_check", "q_trig",
-    "qi_dimension_exact", "qi_dimension_numeric", "r_parameter",
-    "random_type_m1n", "segment_oracles", "segment_prediction",
-    "solve_general_locus", "t_q_expand", "verify_eigen",
-    "verify_factorization", "verify_potential", "wronskian",
+    "build_am1n", "build_chain", "build_two_mult", "certify_ba",
+    "chain_report", "darboux_levels", "e_values", "ehat_values",
+    "expand_numerator", "f_to_e", "f_to_ehat", "f_values", "from_alphas",
+    "general_from_angles", "hilbert_coefficients", "hilbert_rational_form",
+    "is_gorenstein", "is_quasi_invariant", "nu_constant", "ode_residual_am1n",
+    "ode_residual_two_mult", "perturb_line", "poly_from_elementary",
+    "poly_roots", "q_scaling_check", "q_trig", "qi_dimension_exact",
+    "qi_dimension_numeric", "r_parameter", "random_type_m1n",
+    "segment_oracles", "segment_prediction", "solve_general_locus",
+    "t_q_expand", "verify_eigen", "verify_factorization", "verify_potential",
+    "wronskian",
 ]

@@ -19,22 +19,23 @@ so each family is a unimodular constant times a real sum:
     first:  sum_{i != j} m_i c_i^{2k-1}
     locus:  sum_{i != j} m_i (m_i + 1) c_i^{2k-1} (1 + c_i^2) / 4.
 
-One real kernel evaluates both sums for every form.  The Cartesian
-conditions, written in the angle differences at x = (-sin phi_j, cos phi_j),
-are the same sums times -1 (first) and -4 (locus).  A certificate aggregates
-relative residuals over all (j, k) of both families.
+One real kernel evaluates both sums.  The Cartesian conditions, written in
+the angle differences at x = (-sin phi_j, cos phi_j), are the same sums
+times -1 (first) and -4 (locus), so their relative residuals are the
+kernel's.  A certificate aggregates relative residuals over all (j, k) of
+both families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import mpmath as mp
 
 from .config import Configuration, Line, _two_mult_ode_residual
-from .errors import Collinear, MissingExactData
+from .errors import CollisionError, MissingExactData
 from .numeric import log2_abs, working
 from .poly import DensePoly
 
@@ -45,7 +46,7 @@ class ConditionResidual:
     k: int
     value: object  # mpf, the real cot sum
     scale: object  # mpf, largest summand magnitude (floored at 1)
-    form: str  # polar-first | polar-locus | cartesian-first | cartesian-locus
+    form: str  # polar-first | polar-locus
 
     def relative(self):
         return abs(self.value) / self.scale
@@ -84,16 +85,11 @@ class BACertificate:
 
 
 def _cot(phis: Sequence, i: int, j: int):
-    """cot(phi_i - phi_j); Collinear when the two lines coincide."""
+    """cot(phi_i - phi_j); CollisionError when the two lines coincide."""
     cos, sin = mp.cos_sin(phis[i] - phis[j])
     if sin == 0:
-        raise Collinear(f"lines {i} and {j} are collinear")
+        raise CollisionError(f"lines {i} and {j} are collinear")
     return cos / sin
-
-
-def _cot_row(lines: Sequence[Line], j: int) -> list:
-    phis = [ln.phi for ln in lines]
-    return [None if i == j else _cot(phis, i, j) for i in range(len(lines))]
 
 
 def _cot_table(phis: Sequence) -> List[list]:
@@ -138,42 +134,9 @@ def _residuals(lines: Sequence[Line], j: int, row: Sequence, kmax: int
             for k in range(kmax)]
 
 
-def _residual_pair(lines: Sequence[Line], j: int, k: int):
-    return _residuals(lines, j, _cot_row(lines, j), k)[k - 1]
-
-
-def _checked_pair(c: Configuration, j: int, k: int):
-    if not 1 <= k <= c.lines[j].mult:
-        raise ValueError(f"need 1 <= k <= mult, got k={k}")
-    with working(c.precision):
-        return _residual_pair(c.lines, j, k)
-
-
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
-    return _residual_pair(lines, j, k)[0]
-
-
-def first_condition_residual(c: Configuration, j: int, k: int) -> ConditionResidual:
-    return _checked_pair(c, j, k)[0]
-
-
-def locus_condition_residual(c: Configuration, j: int, k: int) -> ConditionResidual:
-    return _checked_pair(c, j, k)[1]
-
-
-def cartesian_condition_residual(c: Configuration, j: int, k: int,
-                                 which: str = "first") -> ConditionResidual:
-    """Same conditions evaluated at x = (-sin phi_j, cos phi_j):
-
-    first:  sum m_i cos^{2k-1}(phi_j - phi_i) / sin^{2k-1}(phi_j - phi_i)
-    locus:  sum m_i (m_i+1) cos^{2k-1}(phi_j - phi_i) / sin^{2k+1}(phi_j - phi_i)
-
-    These are -1 and -4 times the kernel's real sums; the residual carries
-    the kernel's value and scale, so it matches the polar one."""
-    if which not in ("first", "locus"):
-        raise ValueError(f"unknown family {which!r}")
-    first, locus = _checked_pair(c, j, k)
-    return replace(first if which == "first" else locus, form=f"cartesian-{which}")
+    """The first-family residual at line j and order k."""
+    return _residuals(lines, j, _cot_table([ln.phi for ln in lines])[j], k)[k - 1][0]
 
 
 def default_threshold(precision: int):

@@ -141,33 +141,29 @@ def _parse_mults(text: str) -> Multiplicities:
     return mults
 
 
-def _threshold(args, precision: int):
-    log2 = args.threshold_log2 if args.threshold_log2 is not None else precision - 32
-    return mp.mpf(2) ** (-log2)
+# --- construct, certify, hilbert ----------------------------------------------
+
+# Each family: the options it needs, and how it is built from the parsed
+# arguments.
+_FAMILIES = {
+    "am1n": (("m", "n"), lambda a: build_am1n(a.m, a.n, a.precision)),
+    "twomult": (("m", "n"), lambda a: build_two_mult(a.m, a.mt, a.n, a.precision)),
+    "random": (("m", "n"), lambda a: random_type_m1n(a.m, a.n, a.seed, a.precision)),
+    "tq": (("input",), lambda a: t_q_expand(_load(a.input), a.q)),
+    "locus": (("mults",), lambda a: solve_general_locus(_parse_mults(a.mults),
+                                                        a.precision)),
+}
 
 
-# --- construct -----------------------------------------------------------------
-
-
-_CONSTRUCT_NEEDS = {"am1n": ("m", "n"), "twomult": ("m", "n"), "tq": ("input",),
-                    "random": ("m", "n"), "locus": ("mults",)}
+def _build(args, family: str, what: str) -> Configuration:
+    needs, build = _FAMILIES[family]
+    _require(args, what, *needs)
+    return build(args)
 
 
 def cmd_construct(args) -> int:
-    precision = args.precision
-    _require(args, f"construct {args.family}", *_CONSTRUCT_NEEDS[args.family])
     t0 = time.perf_counter()
-    if args.family == "am1n":
-        cfg = build_am1n(args.m, args.n, precision)
-    elif args.family == "twomult":
-        cfg = build_two_mult(args.m, args.mt, args.n, precision)
-    elif args.family == "tq":
-        base = _load(args.input)
-        cfg = t_q_expand(base, args.q)
-    elif args.family == "random":
-        cfg = random_type_m1n(args.m, args.n, args.seed, precision)
-    elif args.family == "locus":
-        cfg = solve_general_locus(_parse_mults(args.mults), precision)
+    cfg = _build(args, args.family, f"construct {args.family}")
     elapsed = time.perf_counter() - t0
     if args.output:
         cfg.save(args.output)
@@ -175,7 +171,7 @@ def cmd_construct(args) -> int:
             subcommand=f"construct {args.family}",
             params={k: getattr(args, k, None)
                     for k in ("m", "mt", "n", "q", "mults", "input")},
-            seed=getattr(args, "seed", None), precision=precision,
+            seed=args.seed, precision=args.precision,
             outputs=[args.output], wall_clock={"build": elapsed})
         _write_json(args.output + ".manifest.json", manifest.to_dict())
     else:
@@ -183,34 +179,24 @@ def cmd_construct(args) -> int:
     return EXIT_PASS
 
 
-# --- certify ---------------------------------------------------------------------
-
-
 def cmd_certify(args) -> int:
-    precision = args.precision
-    if not args.input and args.family is not None:
-        _require(args, f"certify --family {args.family}", "m", "n")
     if args.input:
         cfg = _load(args.input)
-    elif args.family == "am1n":
-        cfg = build_am1n(args.m, args.n, precision)
-    elif args.family == "twomult":
-        cfg = build_two_mult(args.m, args.mt, args.n, precision)
-    elif args.family == "random":
-        cfg = random_type_m1n(args.m, args.n, args.seed, precision)
+    elif args.family:
+        cfg = _build(args, args.family, f"certify --family {args.family}")
     else:
-        print("certify needs --input or --family", file=sys.stderr)
-        return EXIT_USAGE
-    if args.q and args.q > 1:
+        raise UsageError("certify needs --input or --family")
+    if args.q > 1:
         cfg = t_q_expand(cfg, args.q)
     t0 = time.perf_counter()
-    cert = certify_ba(cfg, threshold=_threshold(args, cfg.precision))
+    log2 = args.threshold_log2
+    cert = certify_ba(cfg, threshold=None if log2 is None else mp.mpf(2) ** -log2)
     payload = cert.to_json_dict()
     payload["manifest"] = RunManifest(
         subcommand="certify",
         params={"input": args.input, "family": args.family,
                 "m": args.m, "mt": args.mt, "n": args.n, "q": args.q,
-                "threshold_log2": args.threshold_log2},
+                "threshold_log2": log2},
         seed=args.seed, precision=cfg.precision,
         outputs=[args.output] if args.output else [],
         wall_clock={"certify": time.perf_counter() - t0}).to_dict()
@@ -218,21 +204,15 @@ def cmd_certify(args) -> int:
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
-# --- hilbert ---------------------------------------------------------------------
-
-
 def cmd_hilbert(args) -> int:
-    precision = args.precision
     if args.input:
         cfg = _load(args.input)
     elif args.random:
-        _require(args, "hilbert --random", "m", "n")
-        cfg = random_type_m1n(args.m, args.n, args.seed, precision)
+        cfg = _build(args, "random", "hilbert --random")
     elif args.m is not None and args.n is not None:
-        cfg = build_am1n(args.m, args.n, precision)
+        cfg = _build(args, "am1n", "hilbert")
     else:
-        print("hilbert needs --input, --random, or --m/--n", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("hilbert needs --input, --random, or --m and --n")
     m, n = m1n_parameters(cfg)
     D = args.D if args.D is not None else 2 * m + 2 * n + 4
     if D < 2 * m + 2 * n + 2:
@@ -240,7 +220,6 @@ def cmd_hilbert(args) -> int:
     t0 = time.perf_counter()
     coeffs = hilbert_coefficients(cfg, D)
     series = hilbert_rational_form(coeffs, m, n)
-    gor, M = is_gorenstein(series)
     payload = series.to_json_dict()
     payload["r"] = r_parameter(cfg)
     payload["manifest"] = RunManifest(
@@ -284,7 +263,7 @@ def _scan_gorenstein_item(item) -> dict:
 
 
 def _scan_certify_item(item) -> dict:
-    family, m, mt, n, q, precision, threshold_log2 = item
+    family, m, mt, n, q, precision, threshold = item
     t0 = time.perf_counter()
     try:
         if family == "am1n":
@@ -297,7 +276,7 @@ def _scan_certify_item(item) -> dict:
         return {"family": family, "m": m, "mt": mt, "n": n, "q": q,
                 "skipped": f"collision: {ex}", "ok": True,
                 "seconds": round(time.perf_counter() - t0, 3)}
-    cert = certify_ba(cfg, threshold=mp.mpf(2) ** (-threshold_log2))
+    cert = certify_ba(cfg, threshold=threshold)
     return {"family": family, "m": m, "mt": mt, "n": n, "q": q,
             "verdict": cert.verdict, "ok": cert.passed,
             "max_residual_log2": cert.to_json_dict()["max_residual_log2"],
@@ -328,16 +307,16 @@ def cmd_scan(args) -> int:
     precision = args.precision
     t0 = time.perf_counter()
     if args.what == "gorenstein":
-        items = []
+        worker, items = _scan_gorenstein_item, []
         for m in parse_range(args.m):
             for n in parse_range(args.n):
                 items.append((m, n, None, precision))
                 for s in range(args.samples):
                     items.append((m, n, args.seed + s, precision))
-        results = _run_items(_scan_gorenstein_item, items, args.jobs)
     elif args.what == "certify":
-        thr = args.threshold_log2 if args.threshold_log2 is not None else precision - 32
-        items = []
+        log2 = args.threshold_log2
+        thr = None if log2 is None else mp.mpf(2) ** -log2
+        worker, items = _scan_certify_item, []
         qs = parse_range(args.q) if args.q else [1]
         if args.family in ("am1n", "tq"):
             for m in parse_range(args.m):
@@ -353,10 +332,9 @@ def cmd_scan(args) -> int:
                             continue  # the two-heavy-line family needs even n
                         for q in (qs if args.family == "tq" else [1]):
                             items.append(("twomult", m, mt, n, q, precision, thr))
-        results = _run_items(_scan_certify_item, items, args.jobs)
-    elif args.what == "darboux":
+    else:  # darboux
         qs = parse_range(args.q) if args.q else [2, 3]
-        items = []
+        worker, items = _scan_darboux_item, []
         for m in parse_range(args.m):
             mts = parse_range(args.mt) if args.mt else range(0, m + 1)
             for mt in mts:
@@ -366,9 +344,9 @@ def cmd_scan(args) -> int:
                     if mt >= 1 and n % 2 != 0:
                         continue
                     items.append((m, mt, n, qs, precision))
-        results = _run_items(_scan_darboux_item, items, args.jobs)
-    else:
-        return EXIT_USAGE
+    if not items:
+        raise UsageError(f"the scan {args.what} grid holds no item")
+    results = _run_items(worker, items, args.jobs)
 
     all_ok = all(r.get("ok") for r in results)
     payload = {
@@ -400,13 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, *, threshold=False, jobs=False):
         p.add_argument("--precision", type=int, default=None,
                        help="mantissa bits (default 256; env BA_PRECISION)")
-        p.add_argument("--threshold-log2", type=int, default=None,
-                       help="pass threshold 2^-VALUE (default precision-32)")
+        if threshold:
+            p.add_argument("--threshold-log2", type=int, default=None,
+                           help="pass threshold 2^-VALUE (default precision-32)")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--jobs", type=int, default=1)
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("-o", "--output", default=None)
 
     pc = sub.add_parser("construct", help="build arrangements")
@@ -427,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--mt", type=int, default=0)
     pk.add_argument("--n", type=int)
     pk.add_argument("--q", type=int, default=1)
-    common(pk)
+    common(pk, threshold=True)
     pk.set_defaults(func=cmd_certify)
 
     ph = sub.add_parser("hilbert", help="Hilbert series and Gorenstein test")
@@ -449,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", default=None)
     ps.add_argument("--samples", type=int, default=20)
     ps.add_argument("--family", choices=["am1n", "twomult", "tq"], default="am1n")
-    common(ps)
+    common(ps, threshold=True, jobs=True)
     ps.set_defaults(func=cmd_scan)
     return ap
 

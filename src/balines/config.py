@@ -25,8 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 from mpmath.libmp import mpf_cos_sin, to_fixed
 
-from .errors import (CollisionError, IdentityFailed, MissingExactData,
-                     RecurrenceBreakdown)
+from .errors import CollisionError, IdentityFailed, MissingExactData
 from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
                       reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
@@ -244,7 +243,8 @@ def _check_distinct_angles(phis, precision: int) -> None:
 def _check_record(c: Configuration) -> None:
     """ValueError unless an am1n or twomult file's lines agree with its
     record: multiplicity m at phi = 0, mtilde (when positive) at pi/2, n
-    lines of multiplicity 1 besides, and for am1n the closed-form e, ehat."""
+    lines of multiplicity 1 besides; for am1n the closed-form e and ehat,
+    for twomult the e and branch sign that build_two_mult picks."""
     if c.kind not in ("am1n", "twomult"):
         return
     with working(c.precision):
@@ -257,6 +257,11 @@ def _check_record(c: Configuration) -> None:
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
+    if c.kind == "twomult":
+        sign, e, _ = _two_mult_branch(c.m, c.mtilde or 0, c.n)
+        if list(c.e or ()) != e or c.e_branch_sign != sign:
+            raise ValueError(f"e and e_branch_sign are not those of twomult "
+                             f"({c.m}, {c.mtilde}, {c.n})")
 
 
 def _check_exact_data(c: Configuration) -> None:
@@ -339,16 +344,15 @@ def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
 
 
 def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
-    """e_n..e_0 (descending) from the three-term recurrence and seeds."""
+    """e_n..e_0 (descending) from the three-term recurrence and seeds.  The
+    leading coefficient (m + mt + n - k - 1)(k + 1) is at least 1 for
+    m >= 1, mt >= 0 and 1 <= k < n."""
     N = n + m + mt - 1
     e = {n: Fraction(1), n - 1: Fraction(sign * (m - mt) * n, N)}
     for k in range(1, n):
-        lead = (m + mt + n - k - 1) * (k + 1)
-        if lead == 0:
-            raise RecurrenceBreakdown(f"leading coefficient vanished at k={k}")
         val = ((m + mt + k - 1) * (k - n - 1) * e[n - k + 1]
                + (n - 2 * k) * (m - mt) * e[n - k])
-        e[n - k - 1] = Fraction(-val, lead)
+        e[n - k - 1] = Fraction(-val, (m + mt + n - k - 1) * (k + 1))
     return [e[j] for j in range(1, n + 1)]
 
 
@@ -367,30 +371,34 @@ def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     return (w * wsq) * P2 - term2 * P1 - rhs
 
 
+def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction], DensePoly]:
+    """(sign, e, P) of the recurrence branch whose P satisfies the
+    two-multiplicity ODE exactly; with m = mt the seed is zero and the
+    sign is 1."""
+    if m < 1 or mt < 0:
+        raise ValueError("need m >= 1 and mt >= 0")
+    if n < 2 or n % 2 != 0:
+        raise ValueError("the two-multiplicity family needs even n >= 2")
+    for sign in ((1,) if m == mt else (-1, 1)):
+        e = _two_mult_recurrence(m, mt, n, sign)
+        P = poly_from_elementary(e, n)
+        residual = _two_mult_ode_residual(m, mt, n, P)
+        if residual.is_zero:
+            return sign, e, P
+    raise IdentityFailed(
+        f"neither sign branch satisfies the two-multiplicity ODE "
+        f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
+
+
 def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configuration:
     """Arrangement with multiplicity m at phi = 0, mt at phi = pi/2 (omitted
     when mt = 0) and n multiplicity-1 lines produced by the recurrence.
 
     The seed e_{n-1} has an ambiguous sign; the branch kept is the one whose
     polynomial P satisfies the two-multiplicity ODE exactly (reported in
-    e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1)).  With
-    m = mt the seed is zero and the sign is 1."""
-    if m < 1 or mt < 0:
-        raise ValueError("need m >= 1 and mt >= 0")
-    if n < 2 or n % 2 != 0:
-        raise ValueError("the two-multiplicity family needs even n >= 2")
+    e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1))."""
+    sign, e, P = _two_mult_branch(m, mt, n)
     check_precision(precision)
-
-    for sign in ((1,) if m == mt else (-1, 1)):
-        e = _two_mult_recurrence(m, mt, n, sign)
-        P = poly_from_elementary(e, n)
-        residual = _two_mult_ode_residual(m, mt, n, P)
-        if residual.is_zero:
-            break
-    else:
-        raise IdentityFailed(
-            f"neither sign branch satisfies the two-multiplicity ODE "
-            f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
     return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,
                          n=n, e=tuple(e), P=P, R=cayley(P), e_branch_sign=sign)
 
@@ -431,8 +439,8 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
 
 
 def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
-                kind: str = "random", seed: Optional[int] = None) -> Configuration:
-    """Type-(m, 1^n) configuration from exact rational slopes.
+                seed: Optional[int] = None) -> Configuration:
+    """Type-(m, 1^n) configuration of kind random from exact rational slopes.
 
     The heavy line is (0, 1) in the slope chart (phi = 0 here); each slope
     alpha gives the line with normal angle arccot(alpha)."""
@@ -450,25 +458,27 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
             lines.append(Line(mult=1, phi=phi, alpha_exact=a))
         lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind=kind, precision=precision, m=m, n=len(alphas),
+    return Configuration(kind="random", precision=precision, m=m, n=len(alphas),
                          seed=seed, R=_product_poly(alphas), chart=tuple(lines))
 
 
-def random_type_m1n(m: int, n: int, seed: int, precision: int = 256,
-                    max_num: int = 50, max_den: int = 50) -> Configuration:
-    """Seeded generic type-(m, 1^n) configuration with rational slopes
-    drawn from {p/q : 1 <= |p| <= max_num, 1 <= q <= max_den}."""
+_SLOPE_BOUND = 50  # largest |p| and q of a random slope p/q
+
+
+def random_type_m1n(m: int, n: int, seed: int, precision: int = 256) -> Configuration:
+    """Seeded generic type-(m, 1^n) configuration with rational slopes drawn
+    from {p/q : 1 <= |p| <= 50, 1 <= q <= 50}."""
     rng = random.Random(seed)
     alphas: List[Fraction] = []
     seen = set()
     while len(alphas) < n:
-        p = rng.randint(1, max_num) * (1 if rng.randint(0, 1) else -1)
-        den = rng.randint(1, max_den)
+        p = rng.randint(1, _SLOPE_BOUND) * (1 if rng.randint(0, 1) else -1)
+        den = rng.randint(1, _SLOPE_BOUND)
         a = Fraction(p, den)
         if a != 0 and a not in seen:
             seen.add(a)
             alphas.append(a)
-    return from_alphas(m, alphas, precision=precision, kind="random", seed=seed)
+    return from_alphas(m, alphas, precision=precision, seed=seed)
 
 
 def general_from_angles(mults: Sequence, phis: Sequence, precision: int = 256) -> Configuration:

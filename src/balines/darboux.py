@@ -101,45 +101,6 @@ def q_trig(config: Configuration) -> TrigPoly:
     return TrigPoly({l: c for l, c in out.items()})
 
 
-@dataclass(frozen=True)
-class OperatorData:
-    """Singular Schroedinger data of an arrangement: pole strengths at the
-    two axes, the simple-pole angles, Q, and the eigenvalue of the
-    boundary-weighted eigenfunction Q * cos^mt * sin^m."""
-
-    m: int
-    mt: int
-    n: int
-    Q: TrigPoly
-    pole_angles: Tuple[object, ...]
-    epsilon_squared: Fraction  # e_n
-
-    @property
-    def sin_strength(self) -> int:
-        return self.m * (self.m + 1)
-
-    @property
-    def cos_strength(self) -> int:
-        return self.mt * (self.mt + 1)
-
-    @property
-    def eigenvalue(self) -> int:
-        return (self.n + self.m + self.mt) ** 2
-
-
-def operator_data(config: Configuration) -> OperatorData:
-    m = config.m
-    mt = config.mtilde or 0
-    n = config.n
-    if m is None or n is None or config.e is None:
-        raise MissingExactData("operator data needs (m, mt, n) and exact e")
-    poles = [ln.phi for ln in config.mult1_lines()
-             if not (mt >= 1 and ln.alpha_exact == Fraction(0))]
-    return OperatorData(m=m, mt=mt, n=n, Q=q_trig(config),
-                        pole_angles=tuple(poles),
-                        epsilon_squared=Fraction(config.e[-1]))
-
-
 def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:
     if chain.q != 1:
         raise ValueError("identity checks run on the q = 1 chain")

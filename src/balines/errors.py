@@ -17,20 +17,12 @@ class DegenerateConfiguration(BalinesError):
     """Input data describes a degenerate arrangement (e.g. a zero sine value)."""
 
 
-class RecurrenceBreakdown(BalinesError):
-    """A leading recurrence coefficient vanished."""
-
-
 class CollisionError(BalinesError):
     """Two lines of an arrangement coincide."""
 
 
 class MissingExactData(BalinesError):
     """Operation requires exact rational data the configuration does not carry."""
-
-
-class Collinear(BalinesError):
-    """Two vectors of a configuration are collinear."""
 
 
 class IllConditioned(BalinesError):

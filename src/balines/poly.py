@@ -37,10 +37,6 @@ class DensePoly:
     def zero() -> "DensePoly":
         return DensePoly([])
 
-    @staticmethod
-    def monomial(degree: int, coeff=Fraction(1)) -> "DensePoly":
-        return DensePoly([Fraction(0)] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -99,12 +95,6 @@ class DensePoly:
 
     def scale(self, c) -> "DensePoly":
         return DensePoly([c * a for a in self.coeffs])
-
-    def shift(self, k: int) -> "DensePoly":
-        """Multiply by x**k (k >= 0)."""
-        if self.is_zero:
-            return self
-        return DensePoly([Fraction(0)] * k + list(self.coeffs))
 
     def derivative(self) -> "DensePoly":
         return DensePoly([k * c for k, c in enumerate(self.coeffs)][1:])

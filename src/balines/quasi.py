@@ -290,11 +290,10 @@ def qi_dimension_exact(c: Configuration, d: int,
 CosSinTable = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 
-def cos_sin_table(c: Configuration, top: int,
-                  precision: Optional[int] = None) -> CosSinTable:
+def cos_sin_table(c: Configuration, top: int) -> CosSinTable:
     """Fixed-point powers cos^k and sin^k, k = 0..top, of the slope lines'
     angles: one cos/sin evaluation per line, then repeated multiplication."""
-    frac = check_precision(precision or c.precision) + GUARD_BITS
+    frac = check_precision(c.precision) + GUARD_BITS
     one = 1 << frac
     table = []
     for ln in _require_m1n_chart(c)[1]:
@@ -308,23 +307,21 @@ def cos_sin_table(c: Configuration, top: int,
     return table
 
 
-def qi_dimension_numeric(c: Configuration, d: int, precision: Optional[int] = None,
+def qi_dimension_numeric(c: Configuration, d: int,
                          table: Optional[CosSinTable] = None) -> int:
     """Same dimension from the numeric chart by the fixed-point full-pivot
     rank.  Row j is the slope line's functional times sin^d phi_j, so entry
     i is (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), a form of
     degree d in (cos, sin) and at most d in magnitude; the cos/sin table is
-    built here through power d unless a longer one (at the same precision)
-    is passed."""
-    precision = precision or c.precision
+    built here through power d unless a longer one is passed."""
     if table is None:
-        table = cos_sin_table(c, d, precision)
-    frac = precision + GUARD_BITS
+        table = cos_sin_table(c, d)
+    frac = c.precision + GUARD_BITS
     S = free_indices(d, _require_m1n_chart(c)[0])
     rows = [[(((d - i) * cs[d - 1 - i] * sn[i + 1] if i < d else 0)
               - (i * cs[d + 1 - i] * sn[i - 1] if i else 0)) >> frac for i in S]
             for cs, sn in table]
-    return len(S) - rank_numeric(rows, precision)
+    return len(S) - rank_numeric(rows, c.precision)
 
 
 def is_quasi_invariant(c: Configuration, coeffs: Sequence[Fraction]) -> bool:

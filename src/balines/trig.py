@@ -199,15 +199,6 @@ def _from_integers(acc: Mapping[int, List[int]], d: int) -> TrigPoly:
     return out
 
 
-def sin_power(k: int) -> TrigPoly:
-    """(sin phi)^k as an exact TrigPoly."""
-    return TrigPoly.sin(1) ** k
-
-
-def cos_power(k: int) -> TrigPoly:
-    return TrigPoly.cos(1) ** k
-
-
 def wronskian(fs: List[TrigPoly]) -> TrigPoly:
     """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1.
 

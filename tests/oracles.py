@@ -402,3 +402,21 @@ def polar_condition_residual(lines, j: int, k: int, family: str):
         scale = max(scale, abs(term))
         total += term
     return total, scale
+
+
+def cartesian_condition_value(lines, j: int, k: int, family: str):
+    """The first or locus condition at line j and order k in its Cartesian
+    form at x = (-sin phi_j, cos phi_j): the sum over i != j of
+    m_i cos^(2k-1) / sin^(2k-1) or m_i (m_i + 1) cos^(2k-1) / sin^(2k+1)
+    of phi_j - phi_i, by mp.cos and mp.sin."""
+    total = mp.mpf(0)
+    for i, ln in enumerate(lines):
+        if i == j:
+            continue
+        diff = lines[j].phi - ln.phi
+        cos, sin = mp.cos(diff), mp.sin(diff)
+        if family == "first":
+            total += ln.mult * (cos / sin) ** (2 * k - 1)
+        else:
+            total += ln.mult * (ln.mult + 1) * cos ** (2 * k - 1) / sin ** (2 * k + 1)
+    return total

@@ -1,10 +1,7 @@
 import mpmath as mp
 import pytest
 
-from balines.certify import (cartesian_condition_residual, certify_ba,
-                             first_condition_residual,
-                             locus_condition_residual, ode_residual_am1n,
-                             ode_residual_two_mult)
+from balines.certify import certify_ba, ode_residual_am1n, ode_residual_two_mult
 from balines.config import (build_am1n, build_two_mult, general_from_angles,
                             perturb_line, random_type_m1n, t_q_expand)
 from balines.errors import MissingExactData
@@ -12,74 +9,76 @@ from balines.numeric import working
 from balines.poly import DensePoly
 from dataclasses import replace
 
-from oracles import polar_condition_residual
+from oracles import cartesian_condition_value, polar_condition_residual
+
+
+def residuals(c):
+    """certify_ba's residuals of c by (j, k, form)."""
+    return {(r.j, r.k, r.form): r for r in certify_ba(c).residuals}
 
 
 def test_symmetry_kills_heavy_line_conditions():
-    c = build_am1n(2, 2, 256)
-    with working(256):
-        for k in (1, 2):
-            assert first_condition_residual(c, 0, k).relative() < mp.mpf(2) ** -220
-            assert locus_condition_residual(c, 0, k).relative() < mp.mpf(2) ** -220
+    res = residuals(build_am1n(2, 2, 256))
+    for k in (1, 2):
+        assert res[0, k, "polar-first"].relative() < mp.mpf(2) ** -220
+        assert res[0, k, "polar-locus"].relative() < mp.mpf(2) ** -220
 
 
 def test_construction_satisfies_first_conditions():
-    c = build_am1n(2, 2, 256)
-    with working(256):
-        assert first_condition_residual(c, 1, 1).relative() < mp.mpf(2) ** -220
+    res = residuals(build_am1n(2, 2, 256))
+    assert res[1, 1, "polar-first"].relative() < mp.mpf(2) ** -220
 
 
 def test_perturbed_configuration_fails():
-    c = perturb_line(build_am1n(2, 2, 256), 1, 0.01)
-    with working(256):
-        assert first_condition_residual(c, 1, 1).relative() > mp.mpf("1e-4")
+    res = residuals(perturb_line(build_am1n(2, 2, 256), 1, 0.01))
+    assert res[1, 1, "polar-first"].relative() > mp.mpf("1e-4")
 
 
 def test_locus_conditions_on_families():
     for m, n in [(2, 3), (4, 5)]:
-        c = build_am1n(m, n, 256)
-        with working(256):
-            for j in range(1, n + 1):
-                assert locus_condition_residual(c, j, 1).relative() < mp.mpf(2) ** -220
+        res = residuals(build_am1n(m, n, 256))
+        for j in range(1, n + 1):
+            assert res[j, 1, "polar-locus"].relative() < mp.mpf(2) ** -220
     tm = build_two_mult(2, 2, 4, 256)
-    with working(256):
-        for j, ln in enumerate(tm.lines):
-            for k in range(1, ln.mult + 1):
-                assert locus_condition_residual(tm, j, k).relative() < mp.mpf(2) ** -220
+    res = residuals(tm)
+    for j, ln in enumerate(tm.lines):
+        for k in range(1, ln.mult + 1):
+            assert res[j, k, "polar-locus"].relative() < mp.mpf(2) ** -220
 
 
 def test_cartesian_polar_agreement():
-    # the real cot kernel against the complex-z sums; differences are
+    # the real cot kernel against the complex-z sums and the Cartesian sums,
+    # which are -1 (first) and -4 (locus) times the kernel's; differences are
     # measured against the largest summand, since the residuals of the exact
     # configuration are rounding noise
     base = build_am1n(3, 4, 256)
     tol = mp.mpf(2) ** -200
     for c in (base, perturb_line(base, 1, 1e-2)):
+        res = certify_ba(c).residuals
+        assert len(res) == 2 * sum(ln.mult for ln in c.lines)
         with working(256):
-            for j, ln in enumerate(c.lines):
-                for k in range(1, ln.mult + 1):
-                    for family, polar in (("first", first_condition_residual),
-                                          ("locus", locus_condition_residual)):
-                        value, scale = polar_condition_residual(c.lines, j, k, family)
-                        for res in (polar(c, j, k),
-                                    cartesian_condition_residual(c, j, k, family)):
-                            assert abs(res.scale - scale) <= tol * scale
-                            assert abs(abs(res.value) - abs(value)) <= tol * scale
-                            assert abs(res.relative() - abs(value) / scale) <= tol
+            for r in res:
+                family = r.form.split("-")[1]
+                value, scale = polar_condition_residual(c.lines, r.j, r.k, family)
+                assert abs(r.scale - scale) <= tol * scale
+                assert abs(abs(r.value) - abs(value)) <= tol * scale
+                assert abs(r.relative() - abs(value) / scale) <= tol
+                factor = 1 if family == "first" else 4
+                cartesian = cartesian_condition_value(c.lines, r.j, r.k, family)
+                assert abs(cartesian + factor * r.value) <= tol * factor * scale
 
 
 def test_two_orthogonal_lines_cartesian_zero():
     with working(128):
         c = general_from_angles([1, 1], [0, mp.pi / 2], 128)
-        assert cartesian_condition_residual(c, 0, 1).relative() < mp.mpf(2) ** -100
+    assert certify_ba(c).max_residual < mp.mpf(2) ** -100
 
 
 def test_tq_expansion_certifies():
     c = t_q_expand(build_am1n(2, 2, 256), 3)
-    with working(256):
-        for j, ln in enumerate(c.lines):
-            for k in range(1, ln.mult + 1):
-                assert cartesian_condition_residual(c, j, k, "first").relative() < mp.mpf(2) ** -200
+    first = [r for r in certify_ba(c).residuals if r.form == "polar-first"]
+    assert len(first) == sum(ln.mult for ln in c.lines)
+    assert all(r.relative() < mp.mpf(2) ** -200 for r in first)
 
 
 def test_certificate_pass_and_fail():
@@ -103,10 +102,10 @@ def test_scale_covariance():
         theta = mp.mpf(1) / 7
         rotated = general_from_angles([ln.mult for ln in c.lines],
                                       [ln.phi + theta for ln in c.lines], 192)
+        a, b = residuals(c), residuals(rotated)
         for j in range(3):
-            a = first_condition_residual(c, j, 1)
-            b = first_condition_residual(rotated, j, 1)
-            assert abs(abs(a.value) - abs(b.value)) < mp.mpf(2) ** -150
+            key = (j, 1, "polar-first")
+            assert abs(abs(a[key].value) - abs(b[key].value)) < mp.mpf(2) ** -150
 
 
 def test_precision_scaling():

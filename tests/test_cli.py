@@ -215,9 +215,16 @@ FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
 # Edits of INPUT that make its record contradict its lines, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3)}
+# Edits of the twomult (3, 1, 4) record, written to INPUT in its place, that
+# leave its e or branch sign other than those build_two_mult picks, by name.
+TWOMULT_EDITED = {
+    "twomult-m-2": lambda d: (d.update(m=2), d["lines"][0].update(mult=2)),
+    "twomult-sign-flipped": lambda d: d.update(e_branch_sign=-d["e_branch_sign"]),
+}
 
-# (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT
-# or FOREIGN name); MISSING stands for a path that does not exist
+# (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
+# FOREIGN, EDITED or TWOMULT_EDITED name); MISSING stands for a path that
+# does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -251,16 +258,26 @@ BAD_INPUT = [
     (["hilbert", "--input", "INPUT"], "ehat-of-am1n-3-2"),
     (["certify", "--input", "INPUT"], "heavy-mult-4"),
     (["hilbert", "--input", "INPUT"], "m-3"),
+    (["scan", "darboux", "--m", "1", "--mt", "2", "--n", "2"], None),
+    (["scan", "certify", "--family", "twomult", "--m", "1", "--n", "3"], None),
+    (["certify"], None),
+    (["hilbert", "--m", "2"], None),
+    (["certify", "--input", "INPUT"], "twomult-m-2"),
+    (["construct", "tq", "--input", "INPUT", "--q", "2"], "twomult-sign-flipped"),
 ]
 
 
 @pytest.mark.parametrize("argv,drop", BAD_INPUT)
 def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
-    from balines.config import build_am1n
+    from balines.config import build_am1n, build_two_mult
 
     path = tmp_path / "partial.json"
     if drop in RAW_INPUT:
         path.write_text(RAW_INPUT[drop])
+    elif drop in TWOMULT_EDITED:
+        data = build_two_mult(3, 1, 4, 128).to_json_dict()
+        TWOMULT_EDITED[drop](data)
+        path.write_text(json.dumps(data))
     else:
         data = build_am1n(2, 2, 128).to_json_dict()
         data.pop(drop, None)
@@ -274,6 +291,26 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "am1n", "--m", "1", "--n", "1", "--jobs", "2"],
+    ["certify", "--family", "am1n", "--m", "1", "--n", "1", "--jobs", "2"],
+    ["hilbert", "--m", "1", "--n", "1", "--jobs", "2"],
+    ["construct", "am1n", "--m", "1", "--n", "1", "--threshold-log2", "10"],
+    ["hilbert", "--m", "1", "--n", "1", "--threshold-log2", "10"],
+])
+def test_removed_option_exit_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_public_names_resolve():
+    import balines
+
+    missing = [name for name in balines.__all__ if not hasattr(balines, name)]
+    assert missing == []
 
 
 def test_computation_error_exit_three(tmp_path):

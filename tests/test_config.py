@@ -180,7 +180,7 @@ def test_tq_heavy_orbits_tile_dihedral_mirrors():
 
 
 def test_random_r_expansion():
-    c = from_alphas(2, [F(1, 2), F(-1, 3)], kind="random", seed=1)
+    c = from_alphas(2, [F(1, 2), F(-1, 3)], seed=1)
     assert c.R == DensePoly.rational([F(-1, 6), F(-1, 6), F(1)])
 
 

@@ -157,16 +157,3 @@ def test_trivial_chain_m_zero():
     assert ch.W == TrigPoly.const(1)
     # free operator: -2 (log 1)'' vanishes identically
     assert ch.W.dphi().is_zero
-
-
-def test_operator_data_fields():
-    from fractions import Fraction
-
-    from balines.config import build_two_mult
-    from balines.darboux import operator_data
-
-    od = operator_data(build_two_mult(2, 1, 2, 128))
-    assert od.eigenvalue == (2 + 2 + 1) ** 2
-    assert od.sin_strength == 6 and od.cos_strength == 2
-    assert od.epsilon_squared == Fraction(1)
-    assert len(od.pole_angles) == 2

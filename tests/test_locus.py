@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balines.certify import cartesian_condition_residual
+from balines.certify import certify_ba
 from balines.config import Multiplicities, angle_multiset_distance, build_am1n
 from balines.errors import NoConvergence
 from balines.locus import solve_general_locus
@@ -40,20 +40,17 @@ def test_reproduces_heavy_line_family():
 
 def test_arbitrary_multiplicities_residuals():
     c = solve_general_locus((2, 3, 1, 1), 256)
-    with working(256):
-        tol = mp.mpf(2) ** -(256 - 32)
-        for j in range(len(c.lines)):
-            res = cartesian_condition_residual(c, j, 1, which="first")
-            assert res.relative() < tol
+    first = [r for r in certify_ba(c).residuals if r.k == 1 and r.form == "polar-first"]
+    assert len(first) == len(c.lines)
+    assert all(r.relative() < mp.mpf(2) ** -(256 - 32) for r in first)
 
 
 def test_real_multiplicities_accepted():
+    # certify_ba takes integer multiplicities only; the gradient is the
+    # first condition at k = 1 weighted by m_j
     c = solve_general_locus((1.5, 2.5, 1.0), 128)
     assert len(c.lines) == 3
-    with working(128):
-        tol = mp.mpf(2) ** -(128 - 32)
-        for j in range(3):
-            assert cartesian_condition_residual(c, j, 1).relative() < tol
+    assert gradient_norm(c) < mp.mpf(2) ** -(128 - 32)
 
 
 @pytest.mark.parametrize("mults", [(3, 1, 1, 1, 1, 1, 1), (1, 2, 3, 4), (2, 3, 1, 1),

@@ -26,7 +26,7 @@ from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
 
 
 def test_orthogonal_pair_degree_two():
-    c = from_alphas(1, [F(0)], kind="general")
+    c = from_alphas(1, [F(0)])
     assert qi_dimension_exact(c, 2) == 2  # x^2 and y^2
     assert is_quasi_invariant(c, [F(1), F(0), F(0)])  # x^2
     assert is_quasi_invariant(c, [F(0), F(0), F(1)])  # y^2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from balines.darboux import darboux_levels
 from balines.scalars import GaussianRational
-from balines.trig import TrigPoly, cos_power, sin_power, wronskian
+from balines.trig import TrigPoly, wronskian
 
 from oracles import (bareiss_wronskian, exact_div, numeric_wronskian_sines,
                      termwise_product)
@@ -36,7 +36,7 @@ def test_realness_closed_under_products():
 
 
 def test_pythagoras_exact():
-    assert sin_power(2) + cos_power(2) == TrigPoly.const(1)
+    assert TrigPoly.sin(1) ** 2 + TrigPoly.cos(1) ** 2 == TrigPoly.const(1)
 
 
 def test_derivative_matches_finite_differences():
