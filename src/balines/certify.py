@@ -22,22 +22,49 @@ so each family is a unimodular constant times a real sum:
 One real kernel evaluates both sums.  The Cartesian conditions, written in
 the angle differences at x = (-sin phi_j, cos phi_j), are the same sums
 times -1 (first) and -4 (locus), so their relative residuals are the
-kernel's.  A certificate aggregates relative residuals over all (j, k) of
-both families.
+kernel's.  A certificate aggregates relative residuals (|sum| over the
+largest summand magnitude, floored at 1) over all (j, k) of both families.
+
+The kernel runs on Python ints with F = precision + GUARD_BITS fraction
+bits.  Each line's cos and sin are stored once; cot(phi_i - phi_j) is one
+integer division by the addition formula, the odd powers come from
+repeated multiplication by the stored c^2, and the locus term of order k
+is (m_i + 1)/4 times the sum of the first terms of orders k and k + 1.
+Next to every quantity runs a bound on its rounding error in units of
+2^-F (running error analysis, Wilkinson 1963; Higham 2002, section 3.3):
+each stored cos and sin is off by at most _INPUT_ERROR units, and every
+product, shift and quotient adds its truncation.  The sums of the bounds
+bound the error of each condition's sum and of its scale.  A condition
+passes when |sum| + bound < threshold * (scale - its bound), and fails,
+verified, when |sum| - bound >= threshold * (scale + its bound).  The
+certificate passes when every condition passes and fails when one fails
+verified; otherwise the table and sums are redone with F doubled, at most
+_MAX_DOUBLINGS times, after which IllConditioned is raised.  Two lines
+whose sin(phi_i - phi_j) does not exceed its error bound are collinear
+(CollisionError).  The JSON certificate reports the F that decided
+(fraction_bits) and the worst bound over its scale (max_bound_log2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
 
 from .config import Configuration, Line, _two_mult_ode_residual
-from .errors import CollisionError, MissingExactData
-from .numeric import log2_abs, working
+from .errors import CollisionError, IllConditioned, MissingExactData
+from .numeric import GUARD_BITS, log2_abs, working
 from .poly import DensePoly
+
+# Units of 2^-F by which a stored cos or sin may miss the true value: the
+# mpf at F + 10 bits is within an ulp, and to_fixed truncates.
+_INPUT_ERROR = 2
+# Doublings of F before an undecided certificate raises IllConditioned.
+_MAX_DOUBLINGS = 2
 
 
 @dataclass(frozen=True)
@@ -47,6 +74,7 @@ class ConditionResidual:
     value: object  # mpf, the real cot sum
     scale: object  # mpf, largest summand magnitude (floored at 1)
     form: str  # polar-first | polar-locus
+    bound: object = None  # mpf, bound on the rounding error of value
 
     def relative(self):
         return abs(self.value) / self.scale
@@ -60,6 +88,8 @@ class BACertificate:
     max_residual: object  # mpf, max relative residual
     verdict: str  # pass | fail
     residuals: Sequence[ConditionResidual]
+    fraction_bits: int = 0  # F of the sums that decided the verdict
+    max_bound_log2: float = float("-inf")  # worst bound over its scale
 
     @property
     def passed(self) -> bool:
@@ -69,7 +99,9 @@ class BACertificate:
         return {
             "digest": self.digest,
             "precision_bits": self.precision,
+            "fraction_bits": self.fraction_bits,
             "max_residual_log2": log2_abs(self.max_residual),
+            "max_bound_log2": self.max_bound_log2,
             "threshold_log2": log2_abs(self.threshold),
             "verdict": self.verdict,
             "per_condition": [
@@ -84,85 +116,164 @@ class BACertificate:
         }
 
 
-def _cot(phis: Sequence, i: int, j: int):
-    """cot(phi_i - phi_j); CollisionError when the two lines coincide."""
-    cos, sin = mp.cos_sin(phis[i] - phis[j])
-    if sin == 0:
-        raise CollisionError(f"lines {i} and {j} are collinear")
-    return cos / sin
+class _Sum(NamedTuple):
+    """One condition's sum in fixed point: the real sum is total * 2^exp and
+    the largest summand magnitude top * 2^exp, each off by at most
+    bound * 2^exp (the bound of the sum covers each summand's)."""
+
+    j: int
+    k: int
+    form: str
+    exp: int
+    total: int
+    bound: int
+    top: int
+
+    def scale_range(self) -> Tuple[int, int]:
+        """Lower and upper bounds on the scale, max(1, largest summand)."""
+        one = 1 << -self.exp
+        return max(one, self.top - self.bound), max(one, self.top + self.bound)
 
 
-def _cot_table(phis: Sequence) -> List[list]:
-    """rows[j][i] = cot(phi_i - phi_j) for a sequence of angles, one cot per
-    unordered pair since the table is antisymmetric."""
-    n = len(phis)
-    rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
-            rows[j][i] = _cot(phis, i, j)
-            rows[i][j] = -rows[j][i]
-    return rows
+def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
+          frac: int) -> List[_Sum]:
+    """(first, locus) sums of line j for k = 1..orders[j], j in order, with
+    `frac` fraction bits and error bounds in units of 2^-frac.
+
+    One cos/sin per line; per unordered pair (j, i) one division for c =
+    cot(phi_i - phi_j), its square, and the odd powers c^(2k-1), which
+    line j weighs by m_i and line i by -m_j.  The power of order k + 1 is
+    the one of order k times c^2; its bound follows from |x c2 - X t^2| <=
+    |x| |c2 - t^2| + t^2 |x - X| plus the truncation.  The locus sums are
+    kept four times over, so that they need no division."""
+    one = 1 << frac
+    e = _INPUT_ERROR
+    eta = e * (one << 2) + 2 * e * e  # error of the products below, units 2^-2F
+    cs = []  # cos, sin, cos + sin, cos - sin of each line
+    for phi in phis:
+        c, s = (to_fixed(v, frac) for v in mpf_cos_sin(phi._mpf_, frac + 10))
+        cs.append((c, s, c + s, c - s))
+    # acc[j][k]: first sum, its bound, largest |term|, locus sum, its bound,
+    # largest |locus term|
+    acc = [[[0] * 6 for _ in range(kmax)] for kmax in orders]
+    for j, (cj, sj, aj, bj) in enumerate(cs):
+        for i in range(j + 1, len(cs)):
+            top = max(orders[i], orders[j])
+            if not top:
+                continue
+            ci, si, ai, _ = cs[i]
+            # N + iD = (c_i + i s_i)(c_j - i s_j), the cos and sin of
+            # phi_i - phi_j times 2^2F, by three products
+            k1 = cj * ai
+            den = k1 - ci * aj
+            gap = abs(den) - eta
+            if gap <= 0:
+                raise CollisionError(f"lines {i} and {j} are collinear")
+            cot = ((k1 - si * bj) << frac) // den
+            # |N/D - n/d| <= eta (|D| + |N|) / (|D| (|D| - eta)), |N/D| <= |cot| + 1,
+            # and x // y <= x >> (bit length of y - 1)
+            err = 2 + (eta * (one + abs(cot) + 1) >> (gap.bit_length() - 1))
+            cot2 = (cot * cot) >> frac
+            err2 = (((abs(cot) << 1) + err) * err >> frac) + 2  # |T^2 - X^2| <= E (2|T| + E)
+            over = cot2 + err2  # bounds cot^2 from above
+            powers, bounds = [cot], [err]
+            for _ in range(top):
+                p, b = powers[-1], bounds[-1]
+                powers.append((p * cot2) >> frac)
+                bounds.append(((abs(p) * err2 + over * b) >> frac) + 2)
+            # line i sees cot(phi_j - phi_i) = -cot, and odd powers of it
+            for line, m, pw in ((j, mults[i], powers), (i, mults[j], [-p for p in powers])):
+                w = m * (m + 1)
+                for k, s in enumerate(acc[line]):
+                    term = m * pw[k]
+                    s[0] += term
+                    s[1] += m * bounds[k]
+                    size = abs(term)
+                    if size > s[2]:
+                        s[2] = size
+                    term = w * (pw[k] + pw[k + 1])
+                    s[3] += term
+                    s[4] += w * (bounds[k] + bounds[k + 1])
+                    size = abs(term)
+                    if size > s[5]:
+                        s[5] = size
+    return [_Sum(j, k + 1, "polar-" + form, -frac - shift, *s[at:at + 3])
+            for j, sums in enumerate(acc) for k, s in enumerate(sums)
+            for form, shift, at in (("first", 0, 0), ("locus", 2, 3))]
 
 
-def _residuals(lines: Sequence[Line], j: int, row: Sequence, kmax: int
-               ) -> List[Tuple[ConditionResidual, ConditionResidual]]:
-    """(first, locus) residuals at line j for k = 1..kmax, in one pass over
-    the other lines; row[i] = cot(phi_i - phi_j).  The odd powers of c_i
-    come from repeated multiplication by c_i^2."""
-    first = [mp.mpf(0)] * kmax
-    locus = [mp.mpf(0)] * kmax
-    first_scale = [mp.mpf(1)] * kmax
-    locus_scale = [mp.mpf(1)] * kmax
-    for i, ln in enumerate(lines):
-        if i == j:
-            continue
-        c = row[i]
-        c2 = c * c
-        weight = (ln.mult + 1) * (1 + c2) / 4
-        term = ln.mult * c
-        for k in range(kmax):
-            locus_term = term * weight
-            first[k] += term
-            locus[k] += locus_term
-            first_scale[k] = max(first_scale[k], abs(term))
-            locus_scale[k] = max(locus_scale[k], abs(locus_term))
-            term *= c2
-    return [(ConditionResidual(j=j, k=k + 1, value=first[k],
-                               scale=first_scale[k], form="polar-first"),
-             ConditionResidual(j=j, k=k + 1, value=locus[k],
-                               scale=locus_scale[k], form="polar-locus"))
-            for k in range(kmax)]
+def _residual(s: _Sum) -> ConditionResidual:
+    """The sum in real units."""
+    def real(man):  # exact
+        return mp.mp.make_mpf(from_man_exp(man, s.exp))
+
+    return ConditionResidual(j=s.j, k=s.k, form=s.form, value=real(s.total),
+                             scale=real(max(1 << -s.exp, s.top)),
+                             bound=real(s.bound))
 
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
-    """The first-family residual at line j and order k."""
-    return _residuals(lines, j, _cot_table([ln.phi for ln in lines])[j], k)[k - 1][0]
+    """The first-family residual at line j and order k, with F the ambient
+    working precision."""
+    orders = [k if i == j else 0 for i in range(len(lines))]
+    return _residual(_sums([ln.mult for ln in lines], [ln.phi for ln in lines],
+                           orders, mp.mp.prec)[2 * k - 2])
 
 
 def default_threshold(precision: int):
     return mp.mpf(2) ** (-(precision - 32))
 
 
+def _verdict(sums: Sequence[_Sum], threshold) -> str:
+    """pass, fail, or '' when some condition's bound straddles the threshold
+    and none fails verified; exact integer comparisons."""
+    sign, man, exp, _ = threshold._mpf_
+    man = -man if sign else man
+
+    def below(x: int, y: int) -> bool:  # x < threshold * y
+        return (x << -exp) < man * y if exp < 0 else x < (man * y) << exp
+
+    lo_hi = [s.scale_range() for s in sums]
+    if all(below(abs(s.total) + s.bound, lo) for s, (lo, _) in zip(sums, lo_hi)):
+        return "pass"
+    if any(not below(abs(s.total) - s.bound, hi) for s, (_, hi) in zip(sums, lo_hi)):
+        return "fail"
+    return ""
+
+
 def certify_ba(c: Configuration, threshold=None) -> BACertificate:
     """Evaluate both polar families over all (j, k <= mult_j).
 
     The verdict is pass iff every relative residual (|sum| over the largest
-    summand magnitude) stays below the threshold, by default
-    2^-(precision - 32)."""
-    for ln in c.lines:
-        if int(ln.mult) != ln.mult:
-            raise ValueError("certification needs integer multiplicities")
+    summand magnitude) is proved below the threshold, by default
+    2^-(precision - 32), and fail iff one is proved at or above it; see the
+    module docstring for the rule and the doubling of F in between."""
+    mults = [int(ln.mult) for ln in c.lines]
+    if mults != [ln.mult for ln in c.lines] or min(mults, default=1) < 1:
+        raise ValueError("certification needs positive integer multiplicities")
+    phis = [ln.phi for ln in c.lines]
     with working(c.precision):
         thr = mp.mpf(threshold) if threshold is not None else default_threshold(c.precision)
-        rows = _cot_table([ln.phi for ln in c.lines])
-        residuals = [res for j, ln in enumerate(c.lines)
-                     for pair in _residuals(c.lines, j, rows[j], int(ln.mult))
-                     for res in pair]
-        worst = max(r.relative() for r in residuals)
-        verdict = "pass" if worst < thr else "fail"
+        frac = c.precision + GUARD_BITS
+        for _ in range(_MAX_DOUBLINGS + 1):
+            sums = _sums(mults, phis, mults, frac)
+            verdict = _verdict(sums, thr)
+            if verdict:
+                break
+            frac *= 2
+        else:
+            raise IllConditioned(
+                f"a residual stays within its rounding bound of the threshold "
+                f"at {frac // 2} fraction bits")
+        residuals = tuple(_residual(s) for s in sums)
+        worst = max((r.relative() for r in residuals), default=mp.mpf(0))
+    bounds = [(s.bound, s.scale_range()[0]) for s in sums if s.bound]
+    max_bound = max((math.log2(b) - math.log2(lo) for b, lo in bounds),
+                    default=float("-inf"))
     return BACertificate(digest=c.digest(), precision=c.precision,
                          threshold=thr, max_residual=worst, verdict=verdict,
-                         residuals=tuple(residuals))
+                         residuals=residuals, fraction_bits=frac,
+                         max_bound_log2=max_bound)
 
 
 # --- exact ODE residuals ------------------------------------------------------

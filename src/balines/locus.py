@@ -26,7 +26,6 @@ import math
 
 import mpmath as mp
 
-from .certify import _cot_table
 from .config import Configuration, Multiplicities, general_from_angles
 from .errors import NoConvergence
 from .numeric import check_precision, to_mp, working
@@ -35,8 +34,22 @@ _MAX_STEPS = 50
 _HALVINGS = 60
 
 
+def _cot_table(psis) -> list:
+    """rows[j][i] = cot(psi_i - psi_j) in mpmath, one cos/sin per unordered
+    pair since the table is antisymmetric; the angles are ordered, so no
+    sine vanishes."""
+    n = len(psis)
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            cos, sin = mp.cos_sin(psis[i] - psis[j])
+            rows[j][i] = cos / sin
+            rows[i][j] = -rows[j][i]
+    return rows
+
+
 def _float_cot_table(psis) -> list:
-    """rows[j][i] = cot(psi_i - psi_j) in floats, like `certify._cot_table`."""
+    """rows[j][i] = cot(psi_i - psi_j) in floats, like `_cot_table`."""
     return [[0.0 if i == j else 1 / math.tan(b - a) for i, b in enumerate(psis)]
             for j, a in enumerate(psis)]
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -83,8 +84,10 @@ def reduce_angle_mod_pi(phi):
 
 
 def log2_abs(x) -> float:
-    """float(log2|x|), with -inf for 0; safe for tiny/huge mpf values."""
-    ax = abs(mp.mpmathify(x))
-    if ax == 0:
-        return float("-inf")
-    return float(mp.log(ax, 2))
+    """float(log2|x|), with -inf for 0; safe for tiny/huge mpf values, which
+    it reads as mantissa times a power of two."""
+    ax = abs(mp.mpf(x))
+    _, man, exp, _ = ax._mpf_
+    if man:
+        return math.log2(man) + exp
+    return float(mp.log(ax, 2)) if ax else float("-inf")

@@ -240,13 +240,18 @@ def assemble_system(c: Configuration, d: int,
 
 
 def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
-    """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n) chart."""
+    """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n)
+    chart.  The pi/2 line of a twomult record with mtilde = 1 is the slope
+    root alpha = 0, which its R = cayley(P) leaves out: alpha R."""
     if c.R is None:
         raise MissingExactData("configuration carries no exact slope polynomial R")
     m, n = m1n_parameters(c)
-    if c.R.degree != n:
+    R = c.R
+    if c.kind == "twomult" and c.mtilde == 1:
+        R = R * DensePoly.rational([0, 1])
+    if R.degree != n:
         raise MissingExactData("R degree does not match the number of slope lines")
-    return m, c.R
+    return m, R
 
 
 def m1n_parameters(c: Configuration) -> Tuple[int, int]:
@@ -292,11 +297,29 @@ CosSinTable = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 def cos_sin_table(c: Configuration, top: int) -> CosSinTable:
     """Fixed-point powers cos^k and sin^k, k = 0..top, of the slope lines'
-    angles: one cos/sin evaluation per line, then repeated multiplication."""
+    angles: one cos/sin evaluation per line, then repeated multiplication.
+
+    Two slope lines closer (mod pi) than rank_numeric's cutoff 2^-(p/2)
+    times its margin 2^64, or times 2^(p/4) below 256 bits where 2^64 would
+    reach past 1, raise IllConditioned: their rows differ by about their
+    angle gap, so the rank they add could fall under the cutoff while the
+    pivots before it clear the margin, and the rank would come out short
+    without a refusal."""
     frac = check_precision(c.precision) + GUARD_BITS
     one = 1 << frac
+    light = _require_m1n_chart(c)[1]
+    phis = sorted(ln.phi for ln in light)
+    if len(phis) > 1:
+        bits = min(64, c.precision // 4) - c.precision // 2
+        with working(c.precision):
+            gap = min([b - a for a, b in zip(phis, phis[1:])]
+                      + [phis[0] + mp.pi - phis[-1]])
+            if gap < mp.mpf(2) ** bits:
+                raise IllConditioned(
+                    f"rank margin: two slope lines are 2^{mp.nstr(mp.log(gap, 2), 5)} "
+                    f"apart, closer than 2^{bits}")
     table = []
-    for ln in _require_m1n_chart(c)[1]:
+    for ln in light:
         pair = []
         for v in mpf_cos_sin(ln.phi._mpf_, frac):
             x, powers = to_fixed(v, frac), [one]
@@ -347,12 +370,10 @@ def radial_invariant(d: int = 2) -> List[Fraction]:
 def product_invariant(c: Configuration) -> List[Fraction]:
     """Coefficients of prod_lines (line form)^(2 mult): the squared defining
     polynomial, built from R so it stays rational for irrational slopes."""
-    if c.R is None:
-        raise MissingExactData("product invariant needs exact R")
-    m, light = _require_m1n_chart(c)
-    n = c.R.degree
+    m, R = _slope_poly(c)
+    n = R.degree
     # prod (x + alpha_j y) = sum_k r_k (-1)^(n-k) x^k y^(n-k),  R = sum r_k a^k
-    lin = [(-1) ** (n - k) * c.R[k] for k in range(n + 1)]  # index = power of x
+    lin = [(-1) ** (n - k) * R[k] for k in range(n + 1)]  # index = power of x
     prod = {k: lin[k] for k in range(n + 1)}
 
     def mul(p1: Dict[int, Fraction], p2: Dict[int, Fraction]) -> Dict[int, Fraction]:

@@ -420,3 +420,45 @@ def cartesian_condition_value(lines, j: int, k: int, family: str):
         else:
             total += ln.mult * (ln.mult + 1) * cos ** (2 * k - 1) / sin ** (2 * k + 1)
     return total
+
+
+# --- the existence-condition kernel in mpmath ----------------------------------
+
+
+def mpf_certificate(lines, threshold):
+    """(verdict, {(j, k, form): (value, scale)}) of the existence conditions
+    at the ambient mpmath precision: a cot table by mp.cos_sin of every
+    angle difference, odd powers by repeated multiplication with c^2, the
+    locus weight (m + 1)(1 + c^2)/4, and pass iff every |value| / scale is
+    below the threshold, scale being the largest summand magnitude floored
+    at 1."""
+    n = len(lines)
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            cos, sin = mp.cos_sin(lines[i].phi - lines[j].phi)
+            rows[j][i] = cos / sin
+            rows[i][j] = -rows[j][i]
+    out = {}
+    for j, lj in enumerate(lines):
+        kmax = int(lj.mult)
+        first, locus = [mp.mpf(0)] * kmax, [mp.mpf(0)] * kmax
+        first_scale, locus_scale = [mp.mpf(1)] * kmax, [mp.mpf(1)] * kmax
+        for i, ln in enumerate(lines):
+            if i == j:
+                continue
+            c = rows[j][i]
+            c2 = c * c
+            weight = (ln.mult + 1) * (1 + c2) / 4
+            term = ln.mult * c
+            for k in range(kmax):
+                first[k] += term
+                locus[k] += term * weight
+                first_scale[k] = max(first_scale[k], abs(term))
+                locus_scale[k] = max(locus_scale[k], abs(term * weight))
+                term *= c2
+        for k in range(kmax):
+            out[j, k + 1, "polar-first"] = (first[k], first_scale[k])
+            out[j, k + 1, "polar-locus"] = (locus[k], locus_scale[k])
+    worst = max(abs(v) / s for v, s in out.values())
+    return ("pass" if worst < threshold else "fail"), out

@@ -2,14 +2,17 @@ import mpmath as mp
 import pytest
 
 from balines.certify import certify_ba, ode_residual_am1n, ode_residual_two_mult
-from balines.config import (build_am1n, build_two_mult, general_from_angles,
-                            perturb_line, random_type_m1n, t_q_expand)
-from balines.errors import MissingExactData
-from balines.numeric import working
+from balines.cli import main
+from balines.config import (Configuration, Line, build_am1n, build_two_mult,
+                            general_from_angles, perturb_line,
+                            random_type_m1n, t_q_expand)
+from balines.errors import CollisionError, IllConditioned, MissingExactData
+from balines.numeric import GUARD_BITS, working
 from balines.poly import DensePoly
 from dataclasses import replace
 
-from oracles import cartesian_condition_value, polar_condition_residual
+from oracles import (cartesian_condition_value, mpf_certificate,
+                     polar_condition_residual)
 
 
 def residuals(c):
@@ -162,3 +165,116 @@ def test_ode_requires_exact_data():
     c = random_type_m1n(2, 2, seed=1)
     with pytest.raises(MissingExactData):
         ode_residual_am1n(c)
+
+
+# --- the fixed-point kernel against the mpf oracle ----------------------------
+
+
+@pytest.mark.parametrize("family, m, mt, n, q", [
+    ("am1n", 6, 0, 10, 1), ("am1n", 6, 0, 10, 2), ("am1n", 6, 0, 10, 3),
+    ("am1n", 6, 0, 10, 4), ("twomult", 4, 2, 6, 1)])
+def test_bound_covers_the_rounding(family, m, mt, n, q):
+    # the mpf kernel at twice the precision stands for the exact sums; a
+    # pass leaves residual plus bound below the threshold times the lowest
+    # scale the bound allows
+    base = build_am1n(m, n, 256) if family == "am1n" else build_two_mult(m, mt, n, 256)
+    c = t_q_expand(base, q)
+    cert = certify_ba(c)
+    assert cert.passed and cert.fraction_bits == 256 + GUARD_BITS
+    with mp.workprec(512):
+        _, exact = mpf_certificate(c.lines, cert.threshold)
+        assert set(exact) == {(r.j, r.k, r.form) for r in cert.residuals}
+        for r in cert.residuals:
+            value, scale = exact[r.j, r.k, r.form]
+            assert abs(r.value - value) <= r.bound, (r.j, r.k, r.form)
+            assert abs(r.scale - scale) <= r.bound, (r.j, r.k, r.form)
+            assert abs(r.value) + r.bound < cert.threshold * (r.scale - r.bound)
+    assert cert.max_bound_log2 < -300
+
+
+def test_bound_covers_amplified_rounding():
+    # a line 2^-a from another makes cot about 2^a, and its odd powers up to
+    # the fifth amplify the rounding of the stored cos and sin; the bound
+    # still covers the error, and is within 2^8 of the worst one
+    ratios = []
+    for a in (30, 60, 90):
+        for mults in ([3, 3, 1, 2], [1, 4, 2, 1]):
+            with mp.workprec(400):
+                phis = [mp.mpf(0), mp.mpf(2) ** -a, mp.mpf(1) / 3, mp.mpf(2)]
+            c = general_from_angles(mults, phis, 256)
+            cert = certify_ba(c)
+            with mp.workprec(1024):
+                _, exact = mpf_certificate(c.lines, cert.threshold)
+                ratios += [abs(r.value - exact[r.j, r.k, r.form][0]) / r.bound
+                           for r in cert.residuals]
+    assert 2 ** -8 < max(ratios) <= 1
+
+
+def test_verdicts_equal_the_oracle_on_perturbed_lines():
+    with working(256):
+        thr = mp.mpf(2) ** -224
+    bases = [build_am1n(m, n, 256) for m in range(1, 7) for n in (1, 4, 7, 10)]
+    bases += [build_two_mult(m, mt, n, 256) for m in (1, 4) for mt in (0, 2, 4)
+              for n in (2, 6)]
+    cases = [perturb_line(b, 1, 1e-2) for b in bases]
+    rep = t_q_expand(build_am1n(2, 2, 256), 2)
+    cases += [perturb_line(rep, i, d) for i in range(len(rep.lines))
+              for d in (1e-2, 1e-67, -1e-80)]
+    verdicts = set()
+    for c in cases:
+        with working(256):
+            want, _ = mpf_certificate(c.lines, thr)
+        got = certify_ba(c, threshold=thr)
+        assert got.verdict == want
+        verdicts.add(want)
+    assert verdicts == {"pass", "fail"}
+
+
+def test_threshold_within_a_bound_doubles_the_fraction_bits():
+    # at the worst relative residual itself, that condition can neither pass
+    # nor fail verified; with F doubled the bound is far smaller than the
+    # distance to the true residual, as the 4p-bit oracle confirms
+    c = t_q_expand(build_am1n(3, 4, 256), 2)
+    first = certify_ba(c)
+    thr = first.max_residual
+    cert = certify_ba(c, threshold=thr)
+    assert cert.fraction_bits == 2 * (256 + GUARD_BITS)
+    with mp.workprec(1024):
+        want, _ = mpf_certificate(c.lines, thr)
+    assert cert.verdict == want
+    assert cert.max_bound_log2 < -600
+
+
+def test_undecidable_threshold_raises_ill_conditioned(tmp_path, capsys):
+    # two lines at 0 and 1/2: each condition is one summand of magnitude
+    # above 1, so every relative residual is exactly 1, and a threshold of 1
+    # stays inside the bound at every precision
+    c = general_from_angles([1, 1], [0, mp.mpf(1) / 2], 256)
+    with pytest.raises(IllConditioned):
+        certify_ba(c, threshold=1)
+    path = tmp_path / "two.json"
+    c.save(str(path))
+    assert main(["certify", "--input", str(path), "--threshold-log2", "0"]) == 3
+    assert "rounding bound" in capsys.readouterr().err
+    assert main(["certify", "--input", str(path), "--threshold-log2", "1"]) == 1
+
+
+@pytest.mark.parametrize("near", [1, "pi"])
+def test_near_collinear_lines_collide(near):
+    # a chart that skips construction's distinct-angle check: the sine of the
+    # angle difference, 2^-330, is below its rounding bound at 320 fraction
+    # bits; pi - 2^-330 is that close to the line at 0
+    with mp.workprec(400):
+        second = (mp.pi if near == "pi" else 1) - mp.mpf(2) ** -330
+        lines = (Line(mult=1, phi=mp.mpf(0)), Line(mult=1, phi=mp.mpf(1)),
+                 Line(mult=1, phi=second))
+    c = Configuration(kind="general", precision=256, chart=lines)
+    with pytest.raises(CollisionError, match="collinear"):
+        certify_ba(c)
+
+
+def test_certificate_reports_its_bound():
+    payload = certify_ba(build_am1n(2, 3, 256)).to_json_dict()
+    assert payload["fraction_bits"] == 256 + GUARD_BITS
+    assert -330 < payload["max_bound_log2"] < -300
+    assert payload["max_residual_log2"] < payload["threshold_log2"]

@@ -108,6 +108,16 @@ def test_hilbert_outputs(tmp_path):
     assert rows[1] == "0,1" and rows[3] == "2,1"
 
 
+def test_hilbert_input_twomult_with_mtilde_one(tmp_path):
+    cfg, out = tmp_path / "tm.json", tmp_path / "h.json"
+    assert run(["construct", "twomult", "--m", "2", "--mt", "1", "--n", "4",
+                "-o", str(cfg)]) == 0
+    assert run(["hilbert", "--input", str(cfg), "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["m"], data["n"]) == (2, 5)
+    assert data["coefficients"][-1] == len(data["coefficients"]) - 7
+
+
 def test_hilbert_random_not_gorenstein(tmp_path):
     out = tmp_path / "hr.json"
     code = run(["hilbert", "--random", "--m", "2", "--n", "2", "--seed", "1",

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balines import quasi
-from balines.config import build_am1n, from_alphas, random_type_m1n
+from balines.config import (build_am1n, build_two_mult, from_alphas,
+                            random_type_m1n)
 from balines.errors import (IllConditioned, MissingExactData, OutOfRange,
                             TailMismatch)
 from balines.locus import solve_general_locus
@@ -85,6 +86,29 @@ def test_fixed_point_series_with_a_line_near_the_heavy_one():
         c = from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
         assert hilbert_coefficients(c, 16, exact=False) == \
             hilbert_coefficients(c, 16), k
+
+
+def test_nearly_equal_slopes_are_refused_on_the_numeric_route():
+    # slopes 1 and 1 + 2^-125 lie 2^-126 apart in angle; their rows differ
+    # by about that much, under the cutoff 2^-128 after elimination, and the
+    # numeric rank came out one short at degree 18 without a refusal
+    c = from_alphas(2, [F(1), 1 + F(1, 2 ** 125), F(-1, 3), F(2, 5), F(7)], 256)
+    assert hilbert_coefficients(c, 18)[18] == 12
+    with pytest.raises(IllConditioned, match="^rank margin: two slope lines"):
+        hilbert_coefficients(c, 18, exact=False)
+    with pytest.raises(IllConditioned):
+        qi_dimension_numeric(c, 18)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_twomult_with_a_light_line_at_pi_half(m):
+    # mtilde = 1 makes the pi/2 line the slope root alpha = 0 of alpha R
+    for n in (2, 4, 6):
+        c = build_two_mult(m, 1, n, 256)
+        D = 2 * m + 2 * (n + 1) + 4
+        assert hilbert_coefficients(c, D) == \
+            hilbert_coefficients(c, D, exact=False), (m, n)
+        assert is_quasi_invariant(c, product_invariant(c))
 
 
 _FRAC = 256 + GUARD_BITS  # fraction bits of the fixed-point rows at 256 bits
