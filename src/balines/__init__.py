@@ -23,7 +23,6 @@ from .quasi import (HilbertSeries, QISystem, am1n_hilbert_numerator,
                     qi_dimension_exact, qi_dimension_numeric, r_parameter,
                     segment_oracles, segment_prediction)
 from .roots import poly_roots
-from .scalars import GaussianRational, Rational
 from .symfunc import (e_values, ehat_values, f_to_e, f_to_ehat, f_values,
                       poly_from_elementary)
 from .trig import TrigPoly, wronskian
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACertificate", "ConditionResidual", "Configuration", "DarbouxChain",
-    "DensePoly", "GaussianRational", "HilbertSeries", "Line",
-    "Multiplicities", "QISystem", "Rational", "TrigPoly",
+    "DensePoly", "HilbertSeries", "Line",
+    "Multiplicities", "QISystem", "TrigPoly",
     "am1n_hilbert_numerator", "angle_multiset_distance", "assemble_system",
     "build_am1n", "build_chain", "build_two_mult", "certify_ba",
     "chain_report", "darboux_levels", "e_values", "ehat_values",

@@ -30,7 +30,6 @@ from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
                       reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
-from .scalars import frac_str, parse_frac
 from .symfunc import (cayley, e_values, ehat_values, poly_from_elementary,
                       r_poly_from_ehat)
 
@@ -154,15 +153,15 @@ class Configuration:
             "q": self.q,
             "seed": self.seed,
             "precision_bits": self.precision,
-            "e": [frac_str(v) for v in self.e] if self.e is not None else None,
-            "ehat": [frac_str(v) for v in self.ehat] if self.ehat is not None else None,
+            "e": [str(v) for v in self.e] if self.e is not None else None,
+            "ehat": [str(v) for v in self.ehat] if self.ehat is not None else None,
             "e_branch_sign": self.e_branch_sign,
             "lines": [
                 {
                     "mult": ln.mult,
                     "phi_hex": mpf_to_hex(ln.phi),
                     "alpha": ("inf" if ln.alpha_exact is INF
-                              else frac_str(ln.alpha_exact)
+                              else str(ln.alpha_exact)
                               if isinstance(ln.alpha_exact, Fraction) else None),
                 }
                 for ln in self.lines
@@ -181,12 +180,12 @@ class Configuration:
             elif alpha is None:
                 alpha_exact = None
             else:
-                alpha_exact = parse_frac(alpha)
+                alpha_exact = Fraction(alpha)
             lines.append(Line(mult=entry["mult"],
                               phi=hex_to_mpf(entry["phi_hex"]),
                               alpha_exact=alpha_exact))
-        e = tuple(parse_frac(v) for v in d["e"]) if d.get("e") is not None else None
-        ehat = (tuple(parse_frac(v) for v in d["ehat"])
+        e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None
+        ehat = (tuple(Fraction(v) for v in d["ehat"])
                 if d.get("ehat") is not None else None)
         n = d.get("n")
         P = poly_from_elementary(list(e), n) if (e is not None and n is not None) else None
@@ -414,12 +413,23 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
         raise ValueError("need q >= 1")
     if q == 1:
         return c
-    with working(c.precision):
-        new_lines = []
+    # With phi = phi0 + k*pi, phi0 in [0, pi), the q angles (phi + pi*s)/q
+    # mod pi are phi0/q + r*pi/q, r = 0..q-1, each in [0, pi).  Formed with
+    # extra guard bits, they need no reduction that cancels, and phi0 = 0
+    # keeps its copy at exactly 0.
+    with working(c.precision + GUARD_BITS):
+        step = mp.pi / q
+        wide = []
         for ln in c.lines:
-            for s in range(1, q + 1):
-                phi = reduce_angle_mod_pi((ln.phi + mp.pi * s) / q)
-                new_lines.append(Line(mult=ln.mult, phi=phi, alpha_exact=None))
+            base = reduce_angle_mod_pi(ln.phi) / q
+            wide += [(ln.mult, base + r * step) for r in range(q)]
+    with working(c.precision):
+        pi = mp.pi
+        new_lines = []
+        for mult, phi in wide:
+            phi = mp.mpf(phi)  # one rounding, which may reach pi
+            new_lines.append(Line(mult=mult, phi=phi - pi if phi >= pi else phi,
+                                  alpha_exact=None))
         new_lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in new_lines], c.precision)
 

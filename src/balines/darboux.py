@@ -27,7 +27,6 @@ from typing import List, Tuple
 
 from .config import Configuration
 from .errors import IdentityFailed, InvalidOrder, MissingExactData
-from .scalars import frac_str
 from .trig import TrigPoly, require_identity, wronskian
 
 
@@ -177,7 +176,7 @@ def chain_report(chain: DarbouxChain, config: Configuration,
     out = {
         "m": chain.m, "mt": chain.mt, "n": chain.n,
         "levels": list(chain.levels),
-        "nu": frac_str(nu_constant(chain)),
+        "nu": str(nu_constant(chain)),
     }
 
     def run(name, fn):

@@ -1,8 +1,8 @@
 """Dense exact univariate polynomials.
 
-Coefficients are Fractions or GaussianRationals (any exact field with the
-usual operators works).  Index equals degree; the leading coefficient of a
-nonzero polynomial is nonzero.
+Coefficients are Fractions (any exact field with the usual operators works).
+Index equals degree; the leading coefficient of a nonzero polynomial is
+nonzero.
 """
 
 from __future__ import annotations
@@ -11,13 +11,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NonSquarefree
-from .scalars import GaussianRational
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.is_zero
-    return c == 0
 
 
 class DensePoly:
@@ -25,7 +18,7 @@ class DensePoly:
 
     def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -84,7 +77,7 @@ class DensePoly:
             return DensePoly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -116,7 +109,7 @@ class DensePoly:
         lead = other.leading()
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
-            if _is_zero(top):
+            if top == 0:
                 continue
             q = top / lead
             quot[k] = q
@@ -152,5 +145,5 @@ class DensePoly:
     def __repr__(self):
         if self.is_zero:
             return "DensePoly(0)"
-        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if not _is_zero(c)]
+        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         return "DensePoly(" + " + ".join(terms) + ")"

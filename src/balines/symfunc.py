@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import comb
 from typing import List, Sequence
 
 from .errors import DegenerateConfiguration, OutOfRange
 from .poly import DensePoly
-from .scalars import binom
 
 
 def poly_from_elementary(e: Sequence[Fraction], n: int) -> DensePoly:
@@ -84,7 +84,7 @@ def f_to_e(f: Sequence[Fraction], n: int) -> List[Fraction]:
             return e_even(nev - r)
         acc = Fraction(0)
         for i in range(0, r + 1):
-            acc += (-1) ** i * Fraction(4) ** i * binom(nev - 2 * i, r - i) * full_f[i]
+            acc += (-1) ** i * Fraction(4) ** i * comb(nev - 2 * i, r - i) * full_f[i]
         return acc
 
     e_prime = [e_even(r) for r in range(0, nev + 1)]
@@ -171,7 +171,7 @@ def cayley(P: DensePoly) -> DensePoly:
 def e_values(m: int, n: int) -> List[Fraction]:
     """e_k = (-1)^k C(n,k) C(m+k-1,k) / C(m+n-1,k), k = 1..n (z_0 = 1)."""
     return [
-        Fraction((-1) ** k * binom(n, k) * binom(m + k - 1, k), binom(m + n - 1, k))
+        Fraction((-1) ** k * comb(n, k) * comb(m + k - 1, k), comb(m + n - 1, k))
         for k in range(1, n + 1)
     ]
 
@@ -184,7 +184,7 @@ def ehat_values(m: int, n: int) -> List[Fraction]:
     prod = Fraction(1)
     for r in range(1, nu + 1):
         prod *= Fraction(2 * ceil_half - 2 * r + 1, 2 * m + 2 * r - 1)
-        out.append(binom(nu, r) * prod)
+        out.append(comb(nu, r) * prod)
     return out
 
 
@@ -195,7 +195,7 @@ def f_values(m: int, n: int) -> List[Fraction]:
     prod = Fraction(1)
     for i in range(1, nu + 1):
         prod *= Fraction(2 * m + 2 * nu - 2 * i + 1, 2 * (m + n - i))
-        out.append(binom(nu, i) * prod)
+        out.append(comb(nu, i) * prod)
     return out
 
 
@@ -203,7 +203,7 @@ def f_values(m: int, n: int) -> List[Fraction]:
 
 
 def identity_a_lhs(m: int, n: int, r: int) -> Fraction:
-    return Fraction((-1) ** r * binom(n, r) * binom(m + r - 1, r), binom(m + n - 1, r))
+    return Fraction((-1) ** r * comb(n, r) * comb(m + r - 1, r), comb(m + n - 1, r))
 
 
 def identity_a_rhs(m: int, n: int, r: int) -> Fraction:
@@ -217,7 +217,7 @@ def identity_a_rhs(m: int, n: int, r: int) -> Fraction:
     for i in range(0, r + 1):
         if i >= 1:
             prod *= Fraction(2 * m + n - 2 * i + 1, m + n - i)
-        acc += (-1) ** i * Fraction(2) ** i * binom(n - 2 * i, r - i) * binom(n // 2, i) * prod
+        acc += (-1) ** i * Fraction(2) ** i * comb(n - 2 * i, r - i) * comb(n // 2, i) * prod
     return acc
 
 
@@ -232,7 +232,7 @@ def identity_b_lhs(m: int, n: int, r: int) -> Fraction:
         if i >= 1:
             s = i - 1
             prod *= Fraction(m + ceil_half + s, 2 * m + 2 * s + 1)
-        acc += (-1) ** (r - i) * Fraction(2) ** i * binom(nu - i, r - i) * binom(nu, i) * prod
+        acc += (-1) ** (r - i) * Fraction(2) ** i * comb(nu - i, r - i) * comb(nu, i) * prod
     return acc
 
 

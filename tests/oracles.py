@@ -95,29 +95,6 @@ def compose_affine(p, a, b):
     return acc
 
 
-def exact_div(a, b):
-    """a / b for TrigPolys in the Laurent ring by dense polynomial division;
-    ValueError when b does not divide a."""
-    from balines.poly import DensePoly
-    from balines.scalars import GaussianRational
-    from balines.trig import TrigPoly
-
-    if b.is_zero:
-        raise ZeroDivisionError("TrigPoly division by zero")
-    if a.is_zero:
-        return TrigPoly.zero()
-    a_min, b_min = a.min_freq(), b.min_freq()
-    pa = DensePoly([a.coeffs.get(a_min + k, GaussianRational())
-                    for k in range(a.max_freq() - a_min + 1)])
-    pb = DensePoly([b.coeffs.get(b_min + k, GaussianRational())
-                    for k in range(b.max_freq() - b_min + 1)])
-    q, r = pa.divmod(pb)
-    if not r.is_zero:
-        raise ValueError("inexact TrigPoly division")
-    return TrigPoly({a_min - b_min + k: GaussianRational.of(c)
-                     for k, c in enumerate(q.coeffs)})
-
-
 # --- quasi-invariant dimensions from the raw definition -------------------------
 
 
@@ -323,51 +300,105 @@ def numeric_wronskian_sines(ks: Sequence[int], phi):
     return mp.det(mat)
 
 
-def termwise_product(a, b) -> dict:
-    """Coefficients of the TrigPoly product a*b as {l: GaussianRational}, one
-    GaussianRational product per pair of terms, zero sums dropped."""
-    from balines.scalars import GaussianRational
+# --- Laurent polynomials as {l: (re, im)} dicts of Fractions -----------------
+# A TrigPoly is read only through its terms and den; the Gaussian-rational
+# arithmetic below is the oracles' own and shares no code with trig.py.
 
+
+def coefficients(p) -> dict:
+    """{l: (re, im)} of a TrigPoly as Fractions."""
+    return {l: (Fraction(re, p.den), Fraction(im, p.den))
+            for l, (re, im) in p.terms.items()}
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gdiv(x, y):
+    norm = Fraction(y[0] * y[0] + y[1] * y[1])
+    return _gmul(x, (y[0] / norm, -y[1] / norm))
+
+
+def _laurent_add(a, b, sign=1):
+    out = dict(a)
+    for l, (re, im) in b.items():
+        r0, i0 = out.get(l, (0, 0))
+        out[l] = (r0 + sign * re, i0 + sign * im)
+    return {l: c for l, c in out.items() if c != (0, 0)}
+
+
+def _laurent_mul(a, b):
     out = {}
-    for l1, c1 in a.coeffs.items():
-        for l2, c2 in b.coeffs.items():
-            out[l1 + l2] = out.get(l1 + l2, GaussianRational()) + c1 * c2
-    return {l: c for l, c in out.items() if not c.is_zero}
+    for l1, c1 in a.items():
+        for l2, c2 in b.items():
+            re, im = _gmul(c1, c2)
+            r0, i0 = out.get(l1 + l2, (0, 0))
+            out[l1 + l2] = (r0 + re, i0 + im)
+    return {l: c for l, c in out.items() if c != (0, 0)}
 
 
-def bareiss_wronskian(fs):
-    """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1, of TrigPolys by
-    fraction-free (Bareiss) elimination over the Laurent ring: every division
-    by the previous pivot is an exact `exact_div`."""
-    from balines.trig import TrigPoly
+def _laurent_div(a, b):
+    """a / b by long division from the top frequency down; ValueError when b
+    does not divide a."""
+    if not b:
+        raise ZeroDivisionError("Laurent division by zero")
+    top, q, rem = max(b), {}, dict(a)
+    # an exact quotient has no frequency below min(a) - min(b)
+    while rem and max(rem) - top >= min(a) - min(b):
+        shift = max(rem) - top
+        q[shift] = _gdiv(rem[max(rem)], b[top])
+        rem = _laurent_add(rem, _laurent_mul({shift: q[shift]}, b), -1)
+    if rem:
+        raise ValueError("inexact Laurent division")
+    return q
 
+
+def exact_div(a, b) -> dict:
+    """a / b for TrigPolys in the Laurent ring, as {l: (re, im)};
+    ValueError when b does not divide a."""
+    return _laurent_div(coefficients(a), coefficients(b))
+
+
+def termwise_product(a, b) -> dict:
+    """Coefficients of the TrigPoly product a*b as {l: (re, im)}, one
+    Gaussian-rational product per pair of terms, zero sums dropped."""
+    return _laurent_mul(coefficients(a), coefficients(b))
+
+
+def bareiss_wronskian(fs) -> dict:
+    """Wronskian det[d^i f_j / dphi^i], i = 0..len(fs)-1, of TrigPolys, as
+    {l: (re, im)}, by fraction-free (Bareiss) elimination over the Laurent
+    ring: every division by the previous pivot is an exact `_laurent_div`."""
     if not fs:
         raise ValueError("wronskian of an empty list")
     n = len(fs)
-    rows = [list(fs)]
+    rows = [[coefficients(f) for f in fs]]
     for _ in range(n - 1):
-        rows.append([f.dphi() for f in rows[-1]])
+        rows.append([{l: (-l * im, l * re) for l, (re, im) in f.items() if l}
+                     for f in rows[-1]])
     m = [[rows[i][j] for j in range(n)] for i in range(n)]
 
     sign = 1
-    prev = TrigPoly.const(1)
+    prev = {0: (1, 0)}
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not m[r][k].is_zero:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return TrigPoly.zero()
+                return {}
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = TrigPoly.zero()
+                num = _laurent_add(_laurent_mul(m[k][k], m[i][j]),
+                                   _laurent_mul(m[i][k], m[k][j]), -1)
+                m[i][j] = _laurent_div(num, prev)
+            m[i][k] = {}
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else {l: (-re, -im) for l, (re, im) in det.items()}
 
 
 def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:

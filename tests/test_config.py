@@ -11,7 +11,7 @@ from balines.config import (Configuration, angle_multiset_distance,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import working
+from balines.numeric import GUARD_BITS, working
 from balines.poly import DensePoly
 
 from oracles import elementary_from_values, eval_numeric
@@ -177,6 +177,36 @@ def test_tq_heavy_orbits_tile_dihedral_mirrors():
                 assert abs(ratio - mp.nint(ratio)) < mp.mpf(2) ** -100
                 assert int(mp.nint(ratio)) % 2 == parity
     assert len(t_q_expand(build_am1n(1, 3, 128), 2).lines) == 8
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_tq_angles_within_one_ulp(precision):
+    # each expanded angle against (phi + pi*s)/q mod pi at twice the stored
+    # precision: within one unit in the last place, and the phi = 0 line's
+    # copy at exactly 0 (not a rounding residue near 0 or pi)
+    bits = precision + GUARD_BITS
+    for family, m, mt, n in [("am1n", 2, 0, 3), ("am1n", 4, 0, 5), ("am1n", 6, 0, 6),
+                             ("twomult", 2, 1, 4), ("twomult", 3, 0, 6),
+                             ("twomult", 4, 3, 2)]:
+        base = (build_am1n(m, n, precision) if family == "am1n"
+                else build_two_mult(m, mt, n, precision))
+        for q in (2, 3, 4, 7, 11):
+            got = sorted(ln.phi for ln in t_q_expand(base, q).lines)
+            with mp.workprec(2 * bits):
+                ref = []
+                for ln in base.lines:
+                    for s in range(1, q + 1):
+                        r = (ln.phi + mp.pi * s) / q
+                        r -= mp.floor(r / mp.pi) * mp.pi
+                        ref.append(0 if min(r, mp.pi - r) < mp.mpf(2) ** (16 - 2 * bits)
+                                   else r)
+                ref.sort()
+                for a, r in zip(got, ref):
+                    if r == 0:
+                        assert a == 0, (family, m, mt, n, q)
+                    else:
+                        ulp = mp.mpf(2) ** (mp.frexp(r)[1] - bits)
+                        assert abs(a - r) <= ulp, (family, m, mt, n, q, a, r)
 
 
 def test_random_r_expansion():

@@ -157,3 +157,24 @@ def test_trivial_chain_m_zero():
     assert ch.W == TrigPoly.const(1)
     # free operator: -2 (log 1)'' vanishes identically
     assert ch.W.dphi().is_zero
+
+
+@pytest.mark.parametrize("m, n, nu, terms", [
+    (1, 2, "1", (3, 12, 3)),
+    (2, 3, "-1/8", (6, 21, 4)),
+    (3, 4, "-1/240", (10, 31, 4)),
+])
+def test_chain_report_failure_strings(m, n, nu, terms):
+    # every e shifted by 1/7: each identity that reads Q fails, and its
+    # report names the number of terms of the nonzero difference
+    from dataclasses import replace
+    cfg = build_am1n(m, n, 128)
+    bad = replace(cfg, e=tuple(v + F(1, 7) for v in cfg.e))
+    rep = chain_report(build_chain(m, 0, n), bad)
+    assert rep["nu"] == nu
+    assert rep["factorization"] == \
+        f"fail: Wronskian factorization: difference has {terms[0]} terms"
+    assert rep["potential"] == \
+        f"fail: transformed potential: difference has {terms[1]} terms"
+    assert rep["eigen"] == f"fail: eigenfunction equation: difference has {terms[2]} terms"
+    assert rep["q_scaling_2"] == rep["q_scaling_3"] == "exact-pass"

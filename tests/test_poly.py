@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from balines.errors import NonSquarefree
 from balines.poly import DensePoly
-from balines.scalars import GaussianRational
 
 from oracles import compose_affine
 
@@ -56,15 +55,6 @@ def test_compose_affine():
     p = DensePoly.rational([0, 0, 1])  # x^2
     # (2x + 1)^2 = 1 + 4x + 4x^2
     assert compose_affine(p, F(2), F(1)) == DensePoly.rational([1, 4, 4])
-
-
-def test_gaussian_coefficients():
-    i = GaussianRational(F(0), F(1))
-    p = DensePoly([GaussianRational.of(1), i])  # 1 + i x
-    q = p * p
-    assert q == DensePoly([GaussianRational.of(1), 2 * i, GaussianRational.of(-1)])
-    quo, rem = q.divmod(p)
-    assert rem.is_zero and quo == p
 
 
 _POLY = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
