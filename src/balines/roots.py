@@ -2,28 +2,32 @@
 
 The lines of the exact families are the real roots of their slope
 polynomial R(alpha), alpha = cot phi (``symfunc.cayley``).  Exact
-integer-Horner signs at rational points next to cot((g + 1/2) pi / G),
+integer-Horner signs at dyadic points next to cot((g + 1/2) pi / G),
 g < G = 4n + 4 (doubled up to a cap), and at powers of two beyond every
 root and below every nonzero one change deg p times only when p has deg p
 simple real roots, one per bracket with a sign change (Collins and Akritas
-1976).  Newton's method refines each root in its bracket, seeded in floats
-and finished in mpmath at precision + 96 bits, plus the bits an evaluation
-near the root loses to cancellation, until a step is at most
-2^-(precision + 72) of the root; steps out of the bracket, and all steps
-while its ends differ in scale by more than 4, bisect it.  A root at 0 is
-taken off exactly; unisolated roots raise NonSquarefree or NoConvergence.
+1976).  The points are integers over one power of two.  Newton's method
+refines each root in its bracket, seeded in floats (the coefficients
+scaled into double range by a power of two), then run on integers X / 2^t:
+one fixed-point Horner pass for p and p' per step, with the bits of X
+doubled from step to step up to precision + 96, plus the bits an
+evaluation near the root loses to cancellation, until a step at that full
+width is at most 2^-(precision + 72) of the root; steps out of the
+bracket, and all steps while its ends differ in scale by more than 4,
+bisect it.  A root at 0 is taken off exactly; unisolated roots raise
+NonSquarefree or NoConvergence.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import NoConvergence, NonSquarefree
-from .numeric import check_precision, log2_abs, to_mp
+from .numeric import check_precision
 from .poly import DensePoly
 
 # G = 4n + 4 sample points at first, doubled at most this many times
@@ -32,6 +36,8 @@ _DOUBLINGS = 4
 _MAX_ITER = 100
 # the float phase stops once a step is below this fraction of the root
 _SEED_TOL = 2.0 ** -40
+# float seeds need coefficients within this many bits of each other
+_FLOAT_SPREAD = 1000
 
 
 def _root_exponent(c: List[int]) -> int:
@@ -42,44 +48,37 @@ def _root_exponent(c: List[int]) -> int:
                     for k, a in enumerate(reversed(c[:-1]), 1) if a), default=0)
 
 
-def _sign(c: List[int], x: Fraction) -> int:
-    """Sign of sum c[k] x^k, exactly: Horner on b^n p(a/b)."""
-    a, b = x.numerator, x.denominator
-    acc, bk = 0, 1
+def _sign(c: List[int], a: int, s: int) -> int:
+    """Sign of sum c[k] (a / 2^s)^k, exactly: Horner on 2^(sn) p(a / 2^s)."""
+    acc = shift = 0
     for ck in reversed(c):
-        acc = acc * a + ck * bk
-        bk *= b
+        acc = acc * a + (ck << shift)
+        shift += s
     return (acc > 0) - (acc < 0)
 
 
-def _isolate(c: List[int]) -> List[Tuple[Fraction, Fraction, int]]:
-    """(lo, hi, sign of p at lo), one bracket per root of sum c[k] x^k
-    (c[0] != 0), or fewer when too few signs change at the cap."""
-    big, small = Fraction(2) ** _root_exponent(c), Fraction(2) ** -_root_exponent(c[::-1])
-    # an odd numerator over 2^s with 2^s not dividing c[n] is never a root
-    s = 64 + (c[-1] & -c[-1]).bit_length()
+def _isolate(c: List[int]) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """s and (lo, hi, sign of p at lo), ends over 2^s, one bracket per root
+    of sum c[k] x^k (c[0] != 0), or fewer when too few signs change at the
+    cap."""
+    e, e_small = _root_exponent(c), _root_exponent(c[::-1])
+    # an odd numerator over 2^s0 with 2^s0 not dividing c[n] is never a root
+    s0 = 64 + (c[-1] & -c[-1]).bit_length()
+    s = max(s0, e_small, -e)
+    big, small = 1 << (s + e), 1 << (s - e_small)
     G = 4 * len(c)  # 4n + 4
     for _ in range(_DOUBLINGS + 1):
-        grid = {Fraction(int(math.ldexp(1 / math.tan((g + 0.5) * math.pi / G), 64))
-                         << (s - 64) | 1, 1 << s) for g in range(G)}
+        grid = {(int(math.ldexp(1 / math.tan((g + 0.5) * math.pi / G), 64))
+                 << (s0 - 64) | 1) << (s - s0) for g in range(G)}
         points = sorted({-big, -small, small, big}
                         | {x for x in grid if small < abs(x) < big})
-        signs = [_sign(c, x) for x in points]
+        signs = [_sign(c, x, s) for x in points]
         brackets = [(lo, hi, a) for lo, hi, a, b
                     in zip(points, points[1:], signs, signs[1:]) if a != b]
         if len(brackets) == len(c) - 1:
-            return brackets
+            return s, brackets
         G *= 2
-    return brackets
-
-
-def _horner(coeffs, x):
-    """(p(x), p'(x)) by one Horner pass, in the arithmetic of x."""
-    v = d = 0 * x
-    for a in reversed(coeffs):
-        d = d * x + v
-        v = v * x + a
-    return v, d
+    return s, brackets
 
 
 def _wide(lo, hi) -> bool:
@@ -87,33 +86,112 @@ def _wide(lo, hi) -> bool:
     return 0 < 4 * lo < hi or lo < 4 * hi < 0
 
 
-def _mid(lo, hi):
-    """Bisection point: geometric for a wide bracket, else arithmetic."""
-    if _wide(lo, hi):
-        return (lo * hi) ** 0.5 * (1 if lo > 0 else -1)
-    return (lo + hi) / 2
+def _float_horner(coeffs: List[float], x: float) -> Tuple[float, float]:
+    """(p(x), p'(x)) by one Horner pass in floats."""
+    v = d = 0.0
+    for a in reversed(coeffs):
+        d = d * x + v
+        v = v * x + a
+    return v, d
 
 
-def _refine(coeffs, lo, hi, slo, x, tol, limit):
-    """Newton's method from x for the root of p = sum coeffs[k] x^k in
-    (lo, hi), where p(lo) has the sign slo and p(hi) the other.
-    Returns (x, last Newton step, steps taken) after the first step of at
-    most tol |x| or after limit steps."""
-    for k in range(1, limit + 1):
-        v, d = _horner(coeffs, x)
+def _seed(coeffs: List[float], lo: int, hi: int, s: int, slo: int):
+    """(x, t, extra): Newton's method in floats for the root of
+    sum coeffs[k] x^k in (lo, hi) / 2^s, where p(lo) has the sign slo and
+    p(hi) the other, from the bracket's midpoint to the first step of at
+    most _SEED_TOL |x| (or _MAX_ITER steps), as x / 2^t with t >= s, and
+    the bits one evaluation of p near it loses to cancellation; None when
+    the float phase ends outside the bracket or overflows."""
+    flo, fhi = lo / (1 << s), hi / (1 << s)
+    seed = (flo + fhi) / 2
+    for _ in range(_MAX_ITER):
+        if _wide(flo, fhi):
+            seed = math.copysign(math.sqrt(flo * fhi), flo)
+        v, d = _float_horner(coeffs, seed)
         if v == 0:
-            return x, v, k
+            break
         if (v > 0) == (slo > 0):
-            lo = x
+            flo = seed
         else:
-            hi = x
-        step = v / d if d else hi - lo  # with no slope, a step out of the bracket
-        if abs(step) <= tol * abs(x):
-            return x - step, step, k
-        x = x - step
+            fhi = seed
+        step = v / d if d else fhi - flo  # with no slope, a step out of the bracket
+        if abs(step) <= _SEED_TOL * abs(seed):
+            seed -= step
+            break
+        seed -= step
+        if not flo < seed < fhi:
+            seed = (flo + fhi) / 2
+    size = _float_horner([abs(a) for a in coeffs], abs(seed))[0]
+    slope = abs(seed * _float_horner(coeffs, seed)[1])
+    if not (size < math.inf and 0 < slope < math.inf):
+        return None
+    man, exp = math.frexp(seed)
+    x, t = int(math.ldexp(man, 53)), 53 - exp
+    if t < s:
+        x, t = x << (s - t), s
+    if not lo << (t - s) < x < hi << (t - s):
+        return None
+    return x, t, max(0, math.frexp(size / slope)[1])
+
+
+def _horner(c: List[int], x: int, t: int) -> Tuple[int, int]:
+    """(p(x / 2^t), p'(x / 2^t)) as integers over 2^t, by one Horner pass
+    that truncates every product; p is off by less than
+    sum_{k < n} |x / 2^t|^k units of 2^-t, whatever the size of c."""
+    v = d = 0
+    for a in reversed(c):
+        d = (d * x >> t) + v
+        v = (v * x >> t) + (a << t)
+    return v, d
+
+
+def _exact(x: int, t: int):
+    """x / 2^t as an mpf, without rounding."""
+    return mp.mp.make_mpf(from_man_exp(x, -t))
+
+
+def _refine(c: List[int], lo: int, hi: int, slo: int, x: int, t: int,
+            width: int, full: int, precision: int):
+    """Newton's method for the root of p = sum c[k] x^k in (lo, hi), where
+    p(lo) has the sign slo and p(hi) the other, from x; lo, hi and x are
+    integers over 2^t.  Each step evaluates p and p' with x widened to
+    `width` significant bits, then doubles `width` up to `full`.  Returns
+    (root, t), the root over 2^t, after the first full-width step of at
+    most 2^-(precision + 72) |x|; raises NoConvergence after _MAX_ITER
+    steps."""
+    ends = lo, hi, t
+    tol_bits = precision + 72
+    for k in range(1, _MAX_ITER + 1):
+        grow = width - abs(x).bit_length()
+        if grow > 0:
+            x, lo, hi, t = x << grow, lo << grow, hi << grow, t + grow
+        v, d = _horner(c, x, t)
+        if v == 0:
+            step = 0
+        else:
+            if (v > 0) == (slo > 0):
+                lo = x
+            else:
+                hi = x
+            step = (v << t) // d if d else hi - lo  # with no slope, out of the bracket
+        if width == full and abs(step) << tol_bits <= abs(x):
+            return x - step, t
+        x -= step
         if not lo < x < hi or _wide(lo, hi):
-            x = _mid(lo, hi)
-    return x, step, k
+            # bisect, at one more bit: geometrically while the bracket is wide
+            if _wide(lo, hi):
+                x = (math.isqrt(lo * hi) << 1) * (1 if lo > 0 else -1)
+            else:
+                x = lo + hi
+            lo, hi, t = lo << 1, hi << 1, t + 1
+        width = min(2 * width, full)
+    lo, hi, s = ends
+    step_log2 = math.log2(abs(step)) - t if step else -math.inf
+    raise NoConvergence(
+        f"Newton's method stalled at precision {precision} on the root "
+        f"in [{mp.nstr(_exact(lo, s), 8)}, {mp.nstr(_exact(hi, s), 8)}]: step log2 "
+        f"{step_log2:.1f} against target log2 "
+        f"{math.log2(abs(x)) - t - tol_bits:.1f} after {k} step(s)")
 
 
 def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
@@ -124,39 +202,36 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
         return []
     den = math.lcm(*(a.denominator for a in p.coeffs))
     c = [a.numerator * (den // a.denominator) for a in p.coeffs]
+    # without its content, a power of two in c[n] does not widen every
+    # sample point (see _isolate)
+    content = math.gcd(*c)
+    c = [a // content for a in c]
     roots = []
     if c[0] == 0:
         c, roots = c[1:], [mp.mpf(0)]
         if c[0] == 0:
             raise NonSquarefree("a repeated root at 0")
-    brackets = _isolate(c)
+    s, brackets = _isolate(c)
     if len(brackets) < len(c) - 1:
         p.check_squarefree()
         raise NoConvergence(f"isolated {len(brackets)} of {len(c) - 1} real roots")
-    # floats for the seeds unless a coefficient is beyond their range
-    fcoeffs = ([float(a) for a in c]
-               if max(abs(a) for a in c).bit_length() < 1000 else None)
-    with mp.workprec(max(abs(a) for a in c).bit_length()):
-        mcoeffs = [mp.mpf(a) for a in c]  # exact
-    tol = mp.mpf(2) ** -(precision + 72)
+    # floats for the seeds, scaled by a power of two to at most 1 in
+    # magnitude (which leaves the float Newton steps as they are), unless
+    # the coefficients spread beyond double range
+    sizes = [abs(a).bit_length() for a in c if a]
+    fcoeffs = None
+    if max(sizes) - min(sizes) < _FLOAT_SPREAD:
+        fcoeffs = [a / (1 << max(sizes)) for a in c]
     for lo, hi, slo in brackets:
-        seed, extra = None, 0
-        if fcoeffs:
-            flo, fhi = float(lo), float(hi)
-            x = _refine(fcoeffs, flo, fhi, slo, _mid(flo, fhi), _SEED_TOL, _MAX_ITER)[0]
-            if lo < x < hi:  # converged, or as close as float noise allows
-                # the bits one evaluation of p near the root loses to cancellation
-                size = _horner([abs(a) for a in fcoeffs], abs(x))[0]
-                seed, extra = x, max(0, math.frexp(size / abs(x * _horner(fcoeffs, x)[1]))[1])
-        with mp.workprec(precision + 96 + extra):
-            lo, hi = to_mp(lo), to_mp(hi)
-            x = _mid(lo, hi) if seed is None else mp.mpf(seed)
-            x, step, k = _refine(mcoeffs, lo, hi, slo, x, tol, _MAX_ITER)
-        if abs(step) > tol * abs(x):
-            raise NoConvergence(
-                f"Newton's method stalled at precision {precision} on the root "
-                f"in [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}]: step log2 "
-                f"{log2_abs(step):.1f} against target log2 "
-                f"{log2_abs(tol * x):.1f} after {k} step(s)")
-        roots.append(x)
+        seeded = _seed(fcoeffs, lo, hi, s, slo) if fcoeffs else None
+        if seeded:
+            x, t, extra = seeded
+            # the seed holds about 53 - extra bits, which one step doubles
+            # when it evaluates at 106 - extra bits
+            width = max(53, 106 - extra)
+        else:  # the bracket's midpoint
+            x, t, extra, width = lo + hi, s + 1, 0, 64
+        x, t = _refine(c, lo << (t - s), hi << (t - s), slo, x, t, width,
+                       precision + 96 + extra, precision)
+        roots.append(_exact(x, t))
     return sorted(roots)

@@ -189,12 +189,13 @@ def remainder_map_matrix(R, d: int, m: int):
 # --- eager line charts ------------------------------------------------------------
 
 
-def eager_json(config) -> dict:
+def eager_json(config, find_roots=None) -> dict:
     """to_json_dict of an am1n or twomult record whose lines are found at
     once from its exact data, as the constructions did before the chart was
     built on first read: the phi = 0 line, the phi = pi/2 line when mtilde
     is positive, then acot(alpha) (+ pi for alpha < 0) for every real root
-    alpha of cayley(P), sorted by angle."""
+    alpha of cayley(P) by find_roots (poly_roots by default), sorted by
+    angle."""
     import dataclasses
 
     from balines.config import INF, Line
@@ -202,7 +203,7 @@ def eager_json(config) -> dict:
     from balines.roots import poly_roots
     from balines.symfunc import cayley
 
-    alphas = poly_roots(cayley(config.P), config.precision)
+    alphas = (find_roots or poly_roots)(cayley(config.P), config.precision)
     with working(config.precision, guard=96):
         phis = [mp.acot(a) + (mp.pi if a < 0 else 0) for a in alphas]
     with working(config.precision):
@@ -272,6 +273,92 @@ def aberth_roots_reference(p, precision: int):
             return (a + 2 * mp.pi if a < 0 else a, abs(z))
 
         return sorted(xs, key=key)
+
+
+# --- reference Newton refinement --------------------------------------------------
+
+
+def _newton_horner(coeffs, x):
+    """(p(x), p'(x)) by one Horner pass, in the arithmetic of x."""
+    v = d = 0 * x
+    for a in reversed(coeffs):
+        d = d * x + v
+        v = v * x + a
+    return v, d
+
+
+def _newton_wide(lo, hi) -> bool:
+    return 0 < 4 * lo < hi or lo < 4 * hi < 0
+
+
+def _newton_mid(lo, hi):
+    if _newton_wide(lo, hi):
+        return (lo * hi) ** 0.5 * (1 if lo > 0 else -1)
+    return (lo + hi) / 2
+
+
+def _newton_refine(coeffs, lo, hi, slo, x, tol, limit=100):
+    """Newton's method from x in (lo, hi), in the arithmetic of x: (x, last
+    step) after the first step of at most tol |x| or after limit steps; a
+    step out of the bracket, or any step while its ends differ in scale by
+    more than 4, bisects it."""
+    step = None
+    for _ in range(limit):
+        v, d = _newton_horner(coeffs, x)
+        if v == 0:
+            return x, v
+        if (v > 0) == (slo > 0):
+            lo = x
+        else:
+            hi = x
+        step = v / d if d else hi - lo
+        if abs(step) <= tol * abs(x):
+            return x - step, step
+        x = x - step
+        if not lo < x < hi or _newton_wide(lo, hi):
+            x = _newton_mid(lo, hi)
+    return x, step
+
+
+def mpmath_newton_roots(p, precision: int):
+    """The real roots of a squarefree rational p with deg p real roots, in
+    increasing order, by Newton's method in mpmath with every step at the
+    full precision + 96 + extra bits, extra being the bits one evaluation
+    near the root loses to cancellation: the brackets of balines.roots,
+    each refined from a float Newton seed (from its midpoint when the float
+    phase ends outside it) until a step is at most 2^-(precision + 72) of
+    the root.  A root at 0 is taken off exactly; the coefficients must be
+    within double range."""
+    from balines.roots import _isolate
+
+    den = math.lcm(*(a.denominator for a in p.coeffs))
+    c = [a.numerator * (den // a.denominator) for a in p.coeffs]
+    roots = []
+    if c[0] == 0:
+        c, roots = c[1:], [mp.mpf(0)]
+    s, brackets = _isolate(c)
+    assert len(brackets) == len(c) - 1, "not isolated"
+    fcoeffs = [float(a) for a in c]
+    with mp.workprec(max(abs(a) for a in c).bit_length()):
+        mcoeffs = [mp.mpf(a) for a in c]
+    tol = mp.mpf(2) ** -(precision + 72)
+    for lo, hi, slo in brackets:
+        lo, hi = Fraction(lo, 1 << s), Fraction(hi, 1 << s)
+        flo, fhi = float(lo), float(hi)
+        x = _newton_refine(fcoeffs, flo, fhi, slo, _newton_mid(flo, fhi), 2.0 ** -40)[0]
+        seed, extra = None, 0
+        if lo < x < hi:
+            size = _newton_horner([abs(a) for a in fcoeffs], abs(x))[0]
+            seed = x
+            extra = max(0, math.frexp(size / abs(x * _newton_horner(fcoeffs, x)[1]))[1])
+        with mp.workprec(precision + 96 + extra):
+            mlo = mp.mpf(lo.numerator) / lo.denominator
+            mhi = mp.mpf(hi.numerator) / hi.denominator
+            x = _newton_mid(mlo, mhi) if seed is None else mp.mpf(seed)
+            x, step = _newton_refine(mcoeffs, mlo, mhi, slo, x, tol)
+            assert abs(step) <= tol * abs(x), "reference Newton did not converge"
+        roots.append(x)
+    return sorted(roots)
 
 
 # --- symmetric functions over numeric roots --------------------------------------

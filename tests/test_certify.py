@@ -1,7 +1,8 @@
 import mpmath as mp
 import pytest
 
-from balines.certify import certify_ba, ode_residual_am1n, ode_residual_two_mult
+from balines.certify import (certify_ba, default_threshold, ode_residual_am1n,
+                             ode_residual_two_mult)
 from balines.cli import main
 from balines.config import (Configuration, Line, build_am1n, build_two_mult,
                             general_from_angles, perturb_line,
@@ -278,3 +279,47 @@ def test_certificate_reports_its_bound():
     assert payload["fraction_bits"] == 256 + GUARD_BITS
     assert -330 < payload["max_bound_log2"] < -300
     assert payload["max_residual_log2"] < payload["threshold_log2"]
+
+
+def test_bound_covers_inputs_pushed_to_their_error(monkeypatch):
+    # the stored cos and sin of two lines 2^-40 apart, of multiplicities 4
+    # and 5, each pushed nearly _INPUT_ERROR units off, in every one of the
+    # 16 directions: the odd powers of cot, about 2^40, amplify the input
+    # error; the error of every sum stays within its bound, and the worst
+    # one within 2^3 of it (a bound without the error of c^2 in the odd
+    # powers falls below the error here)
+    from balines import certify
+
+    with mp.workprec(400):
+        phis = [mp.mpf(0), mp.mpf(2) ** -40, mp.mpf(1) / 3, mp.mpf(2)]
+    c = general_from_angles([4, 5, 1, 2], phis, 256)
+    with mp.workprec(1024):
+        _, exact = mpf_certificate(c.lines, default_threshold(256))
+    plain = certify.to_fixed
+    calls = []
+
+    def pushed(v, frac):
+        # within _INPUT_ERROR units of the true value: v is within 2^-10
+        # units of it, and the push is at most _INPUT_ERROR - 2^-8
+        i = len(calls) % (2 * len(c.lines))
+        calls.append(i)
+        if i >= 4:
+            return plain(v, frac)
+        with mp.workprec(frac + 64):
+            w = mp.ldexp(mp.mp.make_mpf(v), frac)
+            margin = certify._INPUT_ERROR - mp.mpf(2) ** -8
+            up = signs >> i & 1
+            return int(mp.floor(w + margin) if up else mp.ceil(w - margin))
+
+    monkeypatch.setattr(certify, "to_fixed", pushed)
+    worst = 0
+    for signs in range(16):
+        calls.clear()
+        cert = certify_ba(c)
+        assert cert.fraction_bits == 256 + GUARD_BITS
+        with mp.workprec(1024):
+            for r in cert.residuals:
+                err = abs(r.value - exact[r.j, r.k, r.form][0])
+                assert err <= r.bound, (signs, r.j, r.k, r.form)
+                worst = max(worst, err / r.bound)
+    assert worst > 2 ** -3

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -10,7 +12,8 @@ from balines.poly import DensePoly
 from balines.roots import poly_roots
 from balines.symfunc import cayley, e_values, poly_from_elementary
 
-from oracles import aberth_roots_reference, elementary_from_values, eval_numeric
+from oracles import (aberth_roots_reference, eager_json, elementary_from_values,
+                     eval_numeric, mpmath_newton_roots)
 
 
 def test_exact_imaginary_pair():
@@ -201,3 +204,72 @@ def test_no_convergence_names_sweeps_and_residual(monkeypatch):
     target = float(msg.split("against target log2 ")[1].split()[0])
     assert step > target
 
+
+# am1n (m, n) and twomult (m, mt, n) records whose slope polynomials the
+# full-width mpmath Newton of tests/oracles.py refines too
+NEWTON_GRID = ([("am1n", m, 0, n) for m in (1, 2, 4) for n in (3, 10, 25)]
+               + [("twomult", m, mt, n)
+                  for m, mt, n in ((1, 0, 4), (2, 1, 8), (4, 2, 16), (3, 3, 6))])
+
+
+def _sha(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_agrees_with_full_width_mpmath_newton(prec):
+    # the precision-doubling Newton on integers against Newton in mpmath
+    # with every step at full width: roots within 2^-(p + 64) of each
+    # other, and the same configuration JSON bytes
+    for kind, m, mt, n in NEWTON_GRID:
+        c = build_am1n(m, n, prec) if kind == "am1n" else build_two_mult(m, mt, n, prec)
+        got = poly_roots(c.R, prec)
+        want = mpmath_newton_roots(c.R, prec)
+        assert len(got) == len(want) == c.R.degree
+        with mp.workprec(2 * prec + 128):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= mp.ldexp(abs(b), -(prec + 64)), (kind, m, mt, n)
+        assert _sha(c.to_json_dict()) == _sha(eager_json(c, mpmath_newton_roots))
+
+
+def test_at_most_two_full_width_passes_per_root(monkeypatch):
+    # Newton starts from the float seed at about 106 bits and doubles the
+    # bits of x each step, so only the last two Horner passes of a root
+    # run at full width
+    passes = []  # [full width, passes at it, passes] per root
+    horner, refine = roots._horner, roots._refine
+
+    def counting_refine(c, lo, hi, slo, x, t, width, full, precision):
+        passes.append([full, 0, 0])
+        return refine(c, lo, hi, slo, x, t, width, full, precision)
+
+    def counting_horner(c, x, t):
+        passes[-1][1] += abs(x).bit_length() >= passes[-1][0]
+        passes[-1][2] += 1
+        return horner(c, x, t)
+
+    monkeypatch.setattr(roots, "_refine", counting_refine)
+    monkeypatch.setattr(roots, "_horner", counting_horner)
+    R = build_am1n(2, 25, 256).R
+    got = poly_roots(R, 256)
+    assert len(passes) == len([r for r in got if r != 0]) == R.degree - (R[0] == 0)
+    assert all(1 <= at_full <= 2 < total for _, at_full, total in passes)
+
+
+def test_coefficients_beyond_double_range(monkeypatch):
+    # R of am1n (1, 80) times 2^1100 is R once its content is divided out;
+    # with 1 added to its leading coefficient (its roots move by about
+    # 2^-1100) the floats are scaled back into double range, so that every
+    # root still has a float seed, and 64 bits reach the 192-bit roots of R
+    R = build_am1n(1, 80, 64).R
+    big = R.scale(F(2) ** 1100)
+    assert poly_roots(big, 64) == poly_roots(R, 64)
+    want = poly_roots(R, 192)
+    seeds = []
+    seed = roots._seed
+    monkeypatch.setattr(roots, "_seed", lambda *a: seeds.append(seed(*a)) or seeds[-1])
+    got = poly_roots(big + DensePoly.rational([0] * 80 + [1]), 64)
+    assert len(got) == len(want) == len(seeds) == 80 and None not in seeds
+    with mp.workprec(256):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= mp.ldexp(abs(b), -128)
