@@ -18,31 +18,26 @@ from .darboux import (DarbouxChain, build_chain, chain_report,
 from .locus import solve_general_locus
 from .poly import DensePoly
 from .quasi import (HilbertSeries, QISystem, am1n_hilbert_numerator,
-                    assemble_system, expand_numerator, hilbert_coefficients,
-                    hilbert_rational_form, is_gorenstein, is_quasi_invariant,
-                    qi_dimension_exact, qi_dimension_numeric, r_parameter,
-                    segment_oracles, segment_prediction)
+                    assemble_system, hilbert_coefficients,
+                    hilbert_rational_form, is_gorenstein, qi_dimension_exact,
+                    qi_dimension_numeric, r_parameter)
 from .roots import poly_roots
-from .symfunc import (e_values, ehat_values, f_to_e, f_to_ehat, f_values,
-                      poly_from_elementary)
+from .symfunc import e_values, ehat_values, poly_from_elementary
 from .trig import TrigPoly, wronskian
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACertificate", "ConditionResidual", "Configuration", "DarbouxChain",
-    "DensePoly", "HilbertSeries", "Line",
-    "Multiplicities", "QISystem", "TrigPoly",
-    "am1n_hilbert_numerator", "angle_multiset_distance", "assemble_system",
-    "build_am1n", "build_chain", "build_two_mult", "certify_ba",
-    "chain_report", "darboux_levels", "e_values", "ehat_values",
-    "expand_numerator", "f_to_e", "f_to_ehat", "f_values", "from_alphas",
-    "general_from_angles", "hilbert_coefficients", "hilbert_rational_form",
-    "is_gorenstein", "is_quasi_invariant", "nu_constant", "ode_residual_am1n",
-    "ode_residual_two_mult", "perturb_line", "poly_from_elementary",
-    "poly_roots", "q_scaling_check", "q_trig", "qi_dimension_exact",
-    "qi_dimension_numeric", "r_parameter", "random_type_m1n",
-    "segment_oracles", "segment_prediction", "solve_general_locus",
-    "t_q_expand", "verify_eigen", "verify_factorization", "verify_potential",
-    "wronskian",
+    "DensePoly", "HilbertSeries", "Line", "Multiplicities", "QISystem",
+    "TrigPoly", "am1n_hilbert_numerator", "angle_multiset_distance",
+    "assemble_system", "build_am1n", "build_chain", "build_two_mult",
+    "certify_ba", "chain_report", "darboux_levels", "e_values", "ehat_values",
+    "from_alphas", "general_from_angles", "hilbert_coefficients",
+    "hilbert_rational_form", "is_gorenstein", "nu_constant",
+    "ode_residual_am1n", "ode_residual_two_mult", "perturb_line",
+    "poly_from_elementary", "poly_roots", "q_scaling_check", "q_trig",
+    "qi_dimension_exact", "qi_dimension_numeric", "r_parameter",
+    "random_type_m1n", "solve_general_locus", "t_q_expand", "verify_eigen",
+    "verify_factorization", "verify_potential", "wronskian",
 ]

@@ -55,7 +55,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
 
-from .config import Configuration, Line, _two_mult_ode_residual
+from .config import Configuration, Line, _two_mult_ode_residual, integer_mults
 from .errors import CollisionError, IllConditioned, MissingExactData
 from .numeric import GUARD_BITS, log2_abs, working
 from .poly import DensePoly
@@ -248,9 +248,7 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
     summand magnitude) is proved below the threshold, by default
     2^-(precision - 32), and fail iff one is proved at or above it; see the
     module docstring for the rule and the doubling of F in between."""
-    mults = [int(ln.mult) for ln in c.lines]
-    if mults != [ln.mult for ln in c.lines] or min(mults, default=1) < 1:
-        raise ValueError("certification needs positive integer multiplicities")
+    mults = integer_mults(c)
     phis = [ln.phi for ln in c.lines]
     with working(c.precision):
         thr = mp.mpf(threshold) if threshold is not None else default_threshold(c.precision)

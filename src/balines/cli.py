@@ -22,7 +22,8 @@ import mpmath as mp
 
 from . import __version__
 from .config import (Configuration, Multiplicities, build_am1n,
-                     build_two_mult, random_type_m1n, t_q_expand)
+                     build_two_mult, integer_mults, random_type_m1n,
+                     t_q_expand)
 from .certify import certify_ba
 from .darboux import build_chain, chain_report
 from .errors import BalinesError, CollisionError
@@ -103,9 +104,14 @@ def _require(args, what: str, *names: str) -> None:
         raise UsageError(f"{what} needs {' and '.join(missing)}")
 
 
-def _load(path: str) -> Configuration:
+def _load(path: str, integral: bool = False) -> Configuration:
+    """The configuration in path; with integral, also check that every
+    multiplicity is a positive integer, as certify and hilbert need."""
     try:
-        return Configuration.load(path)
+        cfg = Configuration.load(path)
+        if integral:
+            integer_mults(cfg)
+        return cfg
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
     except (TypeError, ValueError) as ex:
@@ -158,6 +164,8 @@ _FAMILIES = {
 def _build(args, family: str, what: str) -> Configuration:
     needs, build = _FAMILIES[family]
     _require(args, what, *needs)
+    if family == "twomult" and args.n % 2:
+        raise UsageError(f"{what} needs an even --n")
     return build(args)
 
 
@@ -181,7 +189,7 @@ def cmd_construct(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.input:
-        cfg = _load(args.input)
+        cfg = _load(args.input, integral=True)
     elif args.family:
         cfg = _build(args, args.family, f"certify --family {args.family}")
     else:
@@ -206,7 +214,7 @@ def cmd_certify(args) -> int:
 
 def cmd_hilbert(args) -> int:
     if args.input:
-        cfg = _load(args.input)
+        cfg = _load(args.input, integral=True)
     elif args.random:
         cfg = _build(args, "random", "hilbert --random")
     elif args.m is not None and args.n is not None:

@@ -57,10 +57,6 @@ class Line:
     phi: object  # mpf, exact snapshot
     alpha_exact: object = None  # Fraction | INF | None
 
-    def z(self):
-        """Unit-circle coordinate e^{2i phi} at the ambient working precision."""
-        return mp.exp(mp.mpc(0, 2) * self.phi)
-
     def alpha(self):
         """Numeric slope cot(phi); infinite for phi = 0."""
         if self.alpha_exact is INF or self.phi == 0:
@@ -133,14 +129,6 @@ class Configuration:
 
     def __len__(self):
         return len(self.lines)
-
-    def mult1_lines(self) -> List[Line]:
-        return [ln for ln in self.lines if ln.mult == 1]
-
-    def slope_lines(self) -> List[Line]:
-        """Lines with a finite slope, i.e. everything except phi = 0."""
-        return [ln for ln in self.lines
-                if not (ln.phi == 0 or ln.alpha_exact is INF)]
 
     # --- serialization ------------------------------------------------------
 
@@ -220,6 +208,17 @@ class Configuration:
         blob = json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def integer_mults(c: Configuration) -> List[int]:
+    """The multiplicities of c's lines as ints.  ValueError unless each is a
+    positive integer, as the existence conditions and the quasi-invariants
+    need; only a locus chart carries other values, and truncating 2.5 to 2
+    would answer for another arrangement."""
+    for v in (ln.mult for ln in c.lines):
+        if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()) or v < 1:
+            raise ValueError(f"multiplicity {v!r} is not a positive integer")
+    return [int(ln.mult) for ln in c.lines]
 
 
 def _product_poly(alphas: Sequence[Fraction]) -> DensePoly:

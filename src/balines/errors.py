@@ -13,10 +13,6 @@ class NoConvergence(BalinesError):
     """An iterative solver failed to reach the requested tolerance."""
 
 
-class DegenerateConfiguration(BalinesError):
-    """Input data describes a degenerate arrangement (e.g. a zero sine value)."""
-
-
 class CollisionError(BalinesError):
     """Two lines of an arrangement coincide."""
 
@@ -31,10 +27,6 @@ class IllConditioned(BalinesError):
 
 class TailMismatch(BalinesError):
     """Stored graded dimensions violate the linear tail law."""
-
-
-class OutOfRange(BalinesError):
-    """A formula was requested outside its range of validity."""
 
 
 class InvalidOrder(BalinesError):

@@ -27,6 +27,11 @@ cutoff.  A series
 builds one table of cos^k and sin^k per line as Python ints with
 precision + GUARD_BITS fraction bits, and the full-pivot elimination runs on
 those ints with the margin rule of rank_numeric.
+
+The closed-form numerator of the one-heavy-line family serves
+`hilbert --check-closed-form`.  The paper's per-degree segment formulas for
+b_i, the membership test of one polynomial and the invariants x^2 + y^2 and
+the squared defining polynomial are test oracles, in tests/paper.py.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 from mpmath.libmp import mpf_cos_sin, to_fixed
 
-from .config import INF, Configuration
-from .errors import IllConditioned, MissingExactData, OutOfRange, TailMismatch
+from .config import INF, Configuration, integer_mults
+from .errors import IllConditioned, MissingExactData, TailMismatch
 from .numeric import GUARD_BITS, check_precision, working
 from .poly import DensePoly
 
@@ -265,6 +270,9 @@ def m1n_parameters(c: Configuration) -> Tuple[int, int]:
 
 
 def _require_m1n_chart(c: Configuration) -> Tuple[int, List]:
+    """(heavy multiplicity, slope lines) of a type-(m, 1^n) chart; ValueError
+    on a multiplicity that is not a positive integer."""
+    integer_mults(c)
     heavy = [ln for ln in c.lines if ln.mult != 1]
     light = [ln for ln in c.lines if ln.mult == 1]
     if len(heavy) > 1:
@@ -347,51 +355,6 @@ def qi_dimension_numeric(c: Configuration, d: int,
     return len(S) - rank_numeric(rows, c.precision)
 
 
-def is_quasi_invariant(c: Configuration, coeffs: Sequence[Fraction]) -> bool:
-    """Exact membership test for a homogeneous polynomial sum c_i x^(d-i) y^i."""
-    coeffs = [Fraction(v) for v in coeffs]
-    d = len(coeffs) - 1
-    system = assemble_system(c, d)
-    free = set(system.free)
-    if any(v for i, v in enumerate(coeffs) if i not in free):
-        return False  # the heavy line kills these coefficients
-    signed = [coeffs[i] * (1 if (d - i - 1) % 2 == 0 else -1) / scale
-              for i, scale in zip(system.free, system.column_scale)]
-    return all(sum(v * s for v, s in zip(row, signed)) == 0 for row in system.matrix)
-
-
-def radial_invariant(d: int = 2) -> List[Fraction]:
-    """Coefficients of x^2 + y^2."""
-    if d != 2:
-        raise ValueError("the radial invariant has degree 2")
-    return [Fraction(1), Fraction(0), Fraction(1)]
-
-
-def product_invariant(c: Configuration) -> List[Fraction]:
-    """Coefficients of prod_lines (line form)^(2 mult): the squared defining
-    polynomial, built from R so it stays rational for irrational slopes."""
-    m, R = _slope_poly(c)
-    n = R.degree
-    # prod (x + alpha_j y) = sum_k r_k (-1)^(n-k) x^k y^(n-k),  R = sum r_k a^k
-    lin = [(-1) ** (n - k) * R[k] for k in range(n + 1)]  # index = power of x
-    prod = {k: lin[k] for k in range(n + 1)}
-
-    def mul(p1: Dict[int, Fraction], p2: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for a, va in p1.items():
-            for b, vb in p2.items():
-                out[a + b] = out.get(a + b, Fraction(0)) + va * vb
-        return out
-
-    sq = mul(prod, prod)
-    # heavy line contributes y^(2m); x-power unchanged
-    d = 2 * n + 2 * m
-    coeffs = [Fraction(0)] * (d + 1)
-    for xpow, v in sq.items():
-        coeffs[d - xpow] = v  # i = index of y-power = d - xpow
-    return coeffs
-
-
 # --- Hilbert series -----------------------------------------------------------
 
 
@@ -466,22 +429,6 @@ def hilbert_rational_form(coeffs: Sequence[int], m: int, n: int) -> HilbertSerie
     return HilbertSeries(m=m, n=n, coeffs=tuple(coeffs), numerator=tuple(numer))
 
 
-def expand_numerator(numer: Sequence[int], D: int) -> List[int]:
-    """Series coefficients of N(t) / (1 - t^2)^2 through degree D."""
-    numer = list(numer)
-    out = []
-    for d in range(D + 1):
-        acc = 0
-        k = 0
-        while 2 * k <= d:
-            idx = d - 2 * k
-            if idx < len(numer):
-                acc += (k + 1) * numer[idx]
-            k += 1
-        out.append(acc)
-    return out
-
-
 def am1n_hilbert_numerator(m: int, n: int) -> List[int]:
     """Closed-form numerator for the distinguished one-heavy-line family:
     1 - t^2 + t^(n+1) + t^(n+2) + t^(2m+n) + t^(2m+n+1) - t^(2m+2n) + t^(2m+2n+2)."""
@@ -518,130 +465,3 @@ def r_parameter(c: Configuration) -> int:
             if abs(b - a) > tol * max(1, abs(b)):
                 count += 1
         return count
-
-
-def is_symmetric_slope_chart(c: Configuration) -> bool:
-    """Whether slopes pair off as {a, -a} (plus one zero slope when n is odd)."""
-    _, light = _require_m1n_chart(c)
-    if c.kind == "am1n":
-        return True
-    exact = [ln.alpha_exact for ln in light]
-    if not all(isinstance(a, Fraction) for a in exact):
-        return False
-    zeros = [a for a in exact if a == 0]
-    if len(zeros) != len(exact) % 2:
-        return False
-    nonzero = sorted(a for a in exact if a != 0)
-    return sorted(-a for a in nonzero) == nonzero
-
-
-# --- coefficient-segment oracles ----------------------------------------------
-
-SEGMENT_NAMES = (
-    "low_degree_alternation",
-    "heavy_threshold_value",
-    "odd_tail_linear",
-    "even_tail_linear",
-    "stable_tail",
-    "odd_mid_window",
-    "odd_window_distinct_slopes",
-    "sym_low_window",
-    "sym_odd_upper",
-    "exceptional_even_window",
-    "sym_even_window",
-)
-
-
-def segment_prediction(name: str, m: int, n: int, r: Optional[int] = None,
-                       symmetric: bool = False, am1n: bool = False,
-                       D: Optional[int] = None) -> Dict[int, int]:
-    """Predicted b_i over the degrees one formula covers; OutOfRange when its
-    hypothesis (parity, 2r vs m+n, symmetry) fails."""
-    D = D if D is not None else 2 * m + 2 * n + 4
-    out: Dict[int, int] = {}
-    if name == "low_degree_alternation":
-        for k in range(0, min(n, D) + 1):
-            out[k] = 1 if k % 2 == 0 else 0
-    elif name == "heavy_threshold_value":
-        if n % 2 == 0:
-            if 2 * m + n - 1 <= D:
-                out[2 * m + n - 1] = m
-        else:
-            if 2 * m + n - 2 <= D:
-                out[2 * m + n - 2] = m - 1
-    elif name == "odd_tail_linear":
-        start = 2 * m + n - 1
-        if start % 2 == 0:
-            start += 1
-        for i in range(start, D + 1, 2):
-            out[i] = i + 1 - m - n
-    elif name == "even_tail_linear":
-        for i in range(2 * (m + n), D + 1, 2):
-            out[i] = i + 1 - m - n
-    elif name == "stable_tail":
-        for i in range(2 * m + 2 * n - 1, D + 1):
-            out[i] = i + 1 - m - n
-    elif name == "odd_mid_window":
-        lo = 2 * m + n + 1 if n % 2 == 0 else 2 * m + n
-        for i in range(lo, min(2 * m + 2 * n - 3, D) + 1, 2):
-            out[i] = i + 1 - m - n
-    elif name == "odd_window_distinct_slopes":
-        if r is None:
-            raise OutOfRange("needs the distinct-squared-slope count r")
-        if 2 * r > m + n:
-            raise OutOfRange(f"window formula needs 2r <= m+n, got r={r}")
-        lo = n + 1 if (n + 1) % 2 == 1 else n + 2
-        for i in range(lo, min(2 * m + n - 1, D) + 1, 2):
-            if i <= 2 * r - 1:
-                out[i] = 0
-            elif i <= 2 * m + 2 * n - 2 * r - 1:
-                out[i] = (i + 1) // 2 - r
-            else:
-                out[i] = i + 1 - m - n
-    elif name == "sym_low_window":
-        if not symmetric:
-            raise OutOfRange("needs the paired-slope symmetry")
-        for i in range(n, min(2 * m, D) + 1):
-            if i % 2 == 1:
-                out[i] = (i + 1) // 2 - (n + 1) // 2
-            else:
-                out[i] = i // 2 + 1 - n // 2
-    elif name == "sym_odd_upper":
-        if not symmetric:
-            raise OutOfRange("needs the paired-slope symmetry")
-        lo = max(2 * m - 1, n - 1)
-        if lo % 2 == 0:
-            lo += 1
-        for i in range(lo, min(2 * m + n - 1, D) + 1, 2):
-            out[i] = (i + 1) // 2 - (n + 1) // 2
-    elif name == "exceptional_even_window":
-        if not am1n:
-            raise OutOfRange("only the distinguished family takes these values")
-        for s in range(1, n // 2 + 1):
-            i = 2 * (m + n - s)
-            if i <= D:
-                out[i] = i - m - n + 2
-    elif name == "sym_even_window":
-        if not symmetric:
-            raise OutOfRange("needs the paired-slope symmetry")
-        for s in range(n // 2 + 1, min(n, m + (n + 1) // 2) + 1):
-            i = 2 * (m + n - s)
-            if 0 <= i <= D:
-                out[i] = i // 2 - n // 2 + 1
-    else:
-        raise ValueError(f"unknown segment formula {name!r}")
-    return out
-
-
-def segment_oracles(m: int, n: int, r: Optional[int] = None,
-                    symmetric: bool = False, am1n: bool = False,
-                    D: Optional[int] = None) -> Dict[str, Dict[int, int]]:
-    """All applicable per-degree predictions; inapplicable formulas are skipped."""
-    out = {}
-    for name in SEGMENT_NAMES:
-        try:
-            out[name] = segment_prediction(name, m, n, r=r, symmetric=symmetric,
-                                           am1n=am1n, D=D)
-        except OutOfRange:
-            continue
-    return out

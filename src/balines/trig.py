@@ -16,8 +16,6 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-import mpmath as mp
-
 from .errors import IdentityFailed
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), k mod 4
@@ -66,10 +64,6 @@ class TrigPoly:
         return TrigPoly({0: c})
 
     @staticmethod
-    def monomial(l: int, c=1) -> "TrigPoly":
-        return TrigPoly({l: c})
-
-    @staticmethod
     def sin(k: int) -> "TrigPoly":
         """sin(k*phi) = (u^k - u^-k) / (2i) = (-i u^k + i u^-k) / 2."""
         if k == 0:
@@ -99,20 +93,6 @@ class TrigPoly:
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.den))
-
-    def max_freq(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero TrigPoly has no top frequency")
-        return max(self.terms)
-
-    def min_freq(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero TrigPoly has no bottom frequency")
-        return min(self.terms)
-
-    def is_real(self) -> bool:
-        return all(self.terms.get(-l) == (re, -im)
-                   for l, (re, im) in self.terms.items())
 
     # --- arithmetic ---------------------------------------------------------
 
@@ -180,16 +160,6 @@ class TrigPoly:
         out.terms = {q * l: v for l, v in self.terms.items()}
         out.den = self.den
         return out
-
-    # --- numerics -----------------------------------------------------------
-
-    def eval(self, phi):
-        """Numeric value at real phi (mpmath); returns mpc."""
-        u = mp.exp(mp.mpc(0, 1) * phi)
-        acc = mp.mpc(0)
-        for l, (re, im) in self.terms.items():
-            acc += mp.mpc(re, im) * u ** l
-        return acc / self.den
 
     def __repr__(self):
         if self.is_zero:

@@ -216,6 +216,22 @@ def eager_json(config, find_roots=None) -> dict:
     return dataclasses.replace(config, chart=tuple(lines)).to_json_dict()
 
 
+def line_z(line):
+    """Unit-circle coordinate e^{2i phi} of a line at the working precision."""
+    return mp.exp(mp.mpc(0, 2) * line.phi)
+
+
+def mult1_lines(config) -> list:
+    return [ln for ln in config.lines if ln.mult == 1]
+
+
+def slope_lines(config) -> list:
+    """Lines with a finite slope, i.e. everything except phi = 0."""
+    from balines.config import INF
+
+    return [ln for ln in config.lines if not (ln.phi == 0 or ln.alpha_exact is INF)]
+
+
 # --- reference root finder ----------------------------------------------------------
 
 
@@ -396,6 +412,20 @@ def coefficients(p) -> dict:
     """{l: (re, im)} of a TrigPoly as Fractions."""
     return {l: (Fraction(re, p.den), Fraction(im, p.den))
             for l, (re, im) in p.terms.items()}
+
+
+def trig_value(p, phi):
+    """p(phi) as an mpc: the sum of its terms at u = e^{i phi}."""
+    u = mp.exp(mp.mpc(0, 1) * phi)
+    acc = mp.mpc(0)
+    for l, (re, im) in p.terms.items():
+        acc += mp.mpc(re, im) * u ** l
+    return acc / p.den
+
+
+def is_real(p) -> bool:
+    """Whether p is real on the real phi axis: c_{-l} = conj(c_l)."""
+    return all(p.terms.get(-l) == (re, -im) for l, (re, im) in p.terms.items())
 
 
 def _gmul(x, y):

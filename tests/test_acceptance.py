@@ -16,15 +16,16 @@ from balines.darboux import (build_chain, q_scaling_check, verify_eigen,
                              verify_factorization, verify_potential)
 from balines.locus import solve_general_locus
 from balines.numeric import working
-from balines.quasi import (am1n_hilbert_numerator, expand_numerator,
-                           hilbert_coefficients, hilbert_rational_form,
-                           is_gorenstein, qi_dimension_exact,
-                           qi_dimension_numeric, r_parameter, segment_oracles)
-from balines.symfunc import (e_values, ehat_values, f_to_e, f_to_ehat,
-                             f_values, identity_a_lhs, identity_a_rhs,
-                             identity_b_lhs, identity_b_rhs)
+from balines.quasi import (am1n_hilbert_numerator, hilbert_coefficients,
+                           hilbert_rational_form, is_gorenstein,
+                           qi_dimension_exact, qi_dimension_numeric,
+                           r_parameter)
+from balines.symfunc import e_values, ehat_values
 
 from oracles import brute_force_qi_dimension, config_to_oracle_lines
+from paper import (expand_numerator, f_to_e, f_to_ehat, f_values,
+                   identity_a_lhs, identity_a_rhs, identity_b_lhs,
+                   identity_b_rhs, segment_oracles)
 
 PRECISION = 256
 AM1N_GRID = [(m, n) for m in range(1, 5) for n in range(1, 7)]

@@ -8,6 +8,7 @@ from balines.config import (Configuration, Line, build_am1n, build_two_mult,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError, IllConditioned, MissingExactData
+from balines.locus import solve_general_locus
 from balines.numeric import GUARD_BITS, working
 from balines.poly import DensePoly
 from dataclasses import replace
@@ -166,6 +167,12 @@ def test_ode_requires_exact_data():
     c = random_type_m1n(2, 2, seed=1)
     with pytest.raises(MissingExactData):
         ode_residual_am1n(c)
+
+
+def test_certify_refuses_non_integer_multiplicities():
+    c = solve_general_locus((2.5, 1, 1), 128)
+    with pytest.raises(ValueError, match="2.5 is not a positive integer"):
+        certify_ba(c)
 
 
 # --- the fixed-point kernel against the mpf oracle ----------------------------

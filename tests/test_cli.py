@@ -225,16 +225,27 @@ FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
 # Edits of INPUT that make its record contradict its lines, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3)}
+# Edits of INPUT into a general chart, whose record is not checked against
+# its lines, with a heavy multiplicity that is not a positive integer.
+GENERAL_EDITED = {
+    "general-mult-inf": lambda d: (d.update(kind="general"),
+                                   d["lines"][0].update(mult=float("inf"))),
+    "general-mult-0": lambda d: (d.update(kind="general"),
+                                 d["lines"][0].update(mult=0)),
+}
 # Edits of the twomult (3, 1, 4) record, written to INPUT in its place, that
 # leave its e or branch sign other than those build_two_mult picks, by name.
 TWOMULT_EDITED = {
     "twomult-m-2": lambda d: (d.update(m=2), d["lines"][0].update(mult=2)),
     "twomult-sign-flipped": lambda d: d.update(e_branch_sign=-d["e_branch_sign"]),
 }
+# Multiplicities of a locus written to INPUT, by name; the 2.5 line is not of
+# integer multiplicity, which certify and hilbert need.
+LOCUS = {"locus-2.5-1-1": (2.5, 1, 1)}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
-# FOREIGN, EDITED or TWOMULT_EDITED name); MISSING stands for a path that
-# does not exist
+# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED or LOCUS name); MISSING stands for a path
+# that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -274,16 +285,26 @@ BAD_INPUT = [
     (["hilbert", "--m", "2"], None),
     (["certify", "--input", "INPUT"], "twomult-m-2"),
     (["construct", "tq", "--input", "INPUT", "--q", "2"], "twomult-sign-flipped"),
+    (["hilbert", "--input", "INPUT"], "locus-2.5-1-1"),
+    (["certify", "--input", "INPUT"], "locus-2.5-1-1"),
+    (["construct", "twomult", "--m", "2", "--mt", "1", "--n", "3"], None),
+    (["certify", "--family", "twomult", "--m", "1", "--n", "5"], None),
+    (["certify", "--input", "INPUT"], "general-mult-inf"),
+    (["hilbert", "--input", "INPUT"], "general-mult-inf"),
+    (["hilbert", "--input", "INPUT"], "general-mult-0"),
 ]
 
 
 @pytest.mark.parametrize("argv,drop", BAD_INPUT)
 def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     from balines.config import build_am1n, build_two_mult
+    from balines.locus import solve_general_locus
 
     path = tmp_path / "partial.json"
     if drop in RAW_INPUT:
         path.write_text(RAW_INPUT[drop])
+    elif drop in LOCUS:
+        path.write_text(json.dumps(solve_general_locus(LOCUS[drop], 128).to_json_dict()))
     elif drop in TWOMULT_EDITED:
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
@@ -296,6 +317,8 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
             data[key] = build_am1n(3, 2, 128).to_json_dict()[key]
         if drop in EDITED:
             EDITED[drop](data)
+        if drop in GENERAL_EDITED:
+            GENERAL_EDITED[drop](data)
         path.write_text(json.dumps(data))
     paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json")}
     assert run([paths.get(a, a) for a in argv]) == 2
@@ -324,8 +347,13 @@ def test_public_names_resolve():
 
 
 def test_computation_error_exit_three(tmp_path):
-    assert run(["construct", "twomult", "--m", "2", "--mt", "1", "--n", "3",
-                "-o", str(tmp_path / "x.json")]) == 3
+    # two lines at 0 and 1/2 have every relative residual exactly 1, so the
+    # threshold 2^0 stays inside the rounding bound at every F
+    from balines.config import general_from_angles
+
+    path = tmp_path / "two.json"
+    general_from_angles([1, 1], [0, 0.5], 256).save(str(path))
+    assert run(["certify", "--input", str(path), "--threshold-log2", "0"]) == 3
 
 
 def test_jobs_flag(tmp_path):

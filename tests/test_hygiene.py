@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-_SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "balines").glob("*.py"))
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = sorted((_ROOT / "src" / "balines").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
@@ -47,3 +49,38 @@ def test_every_private_definition_is_referenced(path):
                and node.name.startswith("_") and not node.name.startswith("__")}
     unread = {name: line for name, line in private.items() if name not in _READ}
     assert not unread, f"{path.name}: unreferenced private definitions {unread}"
+
+
+def _names_spelled(path):
+    """The names a bench module reads, plus each part of a string literal
+    that is a dotted name, so that the tracer's "Configuration.load" counts
+    as naming Configuration and load."""
+    tree = ast.parse(path.read_text())
+    return _names_read(path).union(*(
+        n.value.split(".") for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and re.fullmatch(r"\w+(\.\w+)*", n.value)))
+
+
+# What the program runs: names read in src/balines outside __init__.py, whose
+# re-exports alone do not make a definition used, or named by the bench.
+_USED = set().union(*(_names_read(p) for p in _SRC if p.name != "__init__.py"),
+                    *map(_names_spelled, sorted((_ROOT / "bench").glob("*.py"))))
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
+def test_every_public_definition_is_used(path):
+    """Each public module-level function and class, and each public method,
+    is read in src/balines or named in bench/*.py.  What only the tests
+    read belongs under tests/ (the paper's closed forms in tests/paper.py)."""
+    defs = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{f.name}": f.lineno for f in node.body
+                         if isinstance(f, ast.FunctionDef)})
+    unused = {name: line for name, line in defs.items()
+              if not name.split(".")[-1].startswith("_")
+              and name.split(".")[-1] not in _USED}
+    assert not unused, f"{path.name}: public definitions nothing runs {unused}"

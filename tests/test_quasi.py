@@ -8,22 +8,21 @@ from hypothesis import strategies as st
 from balines import quasi
 from balines.config import (build_am1n, build_two_mult, from_alphas,
                             random_type_m1n)
-from balines.errors import (IllConditioned, MissingExactData, OutOfRange,
-                            TailMismatch)
+from balines.errors import IllConditioned, MissingExactData, TailMismatch
 from balines.locus import solve_general_locus
 from balines.quasi import (am1n_hilbert_numerator, assemble_system,
-                           expand_numerator, hilbert_coefficients,
-                           hilbert_rational_form, is_gorenstein,
-                           is_quasi_invariant, is_symmetric_slope_chart,
-                           product_invariant, qi_dimension_exact,
-                           qi_dimension_numeric, r_parameter,
-                           radial_invariant, rank_exact, rank_numeric,
-                           segment_oracles, segment_prediction)
+                           hilbert_coefficients, hilbert_rational_form,
+                           is_gorenstein, qi_dimension_exact,
+                           qi_dimension_numeric, r_parameter, rank_exact,
+                           rank_numeric)
 from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
                      echelon_rank_exact, remainder_map_matrix,
                      series_times_denominator)
+from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
+                   is_symmetric_slope_chart, product_invariant,
+                   radial_invariant, segment_oracles, segment_prediction)
 
 
 def test_orthogonal_pair_degree_two():
@@ -226,6 +225,15 @@ def test_universal_invariants_members():
         assert is_quasi_invariant(cfg, radial_invariant())
         assert is_quasi_invariant(cfg, product_invariant(cfg))
         assert not is_quasi_invariant(cfg, [F(1), F(0), F(2)])  # x^2 + 2y^2
+
+
+def test_non_integer_heavy_multiplicity_is_refused():
+    # truncating 2.5 to 2 would answer with the series of m = 2
+    c = solve_general_locus((2.5, 1, 1), 128)
+    for compute in (lambda: hilbert_coefficients(c, 12, exact=False),
+                    lambda: r_parameter(c)):
+        with pytest.raises(ValueError, match="2.5 is not a positive integer"):
+            compute()
 
 
 def test_r_parameter():

@@ -3,15 +3,16 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from balines.errors import DegenerateConfiguration, OutOfRange
 from balines.poly import DensePoly
 from balines.config import build_am1n, build_two_mult
 from balines.roots import poly_roots
 from balines.symfunc import (cayley, e_values, ehat_values, elementary_from_power_sums,
-                             f_to_e, f_to_ehat, f_values, identity_a_lhs,
-                             identity_a_rhs, identity_b_lhs, identity_b_rhs,
                              poly_from_elementary, power_sums_from_elementary,
-                             r_poly_from_ehat, saalschutz_lhs, saalschutz_rhs)
+                             r_poly_from_ehat)
+
+from paper import (OutOfRange, f_to_e, f_to_ehat, f_values, identity_a_lhs,
+                   identity_a_rhs, identity_b_lhs, identity_b_rhs,
+                   saalschutz_lhs, saalschutz_rhs)
 
 
 def test_poly_from_elementary_examples():
@@ -58,7 +59,7 @@ def test_f_to_ehat_numeric_oracle():
 
 
 def test_f_to_ehat_degenerate():
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(ValueError, match="top f value is zero"):
         f_to_ehat([F(1), F(0)])
 
 
