@@ -161,7 +161,12 @@ class Configuration:
         if not isinstance(d, dict):
             raise TypeError(f"a configuration is a JSON object, not {type(d).__name__}")
         lines = []
-        for entry in d["lines"]:
+        for k, entry in enumerate(d["lines"]):
+            mult = entry["mult"]
+            if (isinstance(mult, bool) or not isinstance(mult, (int, float))
+                    or not 0 < mult < math.inf):
+                raise ValueError(f"line {k}: multiplicity {mult!r} is not a positive "
+                                 "finite number")
             alpha = entry.get("alpha")
             if alpha == "inf":
                 alpha_exact = INF
@@ -169,7 +174,7 @@ class Configuration:
                 alpha_exact = None
             else:
                 alpha_exact = Fraction(alpha)
-            lines.append(Line(mult=entry["mult"],
+            lines.append(Line(mult=mult,
                               phi=hex_to_mpf(entry["phi_hex"]),
                               alpha_exact=alpha_exact))
         e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None

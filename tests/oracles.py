@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -610,3 +611,46 @@ def mpf_certificate(lines, threshold):
             out[j, k + 1, "polar-locus"] = (locus[k], locus_scale[k])
     worst = max(abs(v) / s for v, s in out.values())
     return ("pass" if worst < threshold else "fail"), out
+
+
+# --- the locus Newton phase in mpmath ------------------------------------------
+
+
+def mpmath_locus_newton(mults, seed, precision: int):
+    """(angles, gradient max-norm) of damped Newton for the log-sine energy
+    in mpmath at precision + 64 bits, from the float angles seed: a cot
+    table by mp.cos_sin of every angle difference, the gradient g and
+    negated Hessian A of balines.locus, and its loop and generic
+    square-root-free Cholesky solve.  Its stopping rule is locus's: a step
+    of at most 2^-((precision + 64)/2) at a norm below 2^-(precision - 32)."""
+    from balines.locus import _ldl_solve, _newton
+    from balines.numeric import GUARD_BITS, to_mp, working
+
+    def system(psis):
+        g = []
+        a = [[0] * (n - 1) for _ in range(n - 1)]
+        for j in range(1, n):
+            gj = diag = 0
+            for i in range(n):
+                if i == j:
+                    continue
+                cos, sin = mp.cos_sin(psis[i] - psis[j])
+                c = cos / sin
+                w = m[i] * m[j]
+                gj -= w * c
+                h = w * (1 + c * c)
+                diag += h
+                if i:
+                    a[j - 1][i - 1] = -h
+            g.append(gj)
+            a[j - 1][j - 1] = diag
+        return g, a
+
+    n = len(mults)
+    with working(precision):
+        m = [to_mp(v) for v in mults]
+        kernel = SimpleNamespace(
+            system=system, solve=_ldl_solve, half=lambda step: [v / 2 for v in step],
+            pi=+mp.pi, fine=mp.mpf(2) ** -((precision + GUARD_BITS) // 2),
+            tol=mp.mpf(2) ** -(precision - 32))
+        return _newton(kernel, [mp.mpf(v) for v in seed])

@@ -242,10 +242,14 @@ TWOMULT_EDITED = {
 # Multiplicities of a locus written to INPUT, by name; the 2.5 line is not of
 # integer multiplicity, which certify and hilbert need.
 LOCUS = {"locus-2.5-1-1": (2.5, 1, 1)}
+# Edits of the heavy multiplicity of the 2,1,1 locus, written to INPUT, into
+# values that are not a positive finite number, by name.
+LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
+                [("0", 0), ("-1", -1), ("inf", float("inf")), ("true", True), ("str", "2")]}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
-# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED or LOCUS name); MISSING stands for a path
-# that does not exist
+# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, LOCUS or LOCUS_EDITED name);
+# MISSING stands for a path that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -292,6 +296,9 @@ BAD_INPUT = [
     (["certify", "--input", "INPUT"], "general-mult-inf"),
     (["hilbert", "--input", "INPUT"], "general-mult-inf"),
     (["hilbert", "--input", "INPUT"], "general-mult-0"),
+    *[(["construct", "tq", "--input", "INPUT", "--q", "2"], name) for name in LOCUS_EDITED],
+    (["certify", "--input", "INPUT"], "locus-mult-true"),
+    (["hilbert", "--input", "INPUT"], "locus-mult-true"),
 ]
 
 
@@ -305,6 +312,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         path.write_text(RAW_INPUT[drop])
     elif drop in LOCUS:
         path.write_text(json.dumps(solve_general_locus(LOCUS[drop], 128).to_json_dict()))
+    elif drop in LOCUS_EDITED:
+        data = solve_general_locus((2, 1, 1), 128).to_json_dict()
+        data["lines"][0]["mult"] = LOCUS_EDITED[drop]
+        path.write_text(json.dumps(data))
     elif drop in TWOMULT_EDITED:
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
@@ -324,6 +335,8 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+    if drop in LOCUS_EDITED:
+        assert "line 0: multiplicity" in err
 
 
 @pytest.mark.parametrize("argv", [

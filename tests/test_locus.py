@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from balines.certify import certify_ba
 from balines.config import Multiplicities, angle_multiset_distance, build_am1n
 from balines.errors import NoConvergence
-from balines.locus import solve_general_locus
+from balines.locus import _Fixed, _float_seed, _newton, solve_general_locus
 from balines.numeric import working
+from oracles import mpmath_locus_newton
 
 
 def gradient_norm(c):
@@ -29,6 +32,28 @@ def test_equal_multiplicities_return_the_equispaced_start():
     c = solve_general_locus([1] * 13, 256)
     with working(256):
         assert [ln.phi for ln in c.lines] == [mp.pi * k / 13 for k in range(13)]
+
+
+def test_start_within_rounding_of_the_critical_point_is_returned():
+    # one weight off by 2^-270: the Newton step from the equispaced start is
+    # below 2^-256, so the start is returned as it is
+    c = solve_general_locus((1, 1, 1, 1 + Fraction(1, 2**270)), 256)
+    with working(256):
+        assert [ln.phi for ln in c.lines] == [mp.pi * k / 4 for k in range(4)]
+
+
+def test_start_with_a_step_above_the_precision_is_refined():
+    # off by 2^-250: the gradient at the start (about 2^-250) is below the
+    # tolerance 2^-224, but the step (about 2^-252) is above 2^-256
+    mults = (1, 1, 1, 1 + Fraction(1, 2**250))
+    fixed = _Fixed(mults, 256)
+    start = [fixed.pi * k // 4 for k in range(4)]
+    assert max(abs(v) for v in fixed.system(start)[0]) < fixed.tol
+    assert not fixed.is_critical(start)
+    c = solve_general_locus(mults, 256)
+    with working(256):
+        assert [ln.phi for ln in c.lines] != [mp.pi * k / 4 for k in range(4)]
+    assert gradient_norm(c) <= mp.mpf(2) ** -(256 + 32)
 
 
 def test_reproduces_heavy_line_family():
@@ -61,6 +86,29 @@ def test_gradient_at_rounding_level(mults):
     # (without it, 2,1,1 and 4,1^16 stop near 2^-(p-11) and 2^-(p-15))
     c = solve_general_locus(mults, 256)
     assert gradient_norm(c) <= mp.mpf(2) ** -(256 + 32)
+
+
+# The bench loci, the 2,1^n loci that once took seconds, a heavy weight and
+# six distinct ones.
+AGREEMENT_LOCI = [(1,) * 13, (2,) + (1,) * 6, (3,) + (1,) * 10, (4,) + (1,) * 16,
+                  (3,) + (1,) * 6, (2, 3, 1, 1), (1, 2, 3, 4), (2,) + (1,) * 8,
+                  (2,) + (1,) * 12, (2,) + (1,) * 16, (1000, 1, 1), (6, 5, 4, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("precision", [128, 256, 512])
+@pytest.mark.parametrize("mults", AGREEMENT_LOCI, ids=lambda m: ",".join(map(str, m)))
+def test_fixed_point_phase_matches_mpmath(mults, precision):
+    # both phases start from the same float seed; they agree to about
+    # 2^-(p+62) and the gradient ends near 2^-(p+53) at worst (1000,1,1)
+    n = len(mults)
+    fixed = _Fixed(mults, precision)
+    seed = _float_seed(mults, [fixed.pi * j // n / fixed.one for j in range(n)])
+    psis, gnorm = _newton(fixed, [fixed.from_float(v) for v in seed])
+    ref, _ = mpmath_locus_newton(mults, seed, precision)
+    with mp.workprec(2 * precision):
+        assert max(abs(mp.ldexp(a, -fixed.frac) - b)
+                   for a, b in zip(psis, ref)) <= mp.mpf(2) ** -(precision + 48)
+    assert gnorm <= fixed.one >> (precision + 48)
 
 
 @pytest.mark.parametrize("mults", [(1e-20, 1, 1), (1, 1e-10, 1e10, 1),
