@@ -279,12 +279,9 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
 
 def ode_residual_am1n(c: Configuration) -> DensePoly:
     """w(w-1) P'' - ((n-1)(w-1) - m(w+1)) P' - mn P, exactly (z_0 = 1)."""
-    if c.P is None or c.m is None or c.n is None:
-        raise MissingExactData("configuration lacks exact P")
-    if c.kind != "am1n":
-        raise MissingExactData(f"expected an am1n configuration, got {c.kind}")
-    m, n = c.m, c.n
-    P = c.P
+    if c.kind != "am1n" or c.P is None:
+        raise MissingExactData(f"expected an am1n record with e, got {c.kind}")
+    m, n, P = c.m, c.n, c.P
     P1 = P.derivative()
     P2 = P1.derivative()
     w = DensePoly.rational([0, 1])
@@ -296,8 +293,6 @@ def ode_residual_am1n(c: Configuration) -> DensePoly:
 def ode_residual_two_mult(c: Configuration) -> DensePoly:
     """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
     - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1)."""
-    if c.P is None or c.m is None or c.n is None:
-        raise MissingExactData("configuration lacks exact P")
-    if c.kind != "twomult":
-        raise MissingExactData(f"expected a twomult configuration, got {c.kind}")
+    if c.kind != "twomult" or c.P is None:
+        raise MissingExactData(f"expected a twomult record with e, got {c.kind}")
     return _two_mult_ode_residual(c.m, c.mtilde or 0, c.n, c.P)

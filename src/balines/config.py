@@ -5,10 +5,10 @@ A line is stored by the angle phi in [0, pi) of its unit normal
 alpha = cot(phi) the slope chart (phi = 0 maps to alpha = infinity,
 i.e. the vector (0, 1) of the slope chart).
 
-A Configuration is an exact record (elementary symmetric values, the
-monic polynomials P and R) whenever the construction provides one, and a
-chart of numeric lines, which the am1n and twomult families build from the
-real roots of R only when something reads them.
+A Configuration is an exact record (elementary symmetric values), from
+which the polynomials P and R and the slope groups are derived, whenever the
+construction provides one, and a chart of numeric lines, which the am1n and
+twomult families build from the real roots of R only when something reads them.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class Line:
         return mp.cot(self.phi)
 
 
+def _is_multiplicity(v) -> bool:
+    """Whether v can be a stored multiplicity: a non-bool int or float in (0, inf)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 @dataclass(frozen=True)
 class Multiplicities:
     values: Tuple[object, ...]
@@ -73,8 +78,9 @@ class Multiplicities:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty multiplicity list")
-        if any(not (0 < v < math.inf) for v in self.values):
-            raise ValueError("multiplicities must be positive and finite")
+        for v in self.values:
+            if not _is_multiplicity(v):
+                raise ValueError(f"multiplicity {v!r} is not a positive finite number")
 
     def __len__(self):
         return len(self.values)
@@ -88,13 +94,13 @@ class Configuration:
     """An arrangement as an exact record plus a numeric chart of lines.
 
     The exact record is kind, precision, m, mtilde, n, q, seed, the
-    elementary values e (z chart) and ehat (squared slopes), the monic
-    polynomials P (roots z_j) and R (roots alpha_j) and the branch sign.
-    The chart is ``lines``: angles at ``precision`` bits.  Families whose
-    lines follow from the record (am1n and twomult) leave ``chart`` unset,
-    and the lines are built from R the first time something reads them
-    (``len`` included), then cached; every other family passes its lines
-    as ``chart``.  Equality and hashing compare the record and the lines."""
+    elementary values e (z chart) and ehat (squared slopes) and the branch
+    sign; P, R and ``groups`` are derived from it.  The chart is ``lines``:
+    angles at ``precision`` bits.  Families whose lines follow from the
+    record (am1n and twomult) leave ``chart`` unset, and the lines are
+    built from R the first time something reads them (``len`` included),
+    then cached; every other family passes its lines as ``chart``.
+    Equality and hashing compare the record and the lines."""
 
     kind: str  # am1n | twomult | qexpanded | general | random
     precision: int
@@ -105,8 +111,6 @@ class Configuration:
     seed: Optional[int] = None
     e: Optional[Tuple[Fraction, ...]] = None
     ehat: Optional[Tuple[Fraction, ...]] = None
-    P: Optional[DensePoly] = None
-    R: Optional[DensePoly] = None
     e_branch_sign: Optional[int] = None
     chart: Optional[Tuple[Line, ...]] = None
 
@@ -114,10 +118,46 @@ class Configuration:
     def lines(self) -> Tuple[Line, ...]:
         return self.chart if self.chart is not None else _exact_chart(self)
 
+    @cached_property
+    def P(self) -> Optional[DensePoly]:
+        """Monic polynomial, from e, whose roots are the multiplicity-1 z's."""
+        if self.e is None or self.n is None:
+            return None
+        return poly_from_elementary(list(self.e), self.n)
+
+    @cached_property
+    def R(self) -> Optional[DensePoly]:
+        """Monic polynomial whose roots are the multiplicity-1 slopes: closed form
+        (am1n), cayley(P) (twomult, qexpanded), prod (alpha - a) (random)."""
+        if self.kind == "am1n" and self.ehat is not None:
+            return r_poly_from_ehat(list(self.ehat), self.n)
+        if self.kind in ("twomult", "qexpanded") and self.P is not None:
+            return cayley(self.P)
+        if self.kind == "random":
+            alphas = [ln.alpha_exact for ln in self.lines if ln.alpha_exact is not INF]
+            if all(isinstance(a, Fraction) for a in alphas):
+                return math.prod((DensePoly([-a, Fraction(1)]) for a in alphas),
+                                 start=DensePoly.rational([1]))
+        return None
+
+    @cached_property
+    def groups(self) -> Tuple[tuple, ...]:
+        """The exact slope chart as (A, mult) pairs: (INF, m) for the phi = 0 line,
+        then per multiplicity the monic A whose roots are the slopes of the other
+        lines of that multiplicity.  Empty without R (general, locus, stripped)."""
+        if self.R is None:
+            return ()
+        q, merged = self.q or 1, {}
+        # z^q = 1 (z != 1) for the phi = 0 line's copies, z^q = -1 for pi/2's
+        copies = [(DensePoly.rational([1] * q), self.m),
+                  (DensePoly.rational([1] + [0] * (q - 1) + [1]), self.mtilde)]
+        for A, mult in [(cayley(z), mu) for z, mu in copies if z.degree and mu] + [(self.R, 1)]:
+            merged[mult] = merged[mult] * A if mult in merged else A
+        return ((INF, self.m),) + tuple((A, mult) for mult, A in merged.items())
+
     def _key(self) -> tuple:
         return (self.kind, self.lines, self.precision, self.m, self.mtilde,
-                self.n, self.q, self.seed, self.e, self.ehat, self.P, self.R,
-                self.e_branch_sign)
+                self.n, self.q, self.seed, self.e, self.ehat, self.e_branch_sign)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -163,8 +203,7 @@ class Configuration:
         lines = []
         for k, entry in enumerate(d["lines"]):
             mult = entry["mult"]
-            if (isinstance(mult, bool) or not isinstance(mult, (int, float))
-                    or not 0 < mult < math.inf):
+            if not _is_multiplicity(mult):
                 raise ValueError(f"line {k}: multiplicity {mult!r} is not a positive "
                                  "finite number")
             alpha = entry.get("alpha")
@@ -180,24 +219,13 @@ class Configuration:
         e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None
         ehat = (tuple(Fraction(v) for v in d["ehat"])
                 if d.get("ehat") is not None else None)
-        n = d.get("n")
-        P = poly_from_elementary(list(e), n) if (e is not None and n is not None) else None
-        R = (r_poly_from_ehat(list(ehat), n)
-             if (ehat is not None and n is not None) else None)
-        if R is None and P is not None and d["kind"] == "twomult":
-            R = cayley(P)
-        if R is None:
-            alphas = [ln.alpha_exact for ln in lines
-                      if ln.mult >= 1 and isinstance(ln.alpha_exact, Fraction)]
-            if alphas and len(alphas) == sum(1 for ln in lines if ln.alpha_exact is not INF):
-                R = _product_poly(alphas)
         c = Configuration(
             kind=d["kind"], precision=d["precision_bits"], m=d.get("m"),
-            mtilde=d.get("mtilde"), n=n, q=d.get("q"), seed=d.get("seed"),
-            e=e, ehat=ehat, P=P, R=R, e_branch_sign=d.get("e_branch_sign"),
+            mtilde=d.get("mtilde"), n=d.get("n"), q=d.get("q"), seed=d.get("seed"),
+            e=e, ehat=ehat, e_branch_sign=d.get("e_branch_sign"),
             chart=tuple(lines))
         _check_record(c)
-        _check_exact_data(c)
+        _check_slopes(c)
         return c
 
     def save(self, path: str) -> None:
@@ -226,13 +254,6 @@ def integer_mults(c: Configuration) -> List[int]:
     return [int(ln.mult) for ln in c.lines]
 
 
-def _product_poly(alphas: Sequence[Fraction]) -> DensePoly:
-    out = DensePoly.rational([1])
-    for a in alphas:
-        out = out * DensePoly([-Fraction(a), Fraction(1)])
-    return out
-
-
 def _check_distinct_angles(phis, precision: int) -> None:
     tol = mp.mpf(2) ** (-(precision // 2))
     s = sorted(phis)
@@ -244,71 +265,64 @@ def _check_distinct_angles(phis, precision: int) -> None:
 
 
 def _check_record(c: Configuration) -> None:
-    """ValueError unless an am1n or twomult file's lines agree with its
-    record: multiplicity m at phi = 0, mtilde (when positive) at pi/2, n
-    lines of multiplicity 1 besides; for am1n the closed-form e and ehat,
-    for twomult the e and branch sign that build_two_mult picks."""
-    if c.kind not in ("am1n", "twomult"):
-        return
-    with working(c.precision):
-        heavy = {mp.mpf(0): c.m, **({mp.pi / 2: c.mtilde} if c.mtilde else {})}
-    at = {phi: [ln.mult for ln in c.lines if ln.phi == phi] for phi in heavy}
-    light = [ln.mult for ln in c.lines if ln.phi not in heavy]
-    if any(at[phi] != [mu] for phi, mu in heavy.items()) or light != [1] * c.n:
-        raise ValueError(f"the record has (m, mtilde, n) = ({c.m}, {c.mtilde}, {c.n}), "
-                         f"the lines {[ln.mult for ln in c.lines]}")
+    """ValueError unless an am1n record has the closed-form e and ehat, and a
+    twomult record the e and branch sign that build_two_mult picks."""
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
     if c.kind == "twomult":
-        sign, e, _ = _two_mult_branch(c.m, c.mtilde or 0, c.n)
+        sign, e = _two_mult_branch(c.m, c.mtilde or 0, c.n)
         if list(c.e or ()) != e or c.e_branch_sign != sign:
             raise ValueError(f"e and e_branch_sign are not those of twomult "
                              f"({c.m}, {c.mtilde}, {c.n})")
 
 
-def _check_exact_data(c: Configuration) -> None:
-    """ValueError unless the exact P (z chart), or R (slope chart) where P
-    is not carried, vanishes at as many distinct stored lines as its
-    degree; with P carried, R has P's roots (it is cayley(P), or for am1n
-    the closed form that _check_record compares).  One cos/sin per line,
-    then fixed-point arithmetic on integers; the threshold is
-    2^-(precision/2), so precision/2 + GUARD_BITS bits carry it.  Nothing
-    is re-solved."""
-    if c.P is None and c.R is None:
-        return
-    bits = check_precision(c.precision) // 2 + GUARD_BITS
-    # (cos phi, sin phi) times 2^bits, one entry per distinct angle
-    points = {ln.phi: tuple(to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits))
-              for ln in c.lines}
-    if c.P is not None:  # z = e^{2i phi} = (cos + i sin)^2
-        name, poly, zs = "P", c.P, [((x * x - y * y) >> bits, (2 * x * y) >> bits)
-                                    for x, y in points.values()]
-    else:  # alpha = cot phi; the phi = 0 line has no finite slope
-        name, poly, zs = "R", c.R, [((x << bits) // y, 0) for x, y in points.values() if y]
-    lcm = math.lcm(*(a.denominator for a in poly.coeffs))
-    coeffs = [a.numerator * (lcm // a.denominator) for a in poly.coeffs]
-    zeros = sum(_vanishes(coeffs, x, y, bits, c.precision // 2) for x, y in zs)
-    if zeros < poly.degree:
-        raise ValueError(f"the exact {name} of degree {poly.degree} vanishes at "
-                         f"only {zeros} distinct stored lines")
+def _check_slopes(c: Configuration) -> None:
+    """ValueError unless the lines are those of c's groups (as many of each
+    multiplicity as they count, each group vanishing at as many distinct lines
+    of its multiplicity as its degree) and each stored slope is cot phi of its
+    line.  One cos/sin per line at precision/2 + GUARD_BITS fraction bits, then
+    integers against 2^-(precision/2) (see _vanishes); nothing is re-solved."""
+    groups = [(_form(A), mult) for A, mult in c.groups]
+    want = sorted(mult for form, mult in groups for _ in range(len(form) - 1))
+    have = sorted(ln.mult for ln in c.lines)
+    if groups and want != have:
+        raise ValueError(f"the record has the multiplicities {want}, the lines {have}")
+    bits, tol = check_precision(c.precision) // 2 + GUARD_BITS, c.precision // 2
+    points = {(ln.phi, ln.mult): [to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits)]
+              for ln in c.lines if groups or ln.alpha_exact is not None}
+    for form, mult in groups:
+        zeros = sum(_vanishes(form, *xy, bits, tol) for (_, mu), xy in points.items()
+                    if mu == mult)
+        if zeros < len(form) - 1:
+            raise ValueError(f"the slope group of degree {len(form) - 1} and multiplicity "
+                             f"{mult} vanishes at only {zeros} distinct stored lines")
+    for k, ln in enumerate(c.lines):
+        a = ln.alpha_exact
+        if a is not None and not _vanishes(_form(a), *points[ln.phi, ln.mult], bits, tol):
+            raise ValueError(f"line {k}: the stored slope {a} is not cot phi")
 
 
-def _vanishes(coeffs: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> bool:
-    """Whether |p(z)| <= 2^-tol_bits times the largest term of p at |z|
-    floored at 1, for p = sum coeffs[k] w^k and z = (x + iy) / 2^bits, by
-    Horner in fixed point; max(|x|, |y|) stands for |z|.  The floor keeps a
-    root at 0 (the pi/2 line of an odd am1n) from having no relative
-    residual."""
-    one = 1 << bits
-    re = im = 0
-    for a in reversed(coeffs):
-        re, im = ((re * x - im * y) >> bits) + a * one, (re * y + im * x) >> bits
-    scale, big, power = max(abs(x), abs(y), one), 0, one
-    for a in coeffs:
-        big = max(big, abs(a) * power)
-        power = power * scale >> bits
-    return re * re + im * im <= (big >> tol_bits) ** 2
+def _form(A) -> List[int]:
+    """Integer c_j with sum_j c_j cos^j sin^(d-j) a positive multiple of sin^d(phi)
+    A(cot phi), d = deg A; INF is the form sin phi, a slope s the A alpha - s."""
+    if A is INF:
+        return [1, 0]
+    if isinstance(A, Fraction):
+        return [-A.numerator, A.denominator]
+    lcm = math.lcm(*(a.denominator for a in A.coeffs))
+    return [a.numerator * (lcm // a.denominator) for a in A.coeffs]
+
+
+def _vanishes(form: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> bool:
+    """Whether |sum_j form[j] x^j y^(d-j)| <= 2^-tol_bits sum_j |form[j]| at (x, y)
+    / 2^bits, by Horner in fixed point.  On the unit circle the sum bounds the
+    form, and rounding moves it by about d units of 2^-bits times the sum."""
+    value, ypow = form[-1] << bits, 1 << bits
+    for a in reversed(form[:-1]):
+        ypow = ypow * y >> bits
+        value = (value * x >> bits) + a * ypow
+    return abs(value) <= sum(map(abs, form)) << bits >> tol_bits
 
 
 def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
@@ -321,9 +335,7 @@ def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
     e = e_values(m, n)
     ehat = ehat_values(m, n)
     return Configuration(kind="am1n", precision=precision, m=m, n=n,
-                         e=tuple(e), ehat=tuple(ehat),
-                         P=poly_from_elementary(e, n),
-                         R=r_poly_from_ehat(ehat, n))
+                         e=tuple(e), ehat=tuple(ehat))
 
 
 def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
@@ -374,8 +386,8 @@ def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     return (w * wsq) * P2 - term2 * P1 - rhs
 
 
-def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction], DensePoly]:
-    """(sign, e, P) of the recurrence branch whose P satisfies the
+def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction]]:
+    """(sign, e) of the recurrence branch whose P satisfies the
     two-multiplicity ODE exactly; with m = mt the seed is zero and the
     sign is 1."""
     if m < 1 or mt < 0:
@@ -387,7 +399,7 @@ def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction], Dens
         P = poly_from_elementary(e, n)
         residual = _two_mult_ode_residual(m, mt, n, P)
         if residual.is_zero:
-            return sign, e, P
+            return sign, e
     raise IdentityFailed(
         f"neither sign branch satisfies the two-multiplicity ODE "
         f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
@@ -400,10 +412,10 @@ def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configurati
     The seed e_{n-1} has an ambiguous sign; the branch kept is the one whose
     polynomial P satisfies the two-multiplicity ODE exactly (reported in
     e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1))."""
-    sign, e, P = _two_mult_branch(m, mt, n)
+    sign, e = _two_mult_branch(m, mt, n)
     check_precision(precision)
     return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,
-                         n=n, e=tuple(e), P=P, R=cayley(P), e_branch_sign=sign)
+                         n=n, e=tuple(e), e_branch_sign=sign)
 
 
 def t_q_expand(c: Configuration, q: int) -> Configuration:
@@ -411,8 +423,9 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
     so that sin(q*phi - phi_i) factors over the expanded angles.
 
     Exact data transforms too: the multiplicity-1 polynomial becomes
-    P(w^q) (roots are the q-th roots of the z_i), read off P's coefficients.
-    Raises CollisionError when two expanded lines coincide."""
+    P(w^q) (roots are the q-th roots of the z_i), read off e, and the
+    record's q is the total expansion.  Raises CollisionError when two
+    expanded lines coincide."""
     if q < 1:
         raise ValueError("need q >= 1")
     if q == 1:
@@ -438,17 +451,15 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
         _check_distinct_angles([ln.phi for ln in new_lines], c.precision)
 
         e = None
-        P = None
         if c.e is not None and c.n:
             # P(w^q) = sum_j (-1)^j e_j w^(q(n-j)), so E_(qj) = (-1)^((q-1)j) e_j
             # and E_K = 0 when q does not divide K
             e = [Fraction(0)] * (q * c.n)
             for j, ej in enumerate(c.e, 1):
                 e[q * j - 1] = -ej if (q - 1) * j % 2 else ej
-            P = poly_from_elementary(e, q * c.n)
     return Configuration(kind="qexpanded", precision=c.precision, m=c.m,
-                         mtilde=c.mtilde, n=(c.n * q if c.n else None), q=q,
-                         e=tuple(e) if e else None, P=P,
+                         mtilde=c.mtilde, n=(c.n * q if c.n else None),
+                         q=(c.q or 1) * q, e=tuple(e) if e else None,
                          e_branch_sign=c.e_branch_sign, chart=tuple(new_lines))
 
 
@@ -473,7 +484,7 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
         lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in lines], precision)
     return Configuration(kind="random", precision=precision, m=m, n=len(alphas),
-                         seed=seed, R=_product_poly(alphas), chart=tuple(lines))
+                         seed=seed, chart=tuple(lines))
 
 
 _SLOPE_BOUND = 50  # largest |p| and q of a random slope p/q

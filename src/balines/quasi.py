@@ -246,25 +246,21 @@ def assemble_system(c: Configuration, d: int,
 
 def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
     """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n)
-    chart.  The pi/2 line of a twomult record with mtilde = 1 is the slope
-    root alpha = 0, which its R = cayley(P) leaves out: alpha R."""
-    if c.R is None:
-        raise MissingExactData("configuration carries no exact slope polynomial R")
-    m, n = m1n_parameters(c)
-    R = c.R
-    if c.kind == "twomult" and c.mtilde == 1:
-        R = R * DensePoly.rational([0, 1])
-    if R.degree != n:
-        raise MissingExactData("R degree does not match the number of slope lines")
+    chart: its groups are (INF, m) and (R, 1), m a positive integer."""
+    if len(c.groups) != 2 or c.groups[1][1] != 1:
+        raise MissingExactData("quasi-invariant system needs an exact type-(m, 1^n) chart")
+    (_, m), (R, _) = c.groups
+    if not (isinstance(m, int) and m >= 1):
+        raise ValueError(f"multiplicity {m!r} is not a positive integer")
     return m, R
 
 
 def m1n_parameters(c: Configuration) -> Tuple[int, int]:
     """(heavy multiplicity, number of slope lines) of a type-(m, 1^n) chart;
-    an am1n record gives them without its lines (a loaded file's lines were
-    checked against its record)."""
-    if c.kind == "am1n":
-        return c.m, c.n
+    an exact chart gives them from its groups, without its lines."""
+    if c.groups:
+        m, R = _slope_poly(c)
+        return m, R.degree
     m, light = _require_m1n_chart(c)
     return m, len(light)
 
@@ -384,14 +380,12 @@ class HilbertSeries:
                 writer.writerow([d, b])
 
 
-def hilbert_coefficients(c: Configuration, D: int,
-                         exact: Optional[bool] = None) -> List[int]:
-    """[b_0 .. b_D]; exact route when R is available unless overridden."""
+def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
+    """[b_0 .. b_D], by the exact route on a chart with groups, else numerically."""
     m, n = m1n_parameters(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
-    use_exact = exact if exact is not None else c.R is not None
-    if use_exact:
+    if c.groups:
         table = power_table(_slope_poly(c)[1], D + 1)
         return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
     table = cos_sin_table(c, D)

@@ -217,6 +217,15 @@ def eager_json(config, find_roots=None) -> dict:
     return dataclasses.replace(config, chart=tuple(lines)).to_json_dict()
 
 
+def numeric_chart(config):
+    """The same lines as a general chart, which carries no exact data, so
+    that a Hilbert series of it takes the numeric route."""
+    from balines.config import general_from_angles
+
+    return general_from_angles([ln.mult for ln in config.lines],
+                               [ln.phi for ln in config.lines], config.precision)
+
+
 def line_z(line):
     """Unit-circle coordinate e^{2i phi} of a line at the working precision."""
     return mp.exp(mp.mpc(0, 2) * line.phi)

@@ -239,6 +239,25 @@ TWOMULT_EDITED = {
     "twomult-m-2": lambda d: (d.update(m=2), d["lines"][0].update(mult=2)),
     "twomult-sign-flipped": lambda d: d.update(e_branch_sign=-d["e_branch_sign"]),
 }
+
+
+def _swap_mults(d):
+    """Swap the multiplicities of the first light line and of the heavy
+    line after the phi = 0 one."""
+    lines = d["lines"]
+    light = next(ln for ln in lines if ln["mult"] == 1)
+    heavy = next(ln for ln in lines[1:] if ln["mult"] != 1)
+    light["mult"], heavy["mult"] = heavy["mult"], light["mult"]
+
+
+# Edits, by name, of a random (2, 1^4) chart and of the am1n (2, 3) record
+# expanded with q = 2, written to INPUT, that put a line of one slope group
+# in another: the multiplicities no longer count the groups, or are
+# counted right on the wrong lines.
+GROUP_EDITED = {
+    "random-light-mult-2": ("random", lambda d: d["lines"][1].update(mult=2)),
+    "tq-mults-swapped": ("tq", _swap_mults),
+}
 # Multiplicities of a locus written to INPUT, by name; the 2.5 line is not of
 # integer multiplicity, which certify and hilbert need.
 LOCUS = {"locus-2.5-1-1": (2.5, 1, 1)}
@@ -248,7 +267,8 @@ LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
                 [("0", 0), ("-1", -1), ("inf", float("inf")), ("true", True), ("str", "2")]}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
-# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, LOCUS or LOCUS_EDITED name);
+# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED, LOCUS or
+# LOCUS_EDITED name);
 # MISSING stands for a path that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
@@ -299,12 +319,16 @@ BAD_INPUT = [
     *[(["construct", "tq", "--input", "INPUT", "--q", "2"], name) for name in LOCUS_EDITED],
     (["certify", "--input", "INPUT"], "locus-mult-true"),
     (["hilbert", "--input", "INPUT"], "locus-mult-true"),
+    (["hilbert", "--input", "INPUT"], "random-light-mult-2"),
+    (["certify", "--input", "INPUT"], "random-light-mult-2"),
+    (["certify", "--input", "INPUT"], "tq-mults-swapped"),
+    (["hilbert", "--input", "INPUT"], "tq-mults-swapped"),
 ]
 
 
 @pytest.mark.parametrize("argv,drop", BAD_INPUT)
 def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
-    from balines.config import build_am1n, build_two_mult
+    from balines.config import build_am1n, build_two_mult, random_type_m1n, t_q_expand
     from balines.locus import solve_general_locus
 
     path = tmp_path / "partial.json"
@@ -319,6 +343,12 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     elif drop in TWOMULT_EDITED:
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
+        path.write_text(json.dumps(data))
+    elif drop in GROUP_EDITED:
+        family, edit = GROUP_EDITED[drop]
+        data = (random_type_m1n(2, 4, 1, 128) if family == "random"
+                else t_q_expand(build_am1n(2, 3, 128), 2)).to_json_dict()
+        edit(data)
         path.write_text(json.dumps(data))
     else:
         data = build_am1n(2, 2, 128).to_json_dict()

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balines.config import (Configuration, angle_multiset_distance,
+from balines.config import (INF, Configuration, angle_multiset_distance,
                             build_am1n, build_two_mult, from_alphas,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import GUARD_BITS, working
+from balines.numeric import GUARD_BITS, to_mp, working
 from balines.poly import DensePoly
+
+from balines.locus import solve_general_locus
 
 from oracles import (elementary_from_values, eval_numeric, line_z,
                      mult1_lines, slope_lines)
@@ -144,6 +146,14 @@ def test_tq_dihedral_six():
         angles = sorted(ln.phi for ln in c.lines)
         for k, a in enumerate(angles):
             assert abs(a - k * mp.pi / 6) < mp.mpf(2) ** -150
+
+
+def test_tq_records_the_total_q():
+    c = t_q_expand(t_q_expand(build_am1n(2, 3, 128), 2), 3)
+    assert c.q == 6 and sum(ln.mult == 2 for ln in c.lines) == 6
+    assert c.e == t_q_expand(build_am1n(2, 3, 128), 6).e
+    loaded = Configuration.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+    assert loaded.q == 6 and loaded.to_json_dict() == c.to_json_dict()
 
 
 def test_tq_identity_for_q1():
@@ -282,6 +292,90 @@ def test_load_rejects_a_record_its_lines_contradict(name):
     edit(data)
     with pytest.raises(ValueError, match="the record has|not those of"):
         Configuration.from_json_dict(data)
+
+
+# (family, parameters, q): the exact families and their q-expansions
+_GROUPED = ([("am1n", (m, n), q) for m, n in [(3, 5), (2, 1), (1, 4)] for q in (1, 2, 3, 4)]
+            + [("twomult", (m, mt, n), q) for m, mt, n in [(2, 0, 4), (2, 1, 4), (1, 1, 2),
+                                                          (1, 2, 2), (3, 2, 4)]
+               for q in (1, 2, 3, 4)]
+            + [("random", (2, 4, 3), 1), ("random", (1, 3, 8), 1)])
+
+
+@pytest.mark.parametrize("family,params,q", _GROUPED)
+def test_groups_are_the_lines_by_multiplicity(family, params, q):
+    build = {"am1n": build_am1n, "twomult": build_two_mult, "random": random_type_m1n}
+    c = t_q_expand(build[family](*params, precision=128), q)
+    (inf, m), *finite = c.groups
+    assert inf is INF and [ln.mult for ln in c.lines if ln.phi == 0] == [m]
+    assert sum(A.degree for A, _ in finite) == len(c.lines) - 1
+    assert len({mult for _, mult in finite}) == len(finite)
+    with working(128):
+        for A, mult in finite:
+            slopes = [mp.cot(ln.phi) for ln in c.lines if ln.mult == mult and ln.phi != 0]
+            assert len(slopes) == A.degree, mult
+            for a in slopes:
+                scale = max(abs(to_mp(v)) * max(1, abs(a)) ** k
+                            for k, v in enumerate(A.coeffs))
+                assert abs(eval_numeric(A, a)) < mp.mpf(2) ** -96 * scale, (mult, a)
+
+
+def test_charts_without_exact_data_have_no_groups():
+    # a q-expanded random chart has no e, and the numeric Hilbert inputs
+    # are random files with every finite slope stripped
+    c = random_type_m1n(2, 4, 3, 128)
+    assert t_q_expand(c, 2).groups == ()
+    data = c.to_json_dict()
+    for line in data["lines"]:
+        if line["alpha"] != "inf":
+            line["alpha"] = None
+    assert Configuration.from_json_dict(data).groups == ()
+    assert solve_general_locus((2, 1, 1), 128).groups == ()
+
+
+def test_the_pi_half_line_keeps_its_stored_slope():
+    # both are degree-1 groups alpha; only twomult stores the slope 0
+    alpha = DensePoly.rational([0, 1])
+    am, tm = build_am1n(2, 1, 128), build_two_mult(2, 2, 2, 128)
+    assert am.groups[1] == (alpha, 1) and (alpha, 2) in tm.groups
+    assert [ln["alpha"] for ln in am.to_json_dict()["lines"]] == ["inf", None]
+    assert [ln["alpha"] for ln in tm.to_json_dict()["lines"]
+            if ln["mult"] == 2] == ["inf", "0"]
+
+
+def _set_alpha(index, alpha):
+    return lambda d: d["lines"][index].update(alpha=alpha)
+
+
+# (configuration, edit of its JSON) that stores a slope its line does not have
+_FOREIGN_SLOPES = {
+    "twomult-pi-half": (lambda: build_two_mult(2, 1, 4, 128),
+                        lambda d: next(ln for ln in d["lines"] if ln["alpha"] == "0")
+                        .update(alpha="5")),
+    "general-finite": (lambda: general_from_angles([2, 1, 1], [0, 1, 2], 128),
+                       _set_alpha(1, "3")),
+    "general-inf-off-zero": (lambda: general_from_angles([2, 1, 1], [0, 1, 2], 128),
+                             _set_alpha(2, "inf")),
+    "qexpanded-inf-off-zero": (lambda: t_q_expand(build_am1n(2, 2, 128), 2),
+                               _set_alpha(1, "inf")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOREIGN_SLOPES))
+def test_load_rejects_a_stored_slope_off_its_line(name):
+    build, edit = _FOREIGN_SLOPES[name]
+    data = build().to_json_dict()
+    edit(data)
+    with pytest.raises(ValueError, match="is not cot phi"):
+        Configuration.from_json_dict(data)
+
+
+@pytest.mark.parametrize("k", [70, 120])
+def test_a_line_near_the_heavy_one_loads_back(k):
+    # slope 2^k puts a line 2^-k from phi = 0; its cot, formed by dividing by
+    # a sine of 2^-k, keeps too few bits for the slope polynomial's check
+    c = from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
+    assert Configuration.from_json_dict(c.to_json_dict()) == c
 
 
 def test_loaded_two_mult_carries_its_slope_polynomial():

@@ -35,25 +35,24 @@ def test_equal_multiplicities_return_the_equispaced_start():
 
 
 def test_start_within_rounding_of_the_critical_point_is_returned():
-    # one weight off by 2^-270: the Newton step from the equispaced start is
-    # below 2^-256, so the start is returned as it is
-    c = solve_general_locus((1, 1, 1, 1 + Fraction(1, 2**270)), 256)
-    with working(256):
-        assert [ln.phi for ln in c.lines] == [mp.pi * k / 4 for k in range(4)]
+    # one weight off by 2^-270, which no float holds, so the kernel gets it
+    # as a Fraction: the Newton step from the equispaced start is below
+    # 2^-256, so solve_general_locus would return the start as it is
+    fixed = _Fixed((1, 1, 1, 1 + Fraction(1, 2**270)), 256)
+    assert fixed.is_critical([fixed.pi * k // 4 for k in range(4)])
 
 
 def test_start_with_a_step_above_the_precision_is_refined():
     # off by 2^-250: the gradient at the start (about 2^-250) is below the
-    # tolerance 2^-224, but the step (about 2^-252) is above 2^-256
-    mults = (1, 1, 1, 1 + Fraction(1, 2**250))
-    fixed = _Fixed(mults, 256)
+    # tolerance 2^-224, but the step (about 2^-252) is above 2^-256, and
+    # Newton moves the start to a critical point
+    fixed = _Fixed((1, 1, 1, 1 + Fraction(1, 2**250)), 256)
     start = [fixed.pi * k // 4 for k in range(4)]
     assert max(abs(v) for v in fixed.system(start)[0]) < fixed.tol
     assert not fixed.is_critical(start)
-    c = solve_general_locus(mults, 256)
-    with working(256):
-        assert [ln.phi for ln in c.lines] != [mp.pi * k / 4 for k in range(4)]
-    assert gradient_norm(c) <= mp.mpf(2) ** -(256 + 32)
+    psis, gnorm = _newton(fixed, start)
+    assert psis != start and gnorm < fixed.tol
+    assert fixed.is_critical(psis)
 
 
 def test_reproduces_heavy_line_family():
@@ -140,3 +139,13 @@ def test_multiplicities_validation():
         Multiplicities((1, 0))
     with pytest.raises(ValueError):
         solve_general_locus((2,), 128)
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(3, 2), "2", float("nan"), float("inf")])
+def test_multiplicities_take_what_a_file_stores(bad):
+    # the rule Configuration.from_json_dict applies to a line's mult: a bool
+    # would be saved as true, and a Fraction cannot be saved at all
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        Multiplicities((bad, 1, 1))
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        solve_general_locus((bad, 1, 1), 128)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from balines import quasi
 from balines.config import (build_am1n, build_two_mult, from_alphas,
-                            random_type_m1n)
+                            random_type_m1n, t_q_expand)
 from balines.errors import IllConditioned, MissingExactData, TailMismatch
 from balines.locus import solve_general_locus
 from balines.quasi import (am1n_hilbert_numerator, assemble_system,
@@ -18,7 +17,7 @@ from balines.quasi import (am1n_hilbert_numerator, assemble_system,
 from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
-                     echelon_rank_exact, remainder_map_matrix,
+                     echelon_rank_exact, numeric_chart, remainder_map_matrix,
                      series_times_denominator)
 from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
                    is_symmetric_slope_chart, product_invariant,
@@ -65,7 +64,7 @@ def test_fixed_point_series_equals_exact_series(precision):
     for m, n, seed in [(1, 4, 2), (2, 7, 5), (3, 10, 1), (1, 16, 3)]:
         c = random_type_m1n(m, n, seed, precision)
         D = 2 * m + 2 * n + 4
-        assert hilbert_coefficients(c, D, exact=False) == \
+        assert hilbert_coefficients(numeric_chart(c), D) == \
             hilbert_coefficients(c, D), (m, n, seed)
 
 
@@ -74,7 +73,7 @@ def test_fixed_point_series_at_scale(m, n, seed):
     # large enough that unscaled monomial columns fail the margin rule
     c = random_type_m1n(m, n, seed, 256)
     D = 2 * m + 2 * n + 4
-    assert hilbert_coefficients(c, D, exact=False) == hilbert_coefficients(c, D)
+    assert hilbert_coefficients(numeric_chart(c), D) == hilbert_coefficients(c, D)
 
 
 def test_fixed_point_series_with_a_line_near_the_heavy_one():
@@ -83,7 +82,7 @@ def test_fixed_point_series_with_a_line_near_the_heavy_one():
     # share of the rank under the cutoff from k = 100 on
     for k in (20, 60, 100, 120):
         c = from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
-        assert hilbert_coefficients(c, 16, exact=False) == \
+        assert hilbert_coefficients(numeric_chart(c), 16) == \
             hilbert_coefficients(c, 16), k
 
 
@@ -94,7 +93,7 @@ def test_nearly_equal_slopes_are_refused_on_the_numeric_route():
     c = from_alphas(2, [F(1), 1 + F(1, 2 ** 125), F(-1, 3), F(2, 5), F(7)], 256)
     assert hilbert_coefficients(c, 18)[18] == 12
     with pytest.raises(IllConditioned, match="^rank margin: two slope lines"):
-        hilbert_coefficients(c, 18, exact=False)
+        hilbert_coefficients(numeric_chart(c), 18)
     with pytest.raises(IllConditioned):
         qi_dimension_numeric(c, 18)
 
@@ -106,8 +105,20 @@ def test_twomult_with_a_light_line_at_pi_half(m):
         c = build_two_mult(m, 1, n, 256)
         D = 2 * m + 2 * (n + 1) + 4
         assert hilbert_coefficients(c, D) == \
-            hilbert_coefficients(c, D, exact=False), (m, n)
+            hilbert_coefficients(numeric_chart(c), D), (m, n)
         assert is_quasi_invariant(c, product_invariant(c))
+
+
+@pytest.mark.parametrize("base", [lambda: build_am1n(1, 3, 256),
+                                  lambda: build_two_mult(1, 1, 2, 256)])
+def test_q_expansions_of_multiplicity_one_take_the_exact_route(base):
+    # at q = 2 every line of these has multiplicity 1: one slope group
+    c = t_q_expand(base(), 2)
+    assert len(c.groups) == 2
+    m, n = quasi.m1n_parameters(c)
+    assert (m, n) == (1, len(c.lines) - 1)
+    D = 2 * m + 2 * n + 4
+    assert hilbert_coefficients(c, D) == hilbert_coefficients(numeric_chart(c), D)
 
 
 _FRAC = 256 + GUARD_BITS  # fraction bits of the fixed-point rows at 256 bits
@@ -228,10 +239,12 @@ def test_universal_invariants_members():
 
 
 def test_non_integer_heavy_multiplicity_is_refused():
-    # truncating 2.5 to 2 would answer with the series of m = 2
+    # truncating 2.5 to 2 would answer with the series of m = 2; the exact
+    # chart of from_alphas takes its heavy multiplicity from its groups
     c = solve_general_locus((2.5, 1, 1), 128)
-    for compute in (lambda: hilbert_coefficients(c, 12, exact=False),
-                    lambda: r_parameter(c)):
+    exact = from_alphas(2.5, [F(1), F(2)], 128)
+    for compute in (lambda: hilbert_coefficients(c, 12),
+                    lambda: r_parameter(c), lambda: hilbert_coefficients(exact, 12)):
         with pytest.raises(ValueError, match="2.5 is not a positive integer"):
             compute()
 
@@ -349,12 +362,12 @@ def _unscaled(system):
 def test_power_table_assembly_matches_polynomial_division():
     for c in [build_am1n(3, 5, 128), random_type_m1n(2, 4, seed=3)]:
         m, n = c.m, c.n
-        scaled = dataclasses.replace(c, R=c.R.scale(F(3)))
         for d in range(2 * m + 2 * n + 5):
             want = remainder_map_matrix(c.R, d, m)
+            scaled = assemble_system(c, d, quasi.power_table(c.R.scale(F(3)), d + 1))
             assert _unscaled(assemble_system(c, d)) == want, d
-            assert _unscaled(assemble_system(scaled, d)) == want, d
-            assert qi_dimension_exact(scaled, d) == qi_dimension_exact(c, d)
+            assert _unscaled(scaled) == want, d
+            assert scaled.dimension() == qi_dimension_exact(c, d)
 
 
 def test_exact_hilbert_series_at_scale():

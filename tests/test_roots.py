@@ -100,9 +100,12 @@ AGREEMENT_CASES = [
 
 
 def _chart_angles(P, precision):
-    """The mult-1 angles that the exact chart builds from cayley(P)."""
-    c = Configuration(kind="am1n", precision=precision, m=1, n=P.degree,
-                      P=P, R=cayley(P))
+    """The mult-1 angles that the exact chart builds from cayley(P), for a
+    monic P, through a twomult record with mtilde = 0 whose e gives P."""
+    n = P.degree
+    c = Configuration(kind="twomult", precision=precision, m=1, mtilde=0, n=n,
+                      e=tuple((-1) ** i * P[n - i] for i in range(1, n + 1)))
+    assert c.P == P
     return [ln.phi for ln in c.lines if ln.phi != 0]
 
 
