@@ -5,10 +5,11 @@ A line is stored by the angle phi in [0, pi) of its unit normal
 alpha = cot(phi) the slope chart (phi = 0 maps to alpha = infinity,
 i.e. the vector (0, 1) of the slope chart).
 
-A Configuration is an exact record (elementary symmetric values), from
-which the polynomials P and R and the slope groups are derived, whenever the
-construction provides one, and a chart of numeric lines, which the am1n and
-twomult families build from the real roots of R only when something reads them.
+A Configuration is an exact record (elementary symmetric values, or the
+slopes of a random chart), from which the polynomials P and R and the slope
+groups are derived, whenever the construction provides one, and a chart of
+numeric lines, which the am1n, twomult and random families build only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ class Configuration:
     """An arrangement as an exact record plus a numeric chart of lines.
 
     The exact record is kind, precision, m, mtilde, n, q, seed, the
-    elementary values e (z chart) and ehat (squared slopes) and the branch
-    sign; P, R and ``groups`` are derived from it.  The chart is ``lines``:
-    angles at ``precision`` bits.  Families whose lines follow from the
-    record (am1n and twomult) leave ``chart`` unset, and the lines are
-    built from R the first time something reads them (``len`` included),
-    then cached; every other family passes its lines as ``chart``.
+    elementary values e (z chart) and ehat (squared slopes), the branch
+    sign and the slopes ``alphas`` of a random chart; P, R and ``groups``
+    are derived from it.  The chart is ``lines``: angles at ``precision``
+    bits.  Families whose lines follow from the record (am1n, twomult and
+    random) leave ``chart`` unset, and the lines are built the first time
+    something reads them (``len`` included), then cached; every other
+    family, and every loaded file, passes its lines as ``chart``.
     Equality and hashing compare the record and the lines."""
 
     kind: str  # am1n | twomult | qexpanded | general | random
@@ -112,6 +114,7 @@ class Configuration:
     e: Optional[Tuple[Fraction, ...]] = None
     ehat: Optional[Tuple[Fraction, ...]] = None
     e_branch_sign: Optional[int] = None
+    alphas: Optional[Tuple[Fraction, ...]] = None
     chart: Optional[Tuple[Line, ...]] = None
 
     @cached_property
@@ -134,10 +137,11 @@ class Configuration:
         if self.kind in ("twomult", "qexpanded") and self.P is not None:
             return cayley(self.P)
         if self.kind == "random":
-            alphas = [ln.alpha_exact for ln in self.lines if ln.alpha_exact is not INF]
+            alphas = self.alphas
+            if alphas is None:
+                alphas = [ln.alpha_exact for ln in self.lines if ln.alpha_exact is not INF]
             if all(isinstance(a, Fraction) for a in alphas):
-                return math.prod((DensePoly([-a, Fraction(1)]) for a in alphas),
-                                 start=DensePoly.rational([1]))
+                return _slope_product(alphas)
         return None
 
     @cached_property
@@ -243,6 +247,16 @@ class Configuration:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _slope_product(alphas: Sequence[Fraction]) -> DensePoly:
+    """prod (alpha - a) over the slopes a: prod (q alpha - p) on integers for
+    a = p/q, then made monic."""
+    coeffs = [1]
+    for a in alphas:
+        p, q = a.numerator, a.denominator
+        coeffs = [q * lo - p * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return DensePoly([Fraction(x, coeffs[-1]) for x in coeffs])
+
+
 def integer_mults(c: Configuration) -> List[int]:
     """The multiplicities of c's lines as ints.  ValueError unless each is a
     positive integer, as the existence conditions and the quasi-invariants
@@ -342,7 +356,10 @@ def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
     """Lines of an am1n or twomult record: multiplicity m at phi = 0,
     mtilde (when positive) at pi/2 and phi = acot(alpha) (+ pi for
     alpha < 0) per real root alpha of R, sorted.  The roots are finite and
-    certified distinct, so only R(0) = 0 with mtilde > 0 is a CollisionError."""
+    certified distinct, so only R(0) = 0 with mtilde > 0 is a CollisionError.
+    A random record's lines come from its stored slopes (_slope_chart)."""
+    if c.kind == "random" and c.alphas is not None:
+        return _slope_chart(c)
     if c.kind not in ("am1n", "twomult") or c.R is None:
         raise MissingExactData(f"a {c.kind} configuration without lines")
     if c.mtilde and c.R[0] == 0:
@@ -356,6 +373,22 @@ def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
             lines.append(Line(mult=c.mtilde, phi=mp.pi / 2, alpha_exact=Fraction(0)))
         lines += [Line(mult=1, phi=+phi) for phi in phis]
     return tuple(sorted(lines, key=lambda ln: ln.phi))
+
+
+def _slope_chart(c: Configuration) -> Tuple[Line, ...]:
+    """Lines of a random record: multiplicity m at phi = 0 and phi =
+    acot(alpha) (+ pi for alpha < 0) per stored slope, sorted.  CollisionError
+    when two lines lie within 2^-(precision/2) of each other."""
+    with working(c.precision):
+        lines = [Line(mult=c.m, phi=mp.mpf(0), alpha_exact=INF)]
+        for a in c.alphas:
+            phi = mp.acot(to_mp(a))
+            if phi < 0:
+                phi += mp.pi
+            lines.append(Line(mult=1, phi=phi, alpha_exact=a))
+        lines.sort(key=lambda ln: ln.phi)
+        _check_distinct_angles([ln.phi for ln in lines], c.precision)
+    return tuple(lines)
 
 
 def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
@@ -468,23 +501,16 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
     """Type-(m, 1^n) configuration of kind random from exact rational slopes.
 
     The heavy line is (0, 1) in the slope chart (phi = 0 here); each slope
-    alpha gives the line with normal angle arccot(alpha)."""
-    alphas = [Fraction(a) for a in alphas]
+    alpha gives the line with normal angle arccot(alpha).  The record keeps
+    the slopes, and the lines are built when first read; two lines within
+    2^-(precision/2) of each other raise CollisionError then."""
+    Multiplicities((m,))  # ValueError on a value no file can store
+    alphas = tuple(Fraction(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise CollisionError("slopes must be distinct")
     check_precision(precision)
-    with working(precision):
-        lines = [Line(mult=m, phi=mp.mpf(0), alpha_exact=INF)]
-        for a in alphas:
-            av = to_mp(a)
-            phi = mp.acot(av)
-            if phi < 0:
-                phi += mp.pi
-            lines.append(Line(mult=1, phi=phi, alpha_exact=a))
-        lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], precision)
     return Configuration(kind="random", precision=precision, m=m, n=len(alphas),
-                         seed=seed, chart=tuple(lines))
+                         seed=seed, alphas=alphas)
 
 
 _SLOPE_BOUND = 50  # largest |p| and q of a random slope p/q
@@ -508,6 +534,7 @@ def random_type_m1n(m: int, n: int, seed: int, precision: int = 256) -> Configur
 
 def general_from_angles(mults: Sequence, phis: Sequence, precision: int = 256) -> Configuration:
     """Configuration from explicit angles (numeric chart only)."""
+    Multiplicities(tuple(mults))  # ValueError on a value no file can store
     check_precision(precision)
     with working(precision):
         lines = []

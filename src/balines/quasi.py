@@ -10,12 +10,37 @@ the slopes as roots, so dimensions reduce to exact ranks of rational
 remainder-map matrices.  A full-pivot numeric rank serves configurations
 carrying only numeric charts.
 
-Column i of the degree-d matrix is g = (d-i) alpha^(d-1-i) - i alpha^(d+1-i)
-mod R, formed from one table of alpha^k mod R (k <= D+1) that a Hilbert
-series builds once, and scaled to integers.  The exact rank is certified in
-two steps: the rank mod the prime 2^61 - 1 is a lower bound and is returned
-when it is full; otherwise Bareiss elimination over the integers gives the
-rank exactly.
+Column i of the degree-d matrix is col_d(i) = (d-i) alpha^(d-1-i) -
+i alpha^(d+1-i) mod R, i in S_d (free_indices), n = deg R.  A Hilbert series
+reads its ranks off one modular pass per parity of d, on the embedding of
+degree d - 2 into degree d by multiplication with the invariant x^2 + y^2
+(the quasi-invariants are a module over the invariants):
+
+    (1 + alpha^2) col_(d-2)(i) = col_d(i) + col_d(i+2),   i in S_(d-2),
+
+both sides being (d-2-i) alpha^(d-3-i) + (d-2-2i) alpha^(d-1-i) -
+i alpha^(d+1-i).  S_(d-2) with the indices d - 1 and d that are free is S_d,
+and the change of basis is unit triangular on the lowest index, so the span
+V_d of the degree-d columns is (1 + alpha^2) V_(d-2) plus the span of the
+two new columns col_d(d) = -d alpha and col_d(d-1) = 1 - (d-1) alpha^2.
+Over F_p, p = RANK_PRIME, the subspaces W_d = (1 + alpha^2)^(K - d//2) V_d
+(K = D//2) of F_p[alpha]/R therefore grow: W_d = W_(d-2) plus at most two
+vectors, one echelon basis per parity.  Multiplication can only shrink a
+span, so dim W_d is at most the rank mod p of the degree-d matrix, itself a
+lower bound on its rank over Q (a minor nonzero mod p is nonzero); the two
+are equal when 1 + alpha^2 is a unit mod (R, p).
+
+Two upper bounds close the proof.  The rank is at most n, and at even d at
+most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
+sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
+f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  Where dim W_d meets
+min(n, |S_d| - [d even]) the rank is proven; elsewhere fraction-free Bareiss
+elimination over the integers decides it, on that degree's matrix read off
+one table of alpha^k mod R (k <= D + 1) built only if some degree needs it.
+Generic charts never need it; am1n charts, whose Gorenstein kernels exceed
+the bound, do at about a quarter of their degrees.  An R that is not
+integral at p takes the per-degree route of rank_exact: the rank mod p of
+each matrix, returned when it is full, else Bareiss.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
@@ -386,10 +411,70 @@ def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     if c.groups:
-        table = power_table(_slope_poly(c)[1], D + 1)
-        return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
+        return _exact_coefficients(c, D)
     table = cos_sin_table(c, D)
     return [qi_dimension_numeric(c, d, table=table) for d in range(D + 1)]
+
+
+def _exact_coefficients(c: Configuration, D: int) -> List[int]:
+    """[b_0 .. b_D] on the exact chart (see the module docstring): the modular
+    pass, then Bareiss at each degree whose rank it does not prove."""
+    m, R = _slope_poly(c)
+    ranks = _modular_ranks(R.monic(), m, D)
+    if ranks is None:
+        table = power_table(R, D + 1)
+        return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
+    table, out = None, []
+    for d, rank in enumerate(ranks):
+        free = len(free_indices(d, m))
+        if rank < min(R.degree, free - (d % 2 == 0)):
+            table = table or power_table(R, D + 1)
+            rank = _rank_bareiss(assemble_system(c, d, table).matrix)
+        out.append(free - rank)
+    return out
+
+
+def _modular_ranks(R: DensePoly, m: int, D: int) -> Optional[List[int]]:
+    """dim W_d over F_p, p = RANK_PRIME, for d = 0..D (see the module
+    docstring), from vectors of n ints mod p; None when the monic R is not
+    p-integral.  A full basis takes no more vectors."""
+    p = RANK_PRIME
+    if any(a.denominator % p == 0 for a in R.coeffs):
+        return None
+    n = R.degree
+    low = [a.numerator * pow(a.denominator, -1, p) % p for a in R.coeffs[:n]]
+
+    def times_alpha(v):
+        return [(a - v[-1] * r) % p for a, r in zip([0] + v, low)] if v else v
+
+    powers = [[int(j == 0) for j in range(n)]]  # (1 + alpha^2)^j mod (R, p)
+    for _ in range(D // 2):
+        g = powers[-1]
+        powers.append([(a + b) % p for a, b in zip(g, times_alpha(times_alpha(g)))])
+
+    def free(i):  # whether i <= d is in S_d
+        return i % 2 == 0 or i >= 2 * m
+
+    bases, ranks = ([], []), []
+    for d in range(D + 1):
+        basis = bases[d % 2]
+        if len(basis) < n:
+            g = powers[D // 2 - d // 2]
+            ag = times_alpha(g)
+            new = [[-d * x % p for x in ag]] if free(d) else []  # col_d(d) = -d alpha
+            if free(d - 1):  # col_d(d - 1) = 1 - (d - 1) alpha^2
+                new.append([(x - (d - 1) * y) % p for x, y in zip(g, times_alpha(ag))])
+            for v in new:
+                for piv, b in basis:
+                    f = v[piv]
+                    if f:
+                        v = [(x - f * y) % p for x, y in zip(v, b)]
+                piv = next((j for j, x in enumerate(v) if x), None)
+                if piv is not None:
+                    inv = pow(v[piv], -1, p)
+                    basis.append((piv, [x * inv % p for x in v]))
+        ranks.append(len(basis))
+    return ranks
 
 
 def hilbert_rational_form(coeffs: Sequence[int], m: int, n: int) -> HilbertSeries:
@@ -447,6 +532,8 @@ def r_parameter(c: Configuration) -> int:
     """Number of distinct squared slopes among the multiplicity-1 lines."""
     if c.kind == "am1n":
         return (c.n + 1) // 2  # the slopes pair off as +-a, plus 0 for odd n
+    if c.alphas is not None:
+        return len({a * a for a in c.alphas})
     _, light = _require_m1n_chart(c)
     exact = [ln.alpha_exact for ln in light]
     if all(isinstance(a, Fraction) for a in exact):

@@ -223,6 +223,13 @@ def test_tq_angles_within_one_ulp(precision):
 def test_random_r_expansion():
     c = from_alphas(2, [F(1, 2), F(-1, 3)], seed=1)
     assert c.R == DensePoly.rational([F(-1, 6), F(-1, 6), F(1)])
+    # R is formed on integers and made monic; it must be the Fraction product
+    for m, n, seed in [(1, 1, 1), (2, 5, 3), (4, 20, 1)]:
+        c = random_type_m1n(m, n, seed)
+        want = DensePoly.rational([1])
+        for a in c.alphas:
+            want = want * DensePoly([-a, F(1)])
+        assert c.R == want and c.R.leading() == 1
 
 
 def test_random_determinism_and_distinctness():
@@ -240,6 +247,16 @@ def test_random_determinism_and_distinctness():
 def test_random_collision_rejection():
     with pytest.raises(CollisionError):
         from_alphas(1, [F(1, 2), F(2, 4)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_alphas(0, [F(1)]),
+    lambda: from_alphas(F(3, 2), [F(1)]),
+    lambda: general_from_angles([True, 1], [0, 1]),
+], ids=["from_alphas-zero", "from_alphas-fraction", "general-bool"])
+def test_constructors_refuse_what_a_file_cannot_store(build):
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        build()
 
 
 def test_serialization_bit_exact_round_trip():

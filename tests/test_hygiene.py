@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -84,3 +87,20 @@ def test_every_public_definition_is_used(path):
               if not name.split(".")[-1].startswith("_")
               and name.split(".")[-1] not in _USED}
     assert not unused, f"{path.name}: public definitions nothing runs {unused}"
+
+
+def test_every_traced_name_resolves():
+    """bench/tracer.py wraps each name in TRACED with getattr, so a name the
+    package no longer defines would crash every traced bench run."""
+    spec = importlib.util.spec_from_file_location("tracer", _ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod, attrs in tracer.TRACED.items():
+        module = importlib.import_module(f"balines.{mod}")
+        for attr in attrs:
+            try:
+                functools.reduce(getattr, attr.split("."), module)
+            except AttributeError:
+                missing.append(f"{mod}.{attr}")
+    assert not missing, f"traced names the package does not define: {missing}"

@@ -1,13 +1,16 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balines import quasi
+from balines.cli import main
 from balines.config import (build_am1n, build_two_mult, from_alphas,
                             random_type_m1n, t_q_expand)
-from balines.errors import IllConditioned, MissingExactData, TailMismatch
+from balines.errors import (CollisionError, IllConditioned, MissingExactData,
+                             TailMismatch)
 from balines.locus import solve_general_locus
 from balines.quasi import (am1n_hilbert_numerator, assemble_system,
                            hilbert_coefficients, hilbert_rational_form,
@@ -384,3 +387,80 @@ def test_assembled_system_shape():
     assert sys6.free == (0, 2, 4, 5, 6)
     assert len(sys6.matrix) == 2  # one row per power below deg R
     assert sys6.dimension() == 4
+
+
+def _count_assembly(monkeypatch):
+    """The degrees at which assemble_system runs from now on."""
+    calls, assemble = [], quasi.assemble_system
+    monkeypatch.setattr(quasi, "assemble_system",
+                        lambda *a: calls.append(a[1]) or assemble(*a))
+    return calls
+
+
+def _bareiss_series(c, D):
+    """[b_0 .. b_D] from Bareiss elimination at every degree."""
+    table = quasi.power_table(c.R, D + 1)
+    systems = [assemble_system(c, d, table) for d in range(D + 1)]
+    return [s.free_count - quasi._rank_bareiss(s.matrix) for s in systems]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=5),
+                min_size=1, max_size=10, unique=True))
+def test_modular_pass_matches_per_degree_bareiss(m, slopes):
+    # small slopes give symmetric pairs and slope 0, whose extra kernels
+    # send some degrees to Bareiss; generic slopes prove every degree
+    c = from_alphas(m, slopes)
+    D = 2 * m + 2 * len(slopes) + 4
+    assert hilbert_coefficients(c, D) == _bareiss_series(c, D)
+    # -1 is not a square mod 2^61 - 1, so 1 + alpha^2 is a unit mod (R, p)
+    # for rational slopes, and the pass gives the rank mod p itself
+    assert quasi._modular_ranks(c.R, m, D) == [
+        quasi._rank_mod_prime(assemble_system(c, d).matrix) for d in range(D + 1)]
+
+
+@pytest.mark.parametrize("slopes, route", [
+    ([F(2), F(1, 2), F(-3), F(7, 3)], "Bareiss"),  # 1 + 2^2 = 0 mod 5
+    ([F(1, 5), F(1, 2), F(-3), F(7, 3)], "per-degree"),  # R not 5-integral
+])
+def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, route):
+    # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R
+    c = from_alphas(2, slopes)
+    D = 2 * 2 + 2 * len(slopes) + 4
+    want = hilbert_coefficients(c, D)
+    assert want == _bareiss_series(c, D)
+    monkeypatch.setattr(quasi, "RANK_PRIME", 5)
+    calls = _count_assembly(monkeypatch)
+    assert hilbert_coefficients(c, D) == want
+    assert (quasi._modular_ranks(c.R, 2, D) is None) == (route == "per-degree")
+    assert calls
+
+
+def test_random_charts_need_no_bareiss(monkeypatch):
+    # guards the modular pass: on generic charts it proves every rank
+    calls = _count_assembly(monkeypatch)
+    for m in range(1, 5):
+        for n in range(1, 13):
+            for seed in (1, 2, 3):
+                hilbert_coefficients(random_type_m1n(m, n, seed), 2 * m + 2 * n + 4)
+    assert calls == []
+
+
+def test_hilbert_random_builds_no_lines(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the exact route needs no angles")
+
+    monkeypatch.setattr(mpmath, "acot", refuse)
+    assert main(["hilbert", "--random", "--m", "2", "--n", "4", "--seed", "3"]) == 0
+    assert '"gorenstein": false' in capsys.readouterr().out
+
+
+def test_slopes_too_close_for_a_chart_still_have_a_series():
+    c = from_alphas(2, [F(1), 1 + F(1, 2 ** 130), F(-1, 3), F(2, 5)], 256)
+    bs = hilbert_coefficients(c, 16)
+    assert bs == _bareiss_series(c, 16)
+    hilbert_rational_form(bs, 2, 4)  # the tail law holds
+    assert r_parameter(c) == 4
+    with pytest.raises(CollisionError):
+        c.lines
