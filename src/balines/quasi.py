@@ -39,8 +39,7 @@ elimination over the integers decides it, on that degree's matrix read off
 one table of alpha^k mod R (k <= D + 1) built only if some degree needs it.
 Generic charts never need it; am1n charts, whose Gorenstein kernels exceed
 the bound, do at about a quarter of their degrees.  An R that is not
-integral at p takes the per-degree route of rank_exact: the rank mod p of
-each matrix, returned when it is full, else Bareiss.
+integral at p proves nothing mod p, so Bareiss decides every degree.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
@@ -219,7 +218,9 @@ class QISystem:
         return len(self.free)
 
     def dimension(self) -> int:
-        return self.free_count - rank_exact(self.matrix)
+        """free_count minus the rank, by Bareiss elimination alone: a series
+        asks only where the rank mod p fell short."""
+        return self.free_count - _rank_bareiss(self.matrix)
 
 
 # alpha^k mod R for k = 0, 1, ..., each as (numerators, denominator) of its
@@ -420,27 +421,24 @@ def _exact_coefficients(c: Configuration, D: int) -> List[int]:
     """[b_0 .. b_D] on the exact chart (see the module docstring): the modular
     pass, then Bareiss at each degree whose rank it does not prove."""
     m, R = _slope_poly(c)
-    ranks = _modular_ranks(R.monic(), m, D)
-    if ranks is None:
-        table = power_table(R, D + 1)
-        return [qi_dimension_exact(c, d, table) for d in range(D + 1)]
     table, out = None, []
-    for d, rank in enumerate(ranks):
+    for d, rank in enumerate(_modular_ranks(R.monic(), m, D)):
         free = len(free_indices(d, m))
         if rank < min(R.degree, free - (d % 2 == 0)):
             table = table or power_table(R, D + 1)
-            rank = _rank_bareiss(assemble_system(c, d, table).matrix)
-        out.append(free - rank)
+            out.append(qi_dimension_exact(c, d, table))
+        else:
+            out.append(free - rank)
     return out
 
 
-def _modular_ranks(R: DensePoly, m: int, D: int) -> Optional[List[int]]:
+def _modular_ranks(R: DensePoly, m: int, D: int) -> List[int]:
     """dim W_d over F_p, p = RANK_PRIME, for d = 0..D (see the module
-    docstring), from vectors of n ints mod p; None when the monic R is not
-    p-integral.  A full basis takes no more vectors."""
+    docstring), from vectors of n ints mod p; all 0, which proves nothing,
+    when the monic R is not p-integral.  A full basis takes no more vectors."""
     p = RANK_PRIME
     if any(a.denominator % p == 0 for a in R.coeffs):
-        return None
+        return [0] * (D + 1)
     n = R.degree
     low = [a.numerator * pow(a.denominator, -1, p) % p for a in R.coeffs[:n]]
 

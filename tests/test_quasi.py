@@ -420,11 +420,11 @@ def test_modular_pass_matches_per_degree_bareiss(m, slopes):
         quasi._rank_mod_prime(assemble_system(c, d).matrix) for d in range(D + 1)]
 
 
-@pytest.mark.parametrize("slopes, route", [
-    ([F(2), F(1, 2), F(-3), F(7, 3)], "Bareiss"),  # 1 + 2^2 = 0 mod 5
-    ([F(1, 5), F(1, 2), F(-3), F(7, 3)], "per-degree"),  # R not 5-integral
+@pytest.mark.parametrize("slopes, proven", [
+    ([F(2), F(1, 2), F(-3), F(7, 3)], "some"),  # 1 + 2^2 = 0 mod 5
+    ([F(1, 5), F(1, 2), F(-3), F(7, 3)], "none"),  # R not 5-integral
 ])
-def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, route):
+def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, proven):
     # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R
     c = from_alphas(2, slopes)
     D = 2 * 2 + 2 * len(slopes) + 4
@@ -433,8 +433,9 @@ def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, route):
     monkeypatch.setattr(quasi, "RANK_PRIME", 5)
     calls = _count_assembly(monkeypatch)
     assert hilbert_coefficients(c, D) == want
-    assert (quasi._modular_ranks(c.R, 2, D) is None) == (route == "per-degree")
     assert calls
+    # only degree 0, whose bound is 0, needs no proof
+    assert (calls == list(range(1, D + 1))) == (proven == "none")
 
 
 def test_random_charts_need_no_bareiss(monkeypatch):
