@@ -114,7 +114,7 @@ def _load(path: str, integral: bool = False) -> Configuration:
         return cfg
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
-    except (TypeError, ValueError) as ex:
+    except (TypeError, ValueError, CollisionError) as ex:
         raise UsageError(f"{path}: {ex}") from None
     except OSError as ex:
         raise UsageError(f"cannot read {path}: {ex.strerror}") from None

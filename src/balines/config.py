@@ -204,6 +204,7 @@ class Configuration:
     def from_json_dict(d: dict) -> "Configuration":
         if not isinstance(d, dict):
             raise TypeError(f"a configuration is a JSON object, not {type(d).__name__}")
+        precision = check_precision(d["precision_bits"])
         lines = []
         for k, entry in enumerate(d["lines"]):
             mult = entry["mult"]
@@ -220,11 +221,14 @@ class Configuration:
             lines.append(Line(mult=mult,
                               phi=hex_to_mpf(entry["phi_hex"]),
                               alpha_exact=alpha_exact))
+        Multiplicities(tuple(ln.mult for ln in lines))  # ValueError on no lines
+        with working(precision):
+            _check_distinct_angles([ln.phi for ln in lines], precision)
         e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None
         ehat = (tuple(Fraction(v) for v in d["ehat"])
                 if d.get("ehat") is not None else None)
         c = Configuration(
-            kind=d["kind"], precision=d["precision_bits"], m=d.get("m"),
+            kind=d["kind"], precision=precision, m=d.get("m"),
             mtilde=d.get("mtilde"), n=d.get("n"), q=d.get("q"), seed=d.get("seed"),
             e=e, ehat=ehat, e_branch_sign=d.get("e_branch_sign"),
             chart=tuple(lines))

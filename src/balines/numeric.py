@@ -21,9 +21,13 @@ MIN_PRECISION = 64
 
 
 def check_precision(precision: int) -> int:
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
-    return int(precision)
+    """precision itself; ValueError unless it is an int (not a bool) of at
+    least MIN_PRECISION bits."""
+    if (isinstance(precision, bool) or not isinstance(precision, int)
+            or precision < MIN_PRECISION):
+        raise ValueError(f"precision must be an integer >= {MIN_PRECISION} bits, "
+                         f"got {precision!r}")
+    return precision
 
 
 @contextmanager

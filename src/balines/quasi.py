@@ -34,12 +34,13 @@ Two upper bounds close the proof.  The rank is at most n, and at even d at
 most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
 sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
 f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  Where dim W_d meets
-min(n, |S_d| - [d even]) the rank is proven; elsewhere fraction-free Bareiss
-elimination over the integers decides it, on that degree's matrix read off
-one table of alpha^k mod R (k <= D + 1) built only if some degree needs it.
-Generic charts never need it; am1n charts, whose Gorenstein kernels exceed
-the bound, do at about a quarter of their degrees.  An R that is not
-integral at p proves nothing mod p, so Bareiss decides every degree.
+min(n, |S_d| - [d even]) the rank is proven; elsewhere rank_exact
+(fraction-free Bareiss elimination over the integers) decides it, on that
+degree's matrix read off one table of alpha^k mod R (k <= D + 1) built only
+if some degree needs it.  Generic charts never need it; am1n charts, whose
+Gorenstein kernels exceed the bound, do at about a quarter of their degrees.
+An R that is not integral at p proves nothing mod p, so rank_exact decides
+every degree.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
@@ -47,10 +48,9 @@ entries (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), forms of
 degree d in (cos, sin) that are at most d in magnitude: row equilibration in
 closed form (van der Sluis 1969).  One more factor of sin would shrink the
 rows of lines near the heavy one until their part of the rank fell under the
-cutoff.  A series
-builds one table of cos^k and sin^k per line as Python ints with
-precision + GUARD_BITS fraction bits, and the full-pivot elimination runs on
-those ints with the margin rule of rank_numeric.
+cutoff.  A series builds one table of cos^k and sin^k per slope line, as
+Python ints with precision + GUARD_BITS fraction bits, and the full-pivot
+elimination runs on those ints with the margin rule of rank_numeric.
 
 The closed-form numerator of the one-heavy-line family serves
 `hilbert --check-closed-form`.  The paper's per-degree segment formulas for
@@ -78,61 +78,15 @@ from .poly import DensePoly
 # --- linear algebra kernels ---------------------------------------------------
 
 
-# Prime modulus of the rank certificate: a minor that is nonzero mod p is
-# nonzero over Z, so the rank mod p is a lower bound on the rank over Q.
-RANK_PRIME = 2 ** 61 - 1
-
-
 def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     """Row rank over the rationals of a matrix of ints or Fractions.
 
-    Each row is scaled to integers.  The rank mod RANK_PRIME is a
-    proven lower bound, so it is returned when it reaches min(rows, cols);
-    otherwise fraction-free Bareiss elimination decides the rank exactly."""
-    m = [_integer_row(r) for r in rows]
+    Each row is scaled to integers, then fraction-free elimination (Bareiss
+    1968) runs on them: after k pivots every live entry is a (k+1)-minor of
+    the scaled input, so each division is exact."""
+    m = [list(_integer_row(r)) for r in rows]
     if not m or not m[0]:
         return 0
-    full = min(len(m), len(m[0]))
-    if _rank_mod_prime(m) == full:
-        return full
-    return _rank_bareiss(m)
-
-
-def _integer_row(row) -> Sequence[int]:
-    """A row of ints or Fractions times the lcm of its denominators; a row
-    of ints is returned as it is."""
-    if all(isinstance(x, int) for x in row):
-        return row
-    lcm = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (lcm // x.denominator) for x in row]
-
-
-def _rank_mod_prime(rows: List[List[int]]) -> int:
-    """Rank of an integer matrix over the field of RANK_PRIME elements."""
-    p = RANK_PRIME
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank][col:]
-        inv = pow(top[0], -1, p)
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] * inv % p
-            if f:
-                m[r][col:] = [(x - f * y) % p for x, y in zip(m[r][col:], top)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _rank_bareiss(rows: List[List[int]]) -> int:
-    """Fraction-free elimination (Bareiss 1968): after k pivots every live
-    entry is a (k+1)-minor of the input, so each division is exact."""
-    m = [list(r) for r in rows]
     rank, prev = 0, 1
     for col in range(len(m[0])):
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
@@ -149,6 +103,15 @@ def _rank_bareiss(rows: List[List[int]]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def _integer_row(row) -> Sequence[int]:
+    """A row of ints or Fractions times the lcm of its denominators; a row
+    of ints is returned as it is."""
+    if all(isinstance(x, int) for x in row):
+        return row
+    lcm = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (lcm // x.denominator) for x in row]
 
 
 def rank_numeric(rows: Sequence[Sequence[int]], precision: int) -> int:
@@ -207,8 +170,6 @@ class QISystem:
     column multiplied by the positive integer in column_scale so that every
     entry is an int; column scaling leaves the rank unchanged."""
 
-    degree: int
-    heavy_mult: int
     free: Tuple[int, ...]
     matrix: Tuple[Tuple[int, ...], ...]
     column_scale: Tuple[int, ...]
@@ -218,9 +179,8 @@ class QISystem:
         return len(self.free)
 
     def dimension(self) -> int:
-        """free_count minus the rank, by Bareiss elimination alone: a series
-        asks only where the rank mod p fell short."""
-        return self.free_count - _rank_bareiss(self.matrix)
+        """free_count minus the rank over Q, by rank_exact."""
+        return self.free_count - rank_exact(self.matrix)
 
 
 # alpha^k mod R for k = 0, 1, ..., each as (numerators, denominator) of its
@@ -266,8 +226,7 @@ def assemble_system(c: Configuration, d: int,
         ys, dy = table[d + 1 - i]
         cols.append([(d - i) * x * dy - i * y * dx for x, y in zip(xs, ys)])
         scales.append(dx * dy)
-    return QISystem(degree=d, heavy_mult=m, free=tuple(S),
-                    matrix=tuple(zip(*cols)), column_scale=tuple(scales))
+    return QISystem(free=tuple(S), matrix=tuple(zip(*cols)), column_scale=tuple(scales))
 
 
 def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
@@ -419,7 +378,7 @@ def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
 
 def _exact_coefficients(c: Configuration, D: int) -> List[int]:
     """[b_0 .. b_D] on the exact chart (see the module docstring): the modular
-    pass, then Bareiss at each degree whose rank it does not prove."""
+    pass, then rank_exact at each degree whose rank it does not prove."""
     m, R = _slope_poly(c)
     table, out = None, []
     for d, rank in enumerate(_modular_ranks(R.monic(), m, D)):
@@ -430,6 +389,11 @@ def _exact_coefficients(c: Configuration, D: int) -> List[int]:
         else:
             out.append(free - rank)
     return out
+
+
+# Prime modulus of the modular pass: a minor that is nonzero mod p is nonzero
+# over Z, so a rank mod p is a lower bound on the rank over Q.
+RANK_PRIME = 2 ** 61 - 1
 
 
 def _modular_ranks(R: DensePoly, m: int, D: int) -> List[int]:

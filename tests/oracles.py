@@ -41,6 +41,23 @@ def echelon_rank_exact(rows: List[List[Fraction]]) -> int:
     return rank
 
 
+def rank_mod_prime(rows: List[List[int]], p: int) -> int:
+    """Rank of an integer matrix over the field of p elements."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def echelon_rank_numeric(rows, precision: int = 512) -> int:
     m = [[mp.mpf(x) for x in r] for r in rows]
     if not m:

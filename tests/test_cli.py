@@ -81,19 +81,6 @@ def test_certify_perturbed_fails(tmp_path):
     assert run(["certify", "--input", str(path)]) == 1
 
 
-def test_certify_duplicated_line_is_collinear(tmp_path, capsys):
-    # a general chart, which has no record to contradict its lines (an am1n
-    # file with a duplicated line is refused on load, exit 2)
-    from balines.config import general_from_angles
-
-    data = general_from_angles([2, 1, 1], [0, 1, 2], 256).to_json_dict()
-    data["lines"].append(dict(data["lines"][1]))
-    path = tmp_path / "dup.json"
-    path.write_text(json.dumps(data))
-    assert run(["certify", "--input", str(path)]) == 3
-    assert "collinear" in capsys.readouterr().err
-
-
 def test_hilbert_outputs(tmp_path):
     out = tmp_path / "h.json"
     csvp = tmp_path / "h.csv"
@@ -225,13 +212,31 @@ FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
 # Edits of INPUT that make its record contradict its lines, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3)}
+
+
+def _general_at(bits):
+    """An edit of INPUT into a general chart of precision bits that stores
+    no slope, so that no slope check reads the precision before certify or
+    hilbert does."""
+    def edit(d):
+        d.update(kind="general", precision_bits=bits)
+        for ln in d["lines"]:
+            ln["alpha"] = None
+    return edit
+
+
 # Edits of INPUT into a general chart, whose record is not checked against
-# its lines, with a heavy multiplicity that is not a positive integer.
+# its lines: a heavy multiplicity that is not a positive integer, no line, a
+# line twice, or a precision that is not an integer.
 GENERAL_EDITED = {
     "general-mult-inf": lambda d: (d.update(kind="general"),
                                    d["lines"][0].update(mult=float("inf"))),
     "general-mult-0": lambda d: (d.update(kind="general"),
                                  d["lines"][0].update(mult=0)),
+    "general-no-lines": lambda d: d.update(kind="general", lines=[]),
+    "general-line-twice": lambda d: (d.update(kind="general"),
+                                     d["lines"].append(dict(d["lines"][1]))),
+    **{f"general-precision-{bits}": _general_at(bits) for bits in (300.0, 300.5)},
 }
 # Edits of the twomult (3, 1, 4) record, written to INPUT in its place, that
 # leave its e or branch sign other than those build_two_mult picks, by name.
@@ -323,6 +328,9 @@ BAD_INPUT = [
     (["certify", "--input", "INPUT"], "random-light-mult-2"),
     (["certify", "--input", "INPUT"], "tq-mults-swapped"),
     (["hilbert", "--input", "INPUT"], "tq-mults-swapped"),
+    *[([cmd, "--input", "INPUT"], name) for name in
+      ("general-precision-300.0", "general-precision-300.5", "general-no-lines",
+       "general-line-twice") for cmd in ("certify", "hilbert")],
 ]
 
 

@@ -20,8 +20,8 @@ from balines.quasi import (am1n_hilbert_numerator, assemble_system,
 from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
-                     echelon_rank_exact, numeric_chart, remainder_map_matrix,
-                     series_times_denominator)
+                     echelon_rank_exact, numeric_chart, rank_mod_prime,
+                     remainder_map_matrix, series_times_denominator)
 from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
                    is_symmetric_slope_chart, product_invariant,
                    radial_invariant, segment_oracles, segment_prediction)
@@ -312,16 +312,8 @@ def test_rank_exact_small_cases():
     assert rank_exact([[F(0)] * 3] * 4) == 0
     assert rank_exact([[F(0), F(-2, 3), F(5)]]) == 1
     assert rank_exact([[F(0), F(0), F(0)]]) == 0
-
-
-def test_rank_exact_falls_back_when_p_divides_a_minor(monkeypatch):
-    # rank 1 mod 2^61 - 1 but 2 over Q: only the Bareiss route can tell
-    calls = []
-    bareiss = quasi._rank_bareiss
-    monkeypatch.setattr(quasi, "_rank_bareiss",
-                        lambda rows: calls.append(rows) or bareiss(rows))
+    # rank 1 mod 2^61 - 1, the modulus of the modular pass, but 2 over Q
     assert rank_exact([[F(2 ** 61 - 1), F(0)], [F(0), F(1)]]) == 2
-    assert len(calls) == 1
 
 
 _ENTRY = st.one_of(
@@ -401,7 +393,7 @@ def _bareiss_series(c, D):
     """[b_0 .. b_D] from Bareiss elimination at every degree."""
     table = quasi.power_table(c.R, D + 1)
     systems = [assemble_system(c, d, table) for d in range(D + 1)]
-    return [s.free_count - quasi._rank_bareiss(s.matrix) for s in systems]
+    return [s.free_count - rank_exact(s.matrix) for s in systems]
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,7 +409,8 @@ def test_modular_pass_matches_per_degree_bareiss(m, slopes):
     # -1 is not a square mod 2^61 - 1, so 1 + alpha^2 is a unit mod (R, p)
     # for rational slopes, and the pass gives the rank mod p itself
     assert quasi._modular_ranks(c.R, m, D) == [
-        quasi._rank_mod_prime(assemble_system(c, d).matrix) for d in range(D + 1)]
+        rank_mod_prime(assemble_system(c, d).matrix, quasi.RANK_PRIME)
+        for d in range(D + 1)]
 
 
 @pytest.mark.parametrize("slopes, proven", [
@@ -436,6 +429,17 @@ def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, proven):
     assert calls
     # only degree 0, whose bound is 0, needs no proof
     assert (calls == list(range(1, D + 1))) == (proven == "none")
+
+
+def test_fallback_degrees_run_rank_exact(monkeypatch):
+    # the exact elimination runs under its module name, where a tracer that
+    # patches module attributes sees it, once per assembled degree
+    assembled = _count_assembly(monkeypatch)
+    ranked, rank = [], quasi.rank_exact
+    monkeypatch.setattr(quasi, "rank_exact",
+                        lambda rows: ranked.append(assembled[-1]) or rank(rows))
+    hilbert_coefficients(build_am1n(3, 4, 128), 2 * 3 + 2 * 4 + 4)
+    assert assembled and ranked == assembled
 
 
 def test_random_charts_need_no_bareiss(monkeypatch):
