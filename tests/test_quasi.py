@@ -312,8 +312,14 @@ def test_rank_exact_small_cases():
     assert rank_exact([[F(0)] * 3] * 4) == 0
     assert rank_exact([[F(0), F(-2, 3), F(5)]]) == 1
     assert rank_exact([[F(0), F(0), F(0)]]) == 0
-    # rank 1 mod 2^61 - 1, the modulus of the modular pass, but 2 over Q
-    assert rank_exact([[F(2 ** 61 - 1), F(0)], [F(0), F(1)]]) == 2
+
+
+def test_rank_exact_falls_back_when_p_divides_a_minor():
+    # rank 1 mod 2^61 - 1, the modulus of the modular pass, but 2 over Q:
+    # the exact elimination the pass falls back to must not work mod p
+    rows = [[2 ** 61 - 1, 0], [0, 1]]
+    assert rank_mod_prime(rows, quasi.RANK_PRIME) == 1
+    assert rank_exact([[F(x) for x in r] for r in rows]) == 2
 
 
 _ENTRY = st.one_of(
