@@ -90,6 +90,11 @@ class Multiplicities:
         return iter(self.values)
 
 
+# The families a configuration can come from; a file of any other kind is
+# refused at load.
+KINDS = ("am1n", "twomult", "qexpanded", "general", "random")
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """An arrangement as an exact record plus a numeric chart of lines.
@@ -104,7 +109,7 @@ class Configuration:
     family, and every loaded file, passes its lines as ``chart``.
     Equality and hashing compare the record and the lines."""
 
-    kind: str  # am1n | twomult | qexpanded | general | random
+    kind: str  # one of KINDS
     precision: int
     m: Optional[int] = None
     mtilde: Optional[int] = None
@@ -204,6 +209,8 @@ class Configuration:
     def from_json_dict(d: dict) -> "Configuration":
         if not isinstance(d, dict):
             raise TypeError(f"a configuration is a JSON object, not {type(d).__name__}")
+        if d["kind"] not in KINDS:
+            raise ValueError(f"unknown kind {d['kind']!r}, not one of {', '.join(KINDS)}")
         precision = check_precision(d["precision_bits"])
         lines = []
         for k, entry in enumerate(d["lines"]):

@@ -60,6 +60,8 @@ def mpf_to_hex(x) -> str:
 
 def hex_to_mpf(s: str):
     """Inverse of mpf_to_hex; exact regardless of ambient precision."""
+    if not isinstance(s, str):
+        raise ValueError(f"bad hex float {s!r}")
     neg = s.startswith("-")
     if neg:
         s = s[1:]

@@ -30,27 +30,45 @@ span, so dim W_d is at most the rank mod p of the degree-d matrix, itself a
 lower bound on its rank over Q (a minor nonzero mod p is nonzero); the two
 are equal when 1 + alpha^2 is a unit mod (R, p).
 
-Two upper bounds close the proof.  The rank is at most n, and at even d at
+Both routes share one proof rule.  The rank is at most n, and at even d at
 most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
 sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
-f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  Where dim W_d meets
-min(n, |S_d| - [d even]) the rank is proven; elsewhere rank_exact
-(fraction-free Bareiss elimination over the integers) decides it, on that
-degree's matrix read off one table of alpha^k mod R (k <= D + 1) built only
-if some degree needs it.  Generic charts never need it; am1n charts, whose
+f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  The lower bound is
+dim W_d on the exact route and the rank already settled at d - 2 on the
+numeric one.  Where it meets min(n, |S_d| - [d even]) the rank is that
+bound, with no elimination; at every other degree that degree's own
+elimination decides it.  On the exact route that is rank_exact
+(fraction-free Bareiss elimination over the integers), on the degree's
+matrix read off one table of alpha^k mod R (k <= D + 1) built only if some
+degree needs it.  Generic charts never need it; am1n charts, whose
 Gorenstein kernels exceed the bound, do at about a quarter of their degrees.
 An R that is not integral at p proves nothing mod p, so rank_exact decides
-every degree.
+every degree but 0, whose bound is 0.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
-entries (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), forms of
-degree d in (cos, sin) that are at most d in magnitude: row equilibration in
-closed form (van der Sluis 1969).  One more factor of sin would shrink the
-rows of lines near the heavy one until their part of the rank fell under the
-cutoff.  A series builds one table of cos^k and sin^k per slope line, as
-Python ints with precision + GUARD_BITS fraction bits, and the full-pivot
-elimination runs on those ints with the margin rule of rank_numeric.
+entries num_d(i) = (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1),
+forms of degree d in (cos, sin) that are at most d in magnitude: row
+equilibration in closed form (van der Sluis 1969).  One more factor of sin
+would shrink the rows of lines near the heavy one until their part of the
+rank fell under the cutoff.  A series builds one table of cos^k and sin^k
+per slope line, as Python ints with precision + GUARD_BITS fraction bits,
+and the full-pivot elimination runs on those ints with the margin rule of
+rank_numeric.  The embedding holds exactly for these rows: with
+alpha_j = cot phi_j, (1 + alpha_j^2) sin^2 phi_j = 1, so
+
+    num_(d-2)(i) = num_d(i) + num_d(i+2),   i in S_(d-2),
+
+that is M_(d-2) = M_d T for a 0/1 matrix T with at most two ones in each row
+and column, ||T||_2 <= 2.  So the rank at d is at least the rank at d - 2,
+and sigma_r(M_d) >= sigma_r(M_(d-2)) / 2 for every r: a rank decided with
+the 2^64 margin at d - 2 stays decided at d (the fixed-point rows differ
+from the exact ones by rounding far below the cutoff).  rank_numeric
+therefore runs only at the degrees where the rank at d - 2 is short of the
+bound: on a generic chart the degrees up to about n + m (1..24 of 0..52
+for m = 4, n = 20), and on a rank-deficient one such as am1n also the
+degrees its Gorenstein kernel holds below the bound.  Once the rank reaches
+n at some degree, every later degree of that parity is read off the bound.
 
 The closed-form numerator of the one-heavy-line family serves
 `hilbert --check-closed-form`.  The paper's per-degree segment formulas for
@@ -366,28 +384,30 @@ class HilbertSeries:
 
 
 def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
-    """[b_0 .. b_D], by the exact route on a chart with groups, else numerically."""
+    """[b_0 .. b_D], by the exact route on a chart with groups, else
+    numerically (see the module docstring): the rank is read off its bounds
+    where they meet, else eliminated at that degree alone."""
     m, n = m1n_parameters(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     if c.groups:
-        return _exact_coefficients(c, D)
-    table = cos_sin_table(c, D)
-    return [qi_dimension_numeric(c, d, table=table) for d in range(D + 1)]
-
-
-def _exact_coefficients(c: Configuration, D: int) -> List[int]:
-    """[b_0 .. b_D] on the exact chart (see the module docstring): the modular
-    pass, then rank_exact at each degree whose rank it does not prove."""
-    m, R = _slope_poly(c)
-    table, out = None, []
-    for d, rank in enumerate(_modular_ranks(R.monic(), m, D)):
+        R = _slope_poly(c)[1]
+        proven, powers = _modular_ranks(R.monic(), m, D), None
+    else:
+        cos_sin = cos_sin_table(c, D)
+    ranks, out = [], []
+    for d in range(D + 1):
         free = len(free_indices(d, m))
-        if rank < min(R.degree, free - (d % 2 == 0)):
-            table = table or power_table(R, D + 1)
-            out.append(qi_dimension_exact(c, d, table))
+        bound = min(n, free - (d % 2 == 0))
+        lower = proven[d] if c.groups else (ranks[d - 2] if d >= 2 else 0)
+        if lower >= bound:
+            out.append(free - bound)
+        elif c.groups:
+            powers = powers or power_table(R, D + 1)
+            out.append(qi_dimension_exact(c, d, powers))
         else:
-            out.append(free - rank)
+            out.append(qi_dimension_numeric(c, d, cos_sin))
+        ranks.append(free - out[-1])
     return out
 
 

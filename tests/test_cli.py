@@ -209,9 +209,14 @@ RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
 # Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
 # (3, 2), which has as many slope lines, by name.
 FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
-# Edits of INPUT that make its record contradict its lines, by name.
+# Edits of INPUT that make its record contradict its lines, store an angle
+# that is not a hex string, or name no known kind, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
-          "m-3": lambda d: d.update(m=3)}
+          "m-3": lambda d: d.update(m=3),
+          "phi-hex-5": lambda d: d["lines"][1].update(phi_hex=5),
+          "phi-hex-null": lambda d: d["lines"][1].update(phi_hex=None),
+          "kind-5": lambda d: d.update(kind=5),
+          "kind-bogus": lambda d: d.update(kind="bogus")}
 
 
 def _general_at(bits):
@@ -331,6 +336,9 @@ BAD_INPUT = [
     *[([cmd, "--input", "INPUT"], name) for name in
       ("general-precision-300.0", "general-precision-300.5", "general-no-lines",
        "general-line-twice") for cmd in ("certify", "hilbert")],
+    *[([cmd, "--input", "INPUT"], name) for name in
+      ("phi-hex-5", "phi-hex-null", "kind-5", "kind-bogus")
+      for cmd in ("certify", "hilbert")],
 ]
 
 

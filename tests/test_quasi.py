@@ -64,11 +64,16 @@ def test_exact_equals_numeric():
 
 @pytest.mark.parametrize("precision", [64, 128, 256, 512])
 def test_fixed_point_series_equals_exact_series(precision):
-    for m, n, seed in [(1, 4, 2), (2, 7, 5), (3, 10, 1), (1, 16, 3)]:
-        c = random_type_m1n(m, n, seed, precision)
+    # am1n charts are rank-deficient at some degrees (their Gorenstein
+    # kernels), so there the numeric route eliminates below the bound
+    charts = [random_type_m1n(m, n, seed, precision)
+              for m, n, seed in [(1, 4, 2), (2, 7, 5), (3, 10, 1), (1, 16, 3)]]
+    charts += [build_am1n(m, n, precision) for m in range(1, 5) for n in range(1, 9)]
+    for c in charts:
+        m, n = quasi.m1n_parameters(c)
         D = 2 * m + 2 * n + 4
         assert hilbert_coefficients(numeric_chart(c), D) == \
-            hilbert_coefficients(c, D), (m, n, seed)
+            hilbert_coefficients(c, D), (c.kind, m, n, c.seed)
 
 
 @pytest.mark.parametrize("m, n, seed", [(4, 20, 1), (5, 30, 2)])
@@ -87,6 +92,25 @@ def test_fixed_point_series_with_a_line_near_the_heavy_one():
         c = from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
         assert hilbert_coefficients(numeric_chart(c), 16) == \
             hilbert_coefficients(c, 16), k
+
+
+def test_numeric_series_eliminates_only_below_the_bound(monkeypatch):
+    # the rank at d - 2 is a lower bound at d (x^2 + y^2 embeds the degrees);
+    # rank_numeric runs only where it is short of min(n, |S_d| - [d even])
+    m, n, D = 4, 20, 52
+    c = numeric_chart(random_type_m1n(m, n, 1, 256))
+    widths, rank = [], quasi.rank_numeric
+    monkeypatch.setattr(quasi, "rank_numeric",
+                        lambda rows, precision: widths.append(len(rows[0])) or
+                        rank(rows, precision))
+    bs = hilbert_coefficients(c, D)
+    free = [len(quasi.free_indices(d, m)) for d in range(D + 1)]
+    ranks = [f - b for f, b in zip(free, bs)]
+    short = [d for d in range(D + 1)
+             if (ranks[d - 2] if d >= 2 else 0) < min(n, free[d] - (d % 2 == 0))]
+    assert short == list(range(1, 25))  # of 53; degree 0 has bound 0
+    assert widths == [free[d] for d in short]
+    assert bs == hilbert_coefficients(random_type_m1n(m, n, 1, 256), D)
 
 
 def test_nearly_equal_slopes_are_refused_on_the_numeric_route():
