@@ -43,17 +43,26 @@ _MAX_DOUBLINGS times, after which IllConditioned is raised.  Two lines
 whose sin(phi_i - phi_j) does not exceed its error bound are collinear
 (CollisionError).  The JSON certificate reports the F that decided
 (fraction_bits) and the worst bound over its scale (max_bound_log2).
+
+The residuals keep the kernel's integers and are read off them: each
+residual_log2 is the log2 of |value| / scale as 53-bit mpfs round it,
+formed by int division where the float holds it exactly, and the largest
+relative residual is found by exact cross-multiplication and only then
+divided at the working precision, so the JSON is the same at any ambient
+precision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div, round_nearest,
+                          to_fixed)
 
 from .config import Configuration, Line, _two_mult_ode_residual, integer_mults
 from .errors import CollisionError, IllConditioned, MissingExactData
@@ -67,17 +76,70 @@ _INPUT_ERROR = 2
 _MAX_DOUBLINGS = 2
 
 
-@dataclass(frozen=True)
-class ConditionResidual:
+class ConditionResidual(NamedTuple):
+    """One condition's sum in fixed point: the real sum is total * 2^exp and
+    the largest summand magnitude top * 2^exp, each off by at most
+    error * 2^exp (the bound of the sum covers each summand's).  value,
+    scale and bound are those in real units, as exact mpfs."""
+
     j: int
     k: int
-    value: object  # mpf, the real cot sum
-    scale: object  # mpf, largest summand magnitude (floored at 1)
     form: str  # polar-first | polar-locus
-    bound: object = None  # mpf, bound on the rounding error of value
+    exp: int
+    total: int
+    error: int
+    top: int
+
+    def _real(self, man: int):
+        return mp.mp.make_mpf(from_man_exp(man, self.exp))
+
+    @property
+    def value(self):
+        """The real cot sum."""
+        return self._real(self.total)
+
+    @property
+    def scale(self):
+        """The largest summand magnitude, floored at 1."""
+        return self._real(self.ratio()[1])
+
+    @property
+    def bound(self):
+        """Bound on the rounding error of value."""
+        return self._real(self.error)
 
     def relative(self):
+        """|value| / scale at the working precision."""
         return abs(self.value) / self.scale
+
+    def ratio(self) -> Tuple[int, int]:
+        """|total| and the scale in units of 2^exp, whose quotient is the
+        relative residual."""
+        return abs(self.total), max(1 << -self.exp, self.top)
+
+    def scale_range(self) -> Tuple[int, int]:
+        """Lower and upper bounds on the scale, max(1, largest summand)."""
+        one = 1 << -self.exp
+        return max(one, self.top - self.error), max(one, self.top + self.error)
+
+
+def _residual_log2(r: ConditionResidual) -> float:
+    """log2_abs(r.relative()) at 53 bits: |value| rounded to 53 bits over the
+    scale, rounded to 53 bits.  A numerator of fewer than 1000 bits is
+    rounded by float() and the quotient by int division, both to nearest
+    with ties to even as mpmath rounds, so the float is that quotient unless
+    it is subnormal or 0; those, and longer numerators, take the mpf route."""
+    num, den = r.ratio()
+    if not num:
+        return float("-inf")
+    if num.bit_length() < 1000:
+        x = (num if num.bit_length() <= 53 else int(float(num))) / den
+        if x > sys.float_info.min:
+            man, power = x.as_integer_ratio()
+            zeros = (man & -man).bit_length() - 1  # 0 unless x is an integer
+            return math.log2(man >> zeros) + zeros + 1 - power.bit_length()
+    with mp.workprec(53):
+        return log2_abs(r.relative())
 
 
 @dataclass(frozen=True)
@@ -96,6 +158,8 @@ class BACertificate:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
+        """The certificate with every log2 read off a 53-bit value, whatever
+        the working precision."""
         return {
             "digest": self.digest,
             "precision_bits": self.precision,
@@ -109,34 +173,15 @@ class BACertificate:
                     "j": r.j,
                     "k": r.k,
                     "form": r.form,
-                    "residual_log2": log2_abs(r.relative()),
+                    "residual_log2": _residual_log2(r),
                 }
                 for r in self.residuals
             ],
         }
 
 
-class _Sum(NamedTuple):
-    """One condition's sum in fixed point: the real sum is total * 2^exp and
-    the largest summand magnitude top * 2^exp, each off by at most
-    bound * 2^exp (the bound of the sum covers each summand's)."""
-
-    j: int
-    k: int
-    form: str
-    exp: int
-    total: int
-    bound: int
-    top: int
-
-    def scale_range(self) -> Tuple[int, int]:
-        """Lower and upper bounds on the scale, max(1, largest summand)."""
-        one = 1 << -self.exp
-        return max(one, self.top - self.bound), max(one, self.top + self.bound)
-
-
 def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
-          frac: int) -> List[_Sum]:
+          frac: int) -> List[ConditionResidual]:
     """(first, locus) sums of line j for k = 1..orders[j], j in order, with
     `frac` fraction bits and error bounds in units of 2^-frac.
 
@@ -156,9 +201,13 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
     # acc[j][k]: first sum, its bound, largest |term|, locus sum, its bound,
     # largest |locus term|
     acc = [[[0] * 6 for _ in range(kmax)] for kmax in orders]
-    for j, (cj, sj, aj, bj) in enumerate(cs):
-        for i in range(j + 1, len(cs)):
-            top = max(orders[i], orders[j])
+    n = len(cs)
+    for j in range(n):
+        cj, sj, aj, bj = cs[j]
+        mj, oj, acc_j = mults[j], orders[j], acc[j]
+        for i in range(j + 1, n):
+            oi = orders[i]
+            top = oi if oi > oj else oj
             if not top:
                 continue
             ci, si, ai, _ = cs[i]
@@ -166,65 +215,62 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
             # phi_i - phi_j times 2^2F, by three products
             k1 = cj * ai
             den = k1 - ci * aj
-            gap = abs(den) - eta
+            gap = (den if den > 0 else -den) - eta
             if gap <= 0:
                 raise CollisionError(f"lines {i} and {j} are collinear")
-            cot = ((k1 - si * bj) << frac) // den
+            p = ((k1 - si * bj) << frac) // den  # cot
+            size = p if p > 0 else -p
             # |N/D - n/d| <= eta (|D| + |N|) / (|D| (|D| - eta)), |N/D| <= |cot| + 1,
             # and x // y <= x >> (bit length of y - 1)
-            err = 2 + (eta * (one + abs(cot) + 1) >> (gap.bit_length() - 1))
-            cot2 = (cot * cot) >> frac
-            err2 = (((abs(cot) << 1) + err) * err >> frac) + 2  # |T^2 - X^2| <= E (2|T| + E)
+            b = 2 + (eta * (one + size + 1) >> (gap.bit_length() - 1))
+            cot2 = (p * p) >> frac
+            err2 = (((size << 1) + b) * b >> frac) + 2  # |T^2 - X^2| <= E (2|T| + E)
             over = cot2 + err2  # bounds cot^2 from above
-            powers, bounds = [cot], [err]
+            powers, bounds = [p], [b]
             for _ in range(top):
-                p, b = powers[-1], bounds[-1]
-                powers.append((p * cot2) >> frac)
-                bounds.append(((abs(p) * err2 + over * b) >> frac) + 2)
+                b = ((size * err2 + over * b) >> frac) + 2
+                p = (p * cot2) >> frac
+                size = p if p > 0 else -p
+                powers.append(p)
+                bounds.append(b)
             # line i sees cot(phi_j - phi_i) = -cot, and odd powers of it
-            for line, m, pw in ((j, mults[i], powers), (i, mults[j], [-p for p in powers])):
+            for sums, m, sign in ((acc_j, mults[i], 1), (acc[i], mj, -1)):
                 w = m * (m + 1)
-                for k, s in enumerate(acc[line]):
-                    term = m * pw[k]
+                sm, sw = sign * m, sign * w
+                for k in range(len(sums)):
+                    s = sums[k]
+                    term = sm * powers[k]
                     s[0] += term
                     s[1] += m * bounds[k]
-                    size = abs(term)
-                    if size > s[2]:
-                        s[2] = size
-                    term = w * (pw[k] + pw[k + 1])
+                    if term < 0:
+                        term = -term
+                    if term > s[2]:
+                        s[2] = term
+                    term = sw * (powers[k] + powers[k + 1])
                     s[3] += term
                     s[4] += w * (bounds[k] + bounds[k + 1])
-                    size = abs(term)
-                    if size > s[5]:
-                        s[5] = size
-    return [_Sum(j, k + 1, "polar-" + form, -frac - shift, *s[at:at + 3])
+                    if term < 0:
+                        term = -term
+                    if term > s[5]:
+                        s[5] = term
+    return [ConditionResidual(j, k + 1, "polar-" + form, -frac - shift, *s[at:at + 3])
             for j, sums in enumerate(acc) for k, s in enumerate(sums)
             for form, shift, at in (("first", 0, 0), ("locus", 2, 3))]
-
-
-def _residual(s: _Sum) -> ConditionResidual:
-    """The sum in real units."""
-    def real(man):  # exact
-        return mp.mp.make_mpf(from_man_exp(man, s.exp))
-
-    return ConditionResidual(j=s.j, k=s.k, form=s.form, value=real(s.total),
-                             scale=real(max(1 << -s.exp, s.top)),
-                             bound=real(s.bound))
 
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
     """The first-family residual at line j and order k, with F the ambient
     working precision."""
     orders = [k if i == j else 0 for i in range(len(lines))]
-    return _residual(_sums([ln.mult for ln in lines], [ln.phi for ln in lines],
-                           orders, mp.mp.prec)[2 * k - 2])
+    return _sums([ln.mult for ln in lines], [ln.phi for ln in lines], orders,
+                 mp.mp.prec)[2 * k - 2]
 
 
 def default_threshold(precision: int):
     return mp.mpf(2) ** (-(precision - 32))
 
 
-def _verdict(sums: Sequence[_Sum], threshold) -> str:
+def _verdict(sums: Sequence[ConditionResidual], threshold) -> str:
     """pass, fail, or '' when some condition's bound straddles the threshold
     and none fails verified; exact integer comparisons."""
     sign, man, exp, _ = threshold._mpf_
@@ -234,11 +280,27 @@ def _verdict(sums: Sequence[_Sum], threshold) -> str:
         return (x << -exp) < man * y if exp < 0 else x < (man * y) << exp
 
     lo_hi = [s.scale_range() for s in sums]
-    if all(below(abs(s.total) + s.bound, lo) for s, (lo, _) in zip(sums, lo_hi)):
+    if all(below(abs(s.total) + s.error, lo) for s, (lo, _) in zip(sums, lo_hi)):
         return "pass"
-    if any(not below(abs(s.total) - s.bound, hi) for s, (_, hi) in zip(sums, lo_hi)):
+    if any(not below(abs(s.total) - s.error, hi) for s, (_, hi) in zip(sums, lo_hi)):
         return "fail"
     return ""
+
+
+def _max_relative(sums: Sequence[ConditionResidual], prec: int):
+    """The largest relative residual as a prec-bit mpf: |value| rounded to
+    prec bits over the scale, rounded again.  That is monotone in the rounded
+    |total| over the scale, so the largest is found by exact
+    cross-multiplication and divided alone."""
+    num, den = 0, 1
+    for s in sums:
+        a, b = s.ratio()
+        if a.bit_length() > prec:  # abs(value) rounds it
+            _, man, exp, _ = from_int(a, prec, round_nearest)
+            a = man << exp
+        if a * den > num * b:
+            num, den = a, b
+    return mp.mp.make_mpf(mpf_div(from_int(num), from_int(den), prec, round_nearest))
 
 
 def certify_ba(c: Configuration, threshold=None) -> BACertificate:
@@ -263,14 +325,13 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
             raise IllConditioned(
                 f"a residual stays within its rounding bound of the threshold "
                 f"at {frac // 2} fraction bits")
-        residuals = tuple(_residual(s) for s in sums)
-        worst = max((r.relative() for r in residuals), default=mp.mpf(0))
-    bounds = [(s.bound, s.scale_range()[0]) for s in sums if s.bound]
+        worst = _max_relative(sums, mp.mp.prec)
+    bounds = [(s.error, s.scale_range()[0]) for s in sums if s.error]
     max_bound = max((math.log2(b) - math.log2(lo) for b, lo in bounds),
                     default=float("-inf"))
     return BACertificate(digest=c.digest(), precision=c.precision,
                          threshold=thr, max_residual=worst, verdict=verdict,
-                         residuals=residuals, fraction_bits=frac,
+                         residuals=tuple(sums), fraction_bits=frac,
                          max_bound_log2=max_bound)
 
 

@@ -24,7 +24,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import mpf_cos_sin, to_fixed
+from mpmath.libmp import (from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_ge, mpf_gt,
+                          mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .errors import CollisionError, IdentityFailed, MissingExactData
 from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
@@ -245,7 +247,7 @@ class Configuration:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
 
     @staticmethod
     def load(path: str) -> "Configuration":
@@ -417,17 +419,26 @@ def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
 
 def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
-    - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1)."""
-    P1 = P.derivative()
-    P2 = P1.derivative()
-    w = DensePoly.rational([0, 1])
-    one = DensePoly.rational([1])
-    wsq = w * w - one
-    term2 = (wsq.scale(Fraction(n - 1))
-             - ((w + one) * (w + one)).scale(Fraction(m))
-             - ((w - one) * (w - one)).scale(Fraction(mt)))
-    rhs = DensePoly.rational([n * (m - mt), n * (m + mt)]) * P
-    return (w * wsq) * P2 - term2 * P1 - rhs
+    - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1).  On integers: with L the
+    lcm of P's denominators, each coefficient is an integer combination of
+    those of L P, L P' and L P'', and L is divided out last."""
+    L = math.lcm(*(x.denominator for x in P.coeffs))
+    a = [x.numerator * (L // x.denominator) for x in P.coeffs]
+    a1 = [k * x for k, x in enumerate(a)][1:]
+    a2 = [k * x for k, x in enumerate(a1)][1:]
+    size = len(a) + 1  # coefficients of the residual
+
+    def pad(xs):  # pad(xs)[k + 3] is the coefficient of w^k
+        return [0, 0, 0] + xs + [0] * (size + 3 - len(xs))
+
+    A, A1, A2 = pad(a), pad(a1), pad(a2)
+    # minus the coefficients of (n-1-m-mt) w^2 + 2(mt-m) w - (n-1+m+mt)
+    # and of n(m+mt) w + n(m-mt)
+    q2, q1, q0 = m + mt + 1 - n, 2 * (m - mt), n - 1 + m + mt
+    r1, r0 = -n * (m + mt), -n * (m - mt)
+    out = [A2[k] - A2[k + 2] + q2 * A1[k + 1] + q1 * A1[k + 2] + q0 * A1[k + 3]
+           + r1 * A[k + 2] + r0 * A[k + 3] for k in range(size)]
+    return DensePoly([Fraction(x, L) for x in out] if any(out) else ())
 
 
 def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction]]:
@@ -477,30 +488,39 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
     # With phi = phi0 + k*pi, phi0 in [0, pi), the q angles (phi + pi*s)/q
     # mod pi are phi0/q + r*pi/q, r = 0..q-1, each in [0, pi).  Formed with
     # extra guard bits, they need no reduction that cancels, and phi0 = 0
-    # keeps its copy at exactly 0.
-    with working(c.precision + GUARD_BITS):
-        step = mp.pi / q
-        wide = []
-        for ln in c.lines:
-            base = reduce_angle_mod_pi(ln.phi) / q
-            wide += [(ln.mult, base + r * step) for r in range(q)]
+    # keeps its copy at exactly 0.  The arithmetic is on libmp values:
+    # phi0/q + r*(pi/q) at p + 2*GUARD_BITS bits, one rounding to p +
+    # GUARD_BITS, which may reach pi and then has pi subtracted.
+    wide, prec = c.precision + 2 * GUARD_BITS, c.precision + GUARD_BITS
+    rnd, three, div = round_nearest, from_int(3), from_int(q)
+    step = mpf_div(mpf_pi(wide, rnd), div, wide, rnd)
+    pi = mpf_pi(prec, rnd)
+    new_lines = []
+    for ln in c.lines:
+        phi = ln.phi._mpf_
+        if phi[0] or mpf_gt(phi, three):  # below 0 or above 3: reduce mod pi
+            with mp.workprec(wide):
+                phi = reduce_angle_mod_pi(ln.phi)._mpf_
+        else:  # phi/pi < 0.96 has floor 0, so the reduction only rounds phi
+            phi = mpf_pos(phi, wide, rnd)
+        base = mpf_div(phi, div, wide, rnd)
+        for r in range(q):
+            angle = mpf_pos(mpf_add(base, mpf_mul_int(step, r, wide, rnd), wide, rnd),
+                            prec, rnd)
+            if mpf_ge(angle, pi):
+                angle = mpf_sub(angle, pi, prec, rnd)
+            new_lines.append(Line(mult=ln.mult, phi=mp.mp.make_mpf(angle)))
     with working(c.precision):
-        pi = mp.pi
-        new_lines = []
-        for mult, phi in wide:
-            phi = mp.mpf(phi)  # one rounding, which may reach pi
-            new_lines.append(Line(mult=mult, phi=phi - pi if phi >= pi else phi,
-                                  alpha_exact=None))
         new_lines.sort(key=lambda ln: ln.phi)
         _check_distinct_angles([ln.phi for ln in new_lines], c.precision)
 
-        e = None
-        if c.e is not None and c.n:
-            # P(w^q) = sum_j (-1)^j e_j w^(q(n-j)), so E_(qj) = (-1)^((q-1)j) e_j
-            # and E_K = 0 when q does not divide K
-            e = [Fraction(0)] * (q * c.n)
-            for j, ej in enumerate(c.e, 1):
-                e[q * j - 1] = -ej if (q - 1) * j % 2 else ej
+    e = None
+    if c.e is not None and c.n:
+        # P(w^q) = sum_j (-1)^j e_j w^(q(n-j)), so E_(qj) = (-1)^((q-1)j) e_j
+        # and E_K = 0 when q does not divide K
+        e = [Fraction(0)] * (q * c.n)
+        for j, ej in enumerate(c.e, 1):
+            e[q * j - 1] = -ej if (q - 1) * j % 2 else ej
     return Configuration(kind="qexpanded", precision=c.precision, m=c.m,
                          mtilde=c.mtilde, n=(c.n * q if c.n else None),
                          q=(c.q or 1) * q, e=tuple(e) if e else None,

@@ -90,9 +90,11 @@ def reduce_angle_mod_pi(phi):
 
 
 def log2_abs(x) -> float:
-    """float(log2|x|), with -inf for 0; safe for tiny/huge mpf values, which
-    it reads as mantissa times a power of two."""
-    ax = abs(mp.mpf(x))
+    """float(log2|x|) of x rounded to 53 bits, whatever the working
+    precision, with -inf for 0; safe for tiny/huge mpf values, which it reads
+    as mantissa times a power of two."""
+    with mp.workprec(53):
+        ax = abs(mp.mpf(x))
     _, man, exp, _ = ax._mpf_
     if man:
         return math.log2(man) + exp

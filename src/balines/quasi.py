@@ -53,9 +53,10 @@ equilibration in closed form (van der Sluis 1969).  One more factor of sin
 would shrink the rows of lines near the heavy one until their part of the
 rank fell under the cutoff.  A series builds one table of cos^k and sin^k
 per slope line, as Python ints with precision + GUARD_BITS fraction bits,
-and the full-pivot elimination runs on those ints with the margin rule of
-rank_numeric.  The embedding holds exactly for these rows: with
-alpha_j = cot phi_j, (1 + alpha_j^2) sin^2 phi_j = 1, so
+grown only as far as the highest degree it eliminates, and the full-pivot
+elimination runs on those ints with the margin rule of rank_numeric.  The
+embedding holds exactly for these rows: with alpha_j = cot phi_j,
+(1 + alpha_j^2) sin^2 phi_j = 1, so
 
     num_(d-2)(i) = num_d(i) + num_d(i+2),   i in S_(d-2),
 
@@ -298,13 +299,15 @@ def qi_dimension_exact(c: Configuration, d: int,
 
 
 # cos^k phi and sin^k phi (k = 0, 1, ...) of every slope line, as ints
-# carrying precision + GUARD_BITS fraction bits.
-CosSinTable = Sequence[Tuple[Sequence[int], Sequence[int]]]
+# carrying precision + GUARD_BITS fraction bits; the lists grow in place.
+CosSinTable = Sequence[Tuple[List[int], List[int]]]
 
 
-def cos_sin_table(c: Configuration, top: int) -> CosSinTable:
-    """Fixed-point powers cos^k and sin^k, k = 0..top, of the slope lines'
-    angles: one cos/sin evaluation per line, then repeated multiplication.
+def cos_sin_table(c: Configuration) -> CosSinTable:
+    """Fixed-point powers cos^k and sin^k, k = 0, 1, of the slope lines'
+    angles, by one cos/sin evaluation per line; qi_dimension_numeric grows
+    them in place, by repeated multiplication, as far as the degree it
+    eliminates.
 
     Two slope lines closer (mod pi) than rank_numeric's cutoff 2^-(p/2)
     times its margin 2^64, or times 2^(p/4) below 256 bits where 2^64 would
@@ -313,7 +316,6 @@ def cos_sin_table(c: Configuration, top: int) -> CosSinTable:
     pivots before it clear the margin, and the rank would come out short
     without a refusal."""
     frac = check_precision(c.precision) + GUARD_BITS
-    one = 1 << frac
     light = _require_m1n_chart(c)[1]
     phis = sorted(ln.phi for ln in light)
     if len(phis) > 1:
@@ -325,16 +327,8 @@ def cos_sin_table(c: Configuration, top: int) -> CosSinTable:
                 raise IllConditioned(
                     f"rank margin: two slope lines are 2^{mp.nstr(mp.log(gap, 2), 5)} "
                     f"apart, closer than 2^{bits}")
-    table = []
-    for ln in light:
-        pair = []
-        for v in mpf_cos_sin(ln.phi._mpf_, frac):
-            x, powers = to_fixed(v, frac), [one]
-            for _ in range(top):
-                powers.append((powers[-1] * x) >> frac)
-            pair.append(powers)
-        table.append(tuple(pair))
-    return table
+    return [tuple([1 << frac, to_fixed(v, frac)]
+                  for v in mpf_cos_sin(ln.phi._mpf_, frac)) for ln in light]
 
 
 def qi_dimension_numeric(c: Configuration, d: int,
@@ -342,11 +336,15 @@ def qi_dimension_numeric(c: Configuration, d: int,
     """Same dimension from the numeric chart by the fixed-point full-pivot
     rank.  Row j is the slope line's functional times sin^d phi_j, so entry
     i is (d-i) cos^(d-1-i) sin^(i+1) - i cos^(d+1-i) sin^(i-1), a form of
-    degree d in (cos, sin) and at most d in magnitude; the cos/sin table is
-    built here through power d unless a longer one is passed."""
+    degree d in (cos, sin) and at most d in magnitude; the cos/sin table,
+    built here unless one is passed, is grown in place through power d."""
     if table is None:
-        table = cos_sin_table(c, d)
+        table = cos_sin_table(c)
     frac = c.precision + GUARD_BITS
+    for pair in table:
+        for powers in pair:  # x^k = x^(k-1) x
+            while len(powers) <= d:
+                powers.append((powers[-1] * powers[1]) >> frac)
     S = free_indices(d, _require_m1n_chart(c)[0])
     rows = [[(((d - i) * cs[d - 1 - i] * sn[i + 1] if i < d else 0)
               - (i * cs[d + 1 - i] * sn[i - 1] if i else 0)) >> frac for i in S]
@@ -394,7 +392,7 @@ def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
         R = _slope_poly(c)[1]
         proven, powers = _modular_ranks(R.monic(), m, D), None
     else:
-        cos_sin = cos_sin_table(c, D)
+        cos_sin = cos_sin_table(c)
     ranks, out = [], []
     for d in range(D + 1):
         free = len(free_indices(d, m))

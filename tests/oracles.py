@@ -555,6 +555,49 @@ def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:
     return [at(k) - 2 * at(k - 2) + at(k - 4) for k in range(deg + 1)]
 
 
+# --- the two-multiplicity ODE and the q-expansion, as first written -------------
+
+
+def fraction_two_mult_ode_residual(m: int, mt: int, n: int, P):
+    """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
+    - (n(m+mt) w + n(m-mt)) P, by DensePoly products on Fractions."""
+    from balines.poly import DensePoly
+
+    P1 = P.derivative()
+    P2 = P1.derivative()
+    w = DensePoly.rational([0, 1])
+    one = DensePoly.rational([1])
+    wsq = w * w - one
+    term2 = (wsq.scale(Fraction(n - 1))
+             - ((w + one) * (w + one)).scale(Fraction(m))
+             - ((w - one) * (w - one)).scale(Fraction(mt)))
+    rhs = DensePoly.rational([n * (m - mt), n * (m + mt)]) * P
+    return (w * wsq) * P2 - term2 * P1 - rhs
+
+
+def mpf_t_q_expand_angles(c, q: int) -> list:
+    """(mult, phi) of c's q-expansion, sorted by phi, in mpf arithmetic: each
+    phi reduced mod pi and divided by q, plus r pi/q, at precision + 128
+    bits, then rounded to precision + 64 bits, with pi subtracted from a
+    result that reaches pi."""
+    from balines.numeric import GUARD_BITS, reduce_angle_mod_pi, working
+
+    with working(c.precision + GUARD_BITS):
+        step = mp.pi / q
+        wide = []
+        for ln in c.lines:
+            base = reduce_angle_mod_pi(ln.phi) / q
+            wide += [(ln.mult, base + r * step) for r in range(q)]
+    with working(c.precision):
+        pi = mp.pi
+        out = []
+        for mult, phi in wide:
+            phi = mp.mpf(phi)
+            out.append((mult, phi - pi if phi >= pi else phi))
+        out.sort(key=lambda t: t[1])
+    return out
+
+
 # --- existence conditions in the unit-circle chart --------------------------------
 
 

@@ -15,7 +15,7 @@ from balines.config import (angle_multiset_distance, build_am1n,
 from balines.darboux import (build_chain, q_scaling_check, verify_eigen,
                              verify_factorization, verify_potential)
 from balines.locus import solve_general_locus
-from balines.numeric import working
+from balines.numeric import log2_abs, working
 from balines.quasi import (am1n_hilbert_numerator, hilbert_coefficients,
                            hilbert_rational_form, is_gorenstein,
                            qi_dimension_exact, qi_dimension_numeric,
@@ -111,18 +111,27 @@ def test_criterion_3_ba_certification():
     with working(PRECISION):
         threshold = mp.mpf(2) ** -224
     bases = _certify_grid()
+
+    def log2s_agree(cert):
+        # each residual_log2 is log2 of the 53-bit mpf quotient |value| / scale
+        with mp.workprec(53):
+            want = [log2_abs(r.relative()) for r in cert.residuals]
+        return [r["residual_log2"] for r in cert.to_json_dict()["per_condition"]] == want
+
     count = 0
     for base in bases:
         for q in range(1, 5):
             cfg = t_q_expand(base, q)
             cert = certify_ba(cfg, threshold=threshold)
             assert cert.passed, (base.kind, base.m, base.mtilde, base.n, q)
+            assert log2s_agree(cert), (base.kind, base.m, base.mtilde, base.n, q)
             count += 1
     # perturbing one angle flips the verdict, on every base configuration
     for base in bases:
         perturbed = perturb_line(base, 1, 1e-2)
         cert = certify_ba(perturbed, threshold=threshold)
         assert not cert.passed, (base.kind, base.m, base.mtilde, base.n)
+        assert log2s_agree(cert), (base.kind, base.m, base.mtilde, base.n)
     # and on every single angle of three representatives
     reps = [build_am1n(2, 2, PRECISION), build_two_mult(2, 1, 4, PRECISION),
             t_q_expand(build_am1n(2, 2, PRECISION), 2)]

@@ -11,12 +11,12 @@ from balines.config import (Configuration, Line, build_am1n, build_two_mult,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError, IllConditioned, MissingExactData
 from balines.locus import solve_general_locus
-from balines.numeric import GUARD_BITS, working
+from balines.numeric import GUARD_BITS, log2_abs, working
 from balines.poly import DensePoly
 from dataclasses import replace
 
-from oracles import (cartesian_condition_value, mpf_certificate,
-                     polar_condition_residual)
+from oracles import (cartesian_condition_value, fraction_two_mult_ode_residual,
+                     mpf_certificate, polar_condition_residual)
 
 
 def residuals(c):
@@ -152,15 +152,21 @@ def test_ode_residual_wrong_branch_nonzero():
 
 
 def test_exactly_one_sign_branch_solves_ode():
+    # the integer residual equals the Fraction one on both branches, zero
+    # or not
     from balines.config import _two_mult_ode_residual, _two_mult_recurrence
     from balines.symfunc import poly_from_elementary
 
-    for m in range(1, 5):
+    for m in range(1, 7):
         for mt in range(0, 5):
-            for n in (2, 4, 6, 8):
-                zero = [sign for sign in (-1, 1)
-                        if _two_mult_ode_residual(m, mt, n, poly_from_elementary(
-                            _two_mult_recurrence(m, mt, n, sign), n)).is_zero]
+            for n in range(2, 17, 2):
+                zero = []
+                for sign in (-1, 1):
+                    P = poly_from_elementary(_two_mult_recurrence(m, mt, n, sign), n)
+                    residual = _two_mult_ode_residual(m, mt, n, P)
+                    assert residual == fraction_two_mult_ode_residual(m, mt, n, P)
+                    if residual.is_zero:
+                        zero.append(sign)
                 # m = mt has a zero seed, so both signs give the same P
                 assert len(zero) == (2 if m == mt else 1), (m, mt, n)
 
@@ -281,6 +287,32 @@ def test_near_collinear_lines_collide(near):
     c = Configuration(kind="general", precision=256, chart=lines)
     with pytest.raises(CollisionError, match="collinear"):
         certify_ba(c)
+
+
+def residual_log2s(cert):
+    """residual_log2 of each condition as the 53-bit mpf quotient gives it."""
+    with mp.workprec(53):
+        return [log2_abs(r.relative()) for r in cert.residuals]
+
+
+def test_certificate_json_ignores_the_working_precision():
+    # 3 of the 20 residual_log2s of am1n (2, 3) at q = 2 move with the
+    # ambient precision when divided there; the other cases reach an exactly
+    # zero residual (am1n (2, 1)), quotients below 2^-1022 (1024 bits) and
+    # sums of more than 53 bits (a failing certificate)
+    certs = [certify_ba(t_q_expand(build_am1n(2, 3, 256), 2)),
+             certify_ba(build_am1n(2, 1, 256)), certify_ba(build_am1n(2, 3, 1024)),
+             certify_ba(perturb_line(build_am1n(3, 3, 256), 2, 1e-2))]
+    for cert in certs:
+        payload = cert.to_json_dict()
+        with mp.workprec(512):
+            assert cert.to_json_dict() == payload
+        got = [r["residual_log2"] for r in payload["per_condition"]]
+        assert got == residual_log2s(cert)
+    _, zero, tiny, wide = certs
+    assert float("-inf") in residual_log2s(zero)
+    assert any(r.total and r.relative() < mp.mpf(2) ** -1022 for r in tiny.residuals)
+    assert all(abs(r.total).bit_length() > 53 for r in wide.residuals)
 
 
 def test_certificate_reports_its_bound():

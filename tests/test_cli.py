@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -459,3 +460,50 @@ def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
                         lambda rows, precision: rank(ill, precision))
     assert run(["hilbert", "--input", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: rank margin")
+
+
+# SHA-256 of the stdout of four requests, the manifest's wall_clock dropped,
+# run in a directory holding pert.json (am1n (3, 3) with line 2 moved by
+# 1e-2) and base.json (twomult (2, 1, 4)): they hold the bytes of passing and
+# failing certificates and of a q-expansion fixed while the arithmetic
+# behind them changes.
+PINNED = {
+    "certify-am1n-2-3-q2": (
+        ["certify", "--family", "am1n", "--m", "2", "--n", "3", "--q", "2"], 0,
+        "bd08a06c42f083471156a4870d312f681cb62ba3c73217823bf3b5920734a3ae"),
+    "certify-twomult-2-1-4-q3": (
+        ["certify", "--family", "twomult", "--m", "2", "--mt", "1", "--n", "4",
+         "--q", "3"], 0,
+        "133f7b0455cc8afabd91131dcbf0eeab5e7e270c7a2a821b01d8900c2a72765f"),
+    "certify-perturbed": (
+        ["certify", "--input", "pert.json"], 1,
+        "2b3d534b2e5996b0db6569ee6846753a7265614ff3237424e979d9d2a7068ea3"),
+    "construct-tq-q3": (
+        ["construct", "tq", "--input", "base.json", "--q", "3"], 0,
+        "8ed42fb6666e6f0f71b4f19d724ab961ac0f2973984948f9d8a0401c8af417e2"),
+}
+
+
+def pinned_digest(argv, capsys):
+    """Run argv; its exit code and the SHA-256 of its stdout without the
+    manifest's wall_clock, after checking that the stdout is the indented,
+    sorted JSON dump."""
+    code = main(argv)
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+    payload.get("manifest", {}).pop("wall_clock", None)
+    blob = json.dumps(payload, indent=2, sort_keys=True).encode()
+    return code, hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_cli_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    from balines.config import build_am1n, build_two_mult, perturb_line
+
+    monkeypatch.delenv("BA_PRECISION", raising=False)
+    monkeypatch.chdir(tmp_path)
+    perturb_line(build_am1n(3, 3, 256), 2, 1e-2).save("pert.json")
+    build_two_mult(2, 1, 4, 256).save("base.json")
+    argv, code, digest = PINNED[name]
+    assert pinned_digest(argv, capsys) == (code, digest)

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balines.config import (INF, Configuration, angle_multiset_distance,
+from mpmath.libmp import mpf_pi, round_down
+
+from balines.config import (INF, Configuration, Line, angle_multiset_distance,
                             build_am1n, build_two_mult, from_alphas,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import GUARD_BITS, to_mp, working
+from balines.numeric import GUARD_BITS, mpf_to_hex, to_mp, working
 from balines.poly import DensePoly
 
 from balines.locus import solve_general_locus
 
 from oracles import (elementary_from_values, eval_numeric, line_z,
-                     mult1_lines, slope_lines)
+                     mpf_t_q_expand_angles, mult1_lines, slope_lines)
 
 
 def test_am1n_2_2_exact_data():
@@ -190,6 +192,39 @@ def test_tq_heavy_orbits_tile_dihedral_mirrors():
     assert len(t_q_expand(build_am1n(1, 3, 128), 2).lines) == 8
 
 
+def expansion_tuples(c, q):
+    """(mult, libmp value) of each line of c's q-expansion, in order."""
+    return [(ln.mult, ln.phi._mpf_) for ln in t_q_expand(c, q).lines]
+
+
+def oracle_expansion_tuples(c, q):
+    return [(mult, phi._mpf_) for mult, phi in mpf_t_q_expand_angles(c, q)]
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+def test_tq_expansion_equals_the_mpf_oracle(precision):
+    # bit for bit also where the expansion reduces a stored angle mod pi (a
+    # loaded angle below 0, above pi, or in (3, pi)) and where an expanded
+    # angle rounds to pi: the last copy of the line at pi rounded down to
+    # precision + GUARD_BITS bits does, and moves to 0
+    bits = precision + GUARD_BITS
+    near_pi = mp.mp.make_mpf(mpf_pi(bits, round_down))
+    charts = [t_q_expand(build_am1n(2, 3, precision), 2),
+              t_q_expand(build_two_mult(2, 1, 4, precision), 3),
+              Configuration(kind="general", precision=precision,
+                            chart=(Line(1, mp.mpf(0.5)), Line(2, mp.mpf(1)),
+                                   Line(1, near_pi)))]
+    for phis in ([-0.5, 1, 2], [1, 2, 4], [0.5, 1, 3.1]):
+        d = general_from_angles([1, 1, 2], [0.5, 1, 2], precision).to_json_dict()
+        for line, phi in zip(d["lines"], phis):
+            line["phi_hex"] = mpf_to_hex(mp.mpf(phi))
+        charts.append(Configuration.from_json_dict(d))
+    for c in charts:
+        for q in (2, 3, 4):
+            assert expansion_tuples(c, q) == oracle_expansion_tuples(c, q)
+    assert t_q_expand(charts[2], 3).lines[0].phi == 0
+
+
 @pytest.mark.parametrize("precision", [64, 128, 256])
 def test_tq_angles_within_one_ulp(precision):
     # each expanded angle against (phi + pi*s)/q mod pi at twice the stored
@@ -202,6 +237,7 @@ def test_tq_angles_within_one_ulp(precision):
         base = (build_am1n(m, n, precision) if family == "am1n"
                 else build_two_mult(m, mt, n, precision))
         for q in (2, 3, 4, 7, 11):
+            assert expansion_tuples(base, q) == oracle_expansion_tuples(base, q)
             got = sorted(ln.phi for ln in t_q_expand(base, q).lines)
             with mp.workprec(2 * bits):
                 ref = []
@@ -259,11 +295,14 @@ def test_constructors_refuse_what_a_file_cannot_store(build):
         build()
 
 
-def test_serialization_bit_exact_round_trip():
+def test_serialization_bit_exact_round_trip(tmp_path):
     for c in [build_am1n(3, 4, 256), build_two_mult(2, 1, 4, 192),
               random_type_m1n(2, 3, 5), t_q_expand(build_am1n(2, 2, 128), 3),
               build_am1n(1, 40, 64)]:
         d = c.to_json_dict()
+        path = tmp_path / "c.json"
+        c.save(str(path))
+        assert path.read_text() == json.dumps(d, indent=2, sort_keys=True)
         c2 = Configuration.from_json_dict(d)
         assert c2.to_json_dict() == d
         assert c2.e == c.e and c2.ehat == c.ehat

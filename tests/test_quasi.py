@@ -103,6 +103,9 @@ def test_numeric_series_eliminates_only_below_the_bound(monkeypatch):
     monkeypatch.setattr(quasi, "rank_numeric",
                         lambda rows, precision: widths.append(len(rows[0])) or
                         rank(rows, precision))
+    tables, build = [], quasi.cos_sin_table
+    monkeypatch.setattr(quasi, "cos_sin_table",
+                        lambda c: tables.append(build(c)) or tables[-1])
     bs = hilbert_coefficients(c, D)
     free = [len(quasi.free_indices(d, m)) for d in range(D + 1)]
     ranks = [f - b for f, b in zip(free, bs)]
@@ -110,6 +113,9 @@ def test_numeric_series_eliminates_only_below_the_bound(monkeypatch):
              if (ranks[d - 2] if d >= 2 else 0) < min(n, free[d] - (d % 2 == 0))]
     assert short == list(range(1, 25))  # of 53; degree 0 has bound 0
     assert widths == [free[d] for d in short]
+    # one cos/sin table, whose powers reach the last eliminated degree only
+    (table,) = tables
+    assert {len(powers) for pair in table for powers in pair} == {short[-1] + 1}
     assert bs == hilbert_coefficients(random_type_m1n(m, n, 1, 256), D)
 
 
