@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -54,7 +54,10 @@ class RunManifest:
     wall_clock: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"subcommand": self.subcommand, "params": dict(self.params),
+                "seed": self.seed, "precision": self.precision,
+                "outputs": list(self.outputs), "version": self.version,
+                "wall_clock": dict(self.wall_clock)}
 
 
 def default_precision() -> int:

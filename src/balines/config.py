@@ -232,7 +232,7 @@ class Configuration:
                               alpha_exact=alpha_exact))
         Multiplicities(tuple(ln.mult for ln in lines))  # ValueError on no lines
         with working(precision):
-            _check_distinct_angles([ln.phi for ln in lines], precision)
+            _check_distinct_angles(sorted(ln.phi for ln in lines), precision)
         e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None
         ehat = (tuple(Fraction(v) for v in d["ehat"])
                 if d.get("ehat") is not None else None)
@@ -281,9 +281,10 @@ def integer_mults(c: Configuration) -> List[int]:
     return [int(ln.mult) for ln in c.lines]
 
 
-def _check_distinct_angles(phis, precision: int) -> None:
+def _check_distinct_angles(s, precision: int) -> None:
+    """CollisionError when two of the ascending angles s lie within
+    2^-(precision/2) of each other, also across the pi wrap."""
     tol = mp.mpf(2) ** (-(precision // 2))
-    s = sorted(phis)
     for a, b in zip(s, s[1:]):
         if abs(b - a) < tol:
             raise CollisionError(f"two lines coincide near phi = {mp.nstr(a, 10)}")

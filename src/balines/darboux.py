@@ -17,17 +17,24 @@ reproduces, exactly as Laurent-polynomial identities:
 
 where Q(phi) = (prod (u^2 - z_j)) u^-n is assembled from the exact elementary
 symmetric values of the configuration.
+
+The potential identity is a consequence of the factorization (the proof is in
+chain_report's docstring), so chain_report expands it only when the
+factorization fails.  The q-scaling W_q(phi) = q^(m(m-1)/2) W_1(q phi) holds
+for any functions by the chain rule; chain_report still computes it, since a
+verdict on it that no computation backs would check nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .config import Configuration
 from .errors import IdentityFailed, InvalidOrder, MissingExactData
-from .trig import TrigPoly, require_identity, wronskian
+from .trig import TrigPoly, _normal, require_identity, wronskian
 
 
 def darboux_levels(m: int, mt: int, n: int) -> List[int]:
@@ -92,12 +99,11 @@ def q_trig(config: Configuration) -> TrigPoly:
     if config.e is None or config.n is None:
         raise MissingExactData("configuration carries no exact e values")
     n = config.n
-    full = [Fraction(1)] + list(config.e)
-    out = {}
-    for k in range(0, n + 1):
-        sign = 1 if k % 2 == 0 else -1
-        out[n - 2 * k] = out.get(n - 2 * k, Fraction(0)) + sign * full[k]
-    return TrigPoly({l: c for l, c in out.items()})
+    full = ((Fraction(1),) + tuple(config.e))[:n + 1]
+    den = math.lcm(*(c.denominator for c in full))
+    # the exponents n - 2k are distinct, so each term is one numerator over den
+    return _normal({n - 2 * k: ((-1) ** k * c.numerator * (den // c.denominator), 0)
+                    for k, c in enumerate(full)}, den)
 
 
 def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:
@@ -110,12 +116,14 @@ def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:
                          f"match configuration ({m},{mt},{config.n})")
 
 
-def verify_factorization(chain: DarbouxChain, config: Configuration) -> bool:
-    """W = nu^-1 Q(phi) cos^(mt(mt+1)/2) sin^(m(m+1)/2), exactly."""
+def verify_factorization(chain: DarbouxChain, config: Configuration,
+                         Q: Optional[TrigPoly] = None) -> bool:
+    """W = nu^-1 Q(phi) cos^(mt(mt+1)/2) sin^(m(m+1)/2), exactly.  Q, when
+    given, must be q_trig(config)."""
     _check_chain_matches(chain, config)
     m, mt = chain.m, chain.mt
     nu = nu_constant(chain)
-    rhs = (q_trig(config)
+    rhs = ((q_trig(config) if Q is None else Q)
            * (TrigPoly.cos(1) ** (mt * (mt + 1) // 2))
            * (TrigPoly.sin(1) ** (m * (m + 1) // 2))).scale(1 / nu)
     return require_identity(chain.W, rhs, "Wronskian factorization")
@@ -143,14 +151,16 @@ def verify_potential(chain: DarbouxChain, config: Configuration) -> bool:
     return require_identity(lhs, rhs, "transformed potential")
 
 
-def verify_eigen(config: Configuration) -> bool:
-    """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q = 0."""
+def verify_eigen(config: Configuration, Q: Optional[TrigPoly] = None) -> bool:
+    """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q = 0.
+    Q, when given, must be q_trig(config)."""
     m = config.m
     mt = config.mtilde or 0
     n = config.n
     if m is None or n is None:
         raise MissingExactData("eigen check needs the (m, mt, n) parameters")
-    Q = q_trig(config)
+    if Q is None:
+        Q = q_trig(config)
     Q1 = Q.dphi()
     Q2 = Q1.dphi()
     sc = TrigPoly.sin(1) * TrigPoly.cos(1)
@@ -172,7 +182,37 @@ def q_scaling_check(chain: DarbouxChain, q: int) -> bool:
 
 def chain_report(chain: DarbouxChain, config: Configuration,
                  q_values: Tuple[int, ...] = (2, 3)) -> dict:
-    """Run all identity checks; report per-identity outcomes."""
+    """Run the identity checks; report per-identity outcomes.
+
+    The potential is read off the factorization when that passes, and
+    expanded by verify_potential only when it fails.  Proof: let a =
+    mt(mt+1)/2, b = m(m+1)/2, and W = K Q c^a s^b with c = cos, s = sin and
+    K any constant.  In the ring of trigonometric polynomials with ' = d/dphi,
+
+        (GH)''(GH) - ((GH)')^2 = H^2 (G''G - G'^2) + G^2 (H''H - H'^2),
+        (c^a)''c^a - ((c^a)')^2 = -a c^(2a-2) (s^2 + c^2) = -a c^(2a-2),
+        (s^b)''s^b - ((s^b)')^2 = -b s^(2b-2),
+
+    where a term whose coefficient a or b is 0 is absent.  Hence
+
+        W''W - W'^2 = K^2 [c^(2a) s^(2b) (Q''Q - Q'^2)
+                           - a c^(2a-2) s^(2b) Q^2 - b c^(2a) s^(2b-2) Q^2],
+
+    and multiplying by -2 s^2 c^2 Q^2 gives, with W^2 = K^2 Q^2 c^(2a) s^(2b),
+    2a = mt(mt+1) and 2b = m(m+1),
+
+        -2 (W''W - W'^2) s^2 c^2 Q^2
+            = W^2 [m(m+1) c^2 Q^2 + mt(mt+1) s^2 Q^2 + 2 s^2 c^2 (Q'^2 - Q''Q)],
+
+    which is verify_potential's identity: -2 (log W)'' = 2 (Q'^2 - QQ'')/Q^2
+    + 2a/c^2 + 2b/s^2 with its denominators cleared.  Every step is an
+    identity of Laurent polynomials in u = e^(i phi), true for any K
+    (K = nu^-1 here) and any Q, so it needs no division and no nonvanishing
+    assumption.  verify_factorization checks W = nu^-1 Q c^a s^b exactly with
+    the same Q = q_trig(config) and the same (m, mt) as verify_potential, so
+    its pass proves the potential's.  The q-scaling checks always run (see
+    the module docstring).
+    """
     out = {
         "m": chain.m, "mt": chain.mt, "n": chain.n,
         "levels": list(chain.levels),
@@ -186,10 +226,14 @@ def chain_report(chain: DarbouxChain, config: Configuration,
         except IdentityFailed as ex:
             out[name] = f"fail: {ex}"
 
-    run("factorization", lambda: verify_factorization(chain, config))
-    run("potential", lambda: verify_potential(chain, config))
-    run("eigen", lambda: verify_eigen(config))
+    _check_chain_matches(chain, config)
+    Q = q_trig(config)
+    run("factorization", lambda: verify_factorization(chain, config, Q))
+    if out["factorization"] == "exact-pass":
+        out["potential"] = "exact-pass"
+    else:
+        run("potential", lambda: verify_potential(chain, config))
+    run("eigen", lambda: verify_eigen(config, Q))
     for q in q_values:
         run(f"q_scaling_{q}", lambda q=q: q_scaling_check(chain, q))
     return out
-

@@ -180,3 +180,70 @@ def test_chain_report_failure_strings(m, n, nu, terms):
         f"fail: transformed potential: difference has {terms[1]} terms"
     assert rep["eigen"] == f"fail: eigenfunction equation: difference has {terms[2]} terms"
     assert rep["q_scaling_2"] == rep["q_scaling_3"] == "exact-pass"
+
+
+def _count_potential_calls(monkeypatch):
+    import balines.darboux as darboux
+    calls = []
+    full = darboux.verify_potential
+
+    def counted(chain, config):
+        calls.append((chain.m, chain.mt, chain.n))
+        return full(chain, config)
+
+    monkeypatch.setattr(darboux, "verify_potential", counted)
+    return calls
+
+
+def test_chain_report_expands_potential_only_when_factorization_fails(monkeypatch):
+    calls = _count_potential_calls(monkeypatch)
+    cfg = build_am1n(3, 4, 128)
+    rep = chain_report(build_chain(3, 0, 4), cfg)
+    assert rep["factorization"] == rep["potential"] == "exact-pass"
+    assert calls == []
+    from dataclasses import replace
+    bad = replace(cfg, e=tuple(v + F(1, 7) for v in cfg.e))
+    rep = chain_report(build_chain(3, 0, 4), bad)
+    assert rep["factorization"].startswith("fail: ")
+    assert rep["potential"].startswith("fail: transformed potential")
+    assert calls == [(3, 0, 4)]
+
+
+def test_potential_fallback_computes_when_only_nu_is_wrong(monkeypatch):
+    # 3 nu breaks the factorization but not the potential, which does not
+    # see the constant: the fallback must expand it and pass
+    import balines.darboux as darboux
+    calls = _count_potential_calls(monkeypatch)
+    nu = darboux.nu_constant
+    monkeypatch.setattr(darboux, "nu_constant", lambda chain: 3 * nu(chain))
+    rep = chain_report(build_chain(3, 0, 4), build_am1n(3, 4, 128))
+    assert rep["nu"] == "-1/80"
+    assert rep["factorization"].startswith("fail: Wronskian factorization: ")
+    assert rep["potential"] == "exact-pass"
+    assert rep["eigen"] == "exact-pass"
+    assert calls == [(3, 0, 4)]
+
+
+def _darboux_bench_grid():
+    """The (m, mt, n) items of the benchmark's darboux cycle: for m <= 4
+    every (m, mt) with half of its n on a checkerboard, then three m = 5
+    items and (6, 3, 10)."""
+    def ns(mt):
+        return list(range(1, 11)) if mt == 0 else list(range(2, 11, 2))
+
+    items = [(m, mt, n) for m in range(1, 5) for mt in range(m + 1)
+             for i, n in enumerate(ns(mt)) if (m + mt + i) % 2 == 0]
+    items += [(5, mt, ns(mt)[(3 * mt) % len(ns(mt))]) for mt in (0, 2, 4)]
+    return items + [(6, 3, 10)]
+
+
+def test_full_potential_expansion_on_the_bench_grid():
+    # chain_report reads the potential off the factorization; the full
+    # expansion must agree on every item where it does so
+    grid = _darboux_bench_grid()
+    assert len(grid) == 50
+    for m, mt, n in grid:
+        cfg = build_two_mult(m, mt, n, 128) if mt else build_am1n(m, n, 128)
+        chain = build_chain(m, mt, n)
+        assert verify_factorization(chain, cfg), (m, mt, n)
+        assert verify_potential(chain, cfg), (m, mt, n)
