@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -125,7 +124,7 @@ def _load(path: str, integral: bool = False) -> Configuration:
 
 # Lowest accepted value of each integer option; scan takes these options as
 # range strings, every value of which is checked.
-_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1}
+_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1, "jobs": 1}
 
 
 def _check_ranges(args) -> None:
@@ -308,9 +307,16 @@ def _scan_darboux_item(item) -> dict:
 
 
 def _run_items(worker, items, jobs: int) -> List[dict]:
-    if jobs <= 1:
+    """worker(item) for each item, in order, in at most `jobs` processes.
+
+    The pool forks all its workers at the first submit, so it gets no more
+    of them than there are items or cores."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
 

@@ -34,8 +34,9 @@ Both routes share one proof rule.  The rank is at most n, and at even d at
 most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
 sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
 f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  The lower bound is
-dim W_d on the exact route and the rank already settled at d - 2 on the
-numeric one.  Where it meets min(n, |S_d| - [d even]) the rank is that
+dim W_d on the exact route.  On the numeric one it is the larger of the rank
+settled at d - 2 and the rank read down from one degree t of d's parity
+(below).  Where it meets min(n, |S_d| - [d even]) the rank is that
 bound, with no elimination; at every other degree that degree's own
 elimination decides it.  On the exact route that is rank_exact
 (fraction-free Bareiss elimination over the integers), on the degree's
@@ -64,12 +65,26 @@ that is M_(d-2) = M_d T for a 0/1 matrix T with at most two ones in each row
 and column, ||T||_2 <= 2.  So the rank at d is at least the rank at d - 2,
 and sigma_r(M_d) >= sigma_r(M_(d-2)) / 2 for every r: a rank decided with
 the 2^64 margin at d - 2 stays decided at d (the fixed-point rows differ
-from the exact ones by rounding far below the cutoff).  rank_numeric
-therefore runs only at the degrees where the rank at d - 2 is short of the
-bound: on a generic chart the degrees up to about n + m (1..24 of 0..52
-for m = 4, n = 20), and on a rank-deficient one such as am1n also the
-degrees its Gorenstein kernel holds below the bound.  Once the rank reaches
-n at some degree, every later degree of that parity is read off the bound.
+from the exact ones by rounding far below the cutoff).  The same identity
+bounds the rank going down.  T is unit triangular on the lowest index, and
+S_d is S_(d-2) plus the free indices among d - 1 and d, so the columns of
+M_(d-2) and the new columns of M_d span the column space of M_d:
+
+    rank_(d-2) >= rank_d - (|S_d| - |S_(d-2)|),   and so
+    rank_d >= rank_t - (|S_t| - |S_d|)   for d < t of one parity.
+
+A series therefore eliminates first, for each parity, at t, the highest
+degree 0 < t <= D whose bound |S_t| - [t even] is not capped by n.  Its
+pivots clear the margin, so its rank is a proven lower bound, and the upper
+bound is exact: wherever the rank read down from t meets the bound, that
+degree's rank is proven.  On a generic chart the rank at t is its bound,
+which read down gives every lower degree of the parity its bound
+|S_d| - [d even], so the series takes two eliminations (degrees 23 and 24
+of 0..52 for m = 4, n = 20).  Above t the rank settled at d - 2 carries up,
+and once it reaches n every later degree of that parity is read off the
+bound.  A rank-deficient chart such as am1n, whose Gorenstein kernels hold
+some degrees below the bound, is eliminated at each degree where neither
+lower bound reaches the upper one.
 
 The closed-form numerator of the one-heavy-line family serves
 `hilbert --check-closed-form`.  The paper's per-degree segment formulas for
@@ -388,25 +403,33 @@ def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
     m, n = m1n_parameters(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
+    free = [len(free_indices(d, m)) for d in range(D + 1)]
+    ranks = [None] * (D + 1)
     if c.groups:
         R = _slope_poly(c)[1]
         proven, powers = _modular_ranks(R.monic(), m, D), None
     else:
-        cos_sin = cos_sin_table(c)
-    ranks, out = [], []
+        cos_sin, proven = cos_sin_table(c), [0] * (D + 1)
+        # per parity, the highest degree t whose bound |S_t| - [t even] is
+        # not capped by n: its rank bounds every lower degree from below
+        tops = {d % 2: d for d in range(1, D + 1) if free[d] - (d % 2 == 0) <= n}
+        for t in sorted(tops.values()):
+            ranks[t] = free[t] - qi_dimension_numeric(c, t, cos_sin)
+            for d in range(t % 2, t, 2):
+                proven[d] = ranks[t] - (free[t] - free[d])
     for d in range(D + 1):
-        free = len(free_indices(d, m))
-        bound = min(n, free - (d % 2 == 0))
-        lower = proven[d] if c.groups else (ranks[d - 2] if d >= 2 else 0)
+        if ranks[d] is not None:
+            continue
+        bound = min(n, free[d] - (d % 2 == 0))
+        lower = proven[d] if c.groups else max(proven[d], ranks[d - 2] if d >= 2 else 0)
         if lower >= bound:
-            out.append(free - bound)
+            ranks[d] = bound
         elif c.groups:
             powers = powers or power_table(R, D + 1)
-            out.append(qi_dimension_exact(c, d, powers))
+            ranks[d] = free[d] - qi_dimension_exact(c, d, powers)
         else:
-            out.append(qi_dimension_numeric(c, d, cos_sin))
-        ranks.append(free - out[-1])
-    return out
+            ranks[d] = free[d] - qi_dimension_numeric(c, d, cos_sin)
+    return [f - r for f, r in zip(free, ranks)]
 
 
 # Prime modulus of the modular pass: a minor that is nonzero mod p is nonzero

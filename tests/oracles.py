@@ -184,6 +184,29 @@ def config_to_oracle_lines(config, precision: int = 512) -> List[Tuple[int, Opti
     return out
 
 
+def stepwise_numeric_series(c, D: int) -> Tuple[List[int], List[int]]:
+    """([b_0 .. b_D], degrees eliminated) of a chart without groups, by the
+    upward schedule alone: the rank settled at d - 2 is the only lower bound
+    at d, and qi_dimension_numeric runs at every degree where it falls short
+    of min(n, |S_d| - [d even])."""
+    from balines.quasi import (cos_sin_table, free_indices, m1n_parameters,
+                               qi_dimension_numeric)
+
+    m, n = m1n_parameters(c)
+    table = cos_sin_table(c)
+    ranks, out, eliminated = [], [], []
+    for d in range(D + 1):
+        free = len(free_indices(d, m))
+        bound = min(n, free - (d % 2 == 0))
+        if (ranks[d - 2] if d >= 2 else 0) >= bound:
+            out.append(free - bound)
+        else:
+            out.append(qi_dimension_numeric(c, d, table))
+            eliminated.append(d)
+        ranks.append(free - out[-1])
+    return out, eliminated
+
+
 def remainder_map_matrix(R, d: int, m: int):
     """Degree-d remainder-map matrix by one polynomial division per column:
     column i, for each i the heavy line leaves free, holds the coefficients

@@ -340,6 +340,8 @@ BAD_INPUT = [
     *[([cmd, "--input", "INPUT"], name) for name in
       ("phi-hex-5", "phi-hex-null", "kind-5", "kind-bogus")
       for cmd in ("certify", "hilbert")],
+    (["scan", "darboux", "--m", "1", "--n", "1", "--jobs", "0"], None),
+    (["scan", "gorenstein", "--m", "1", "--n", "2", "--jobs", "-3"], None),
 ]
 
 
@@ -421,6 +423,41 @@ def test_jobs_flag(tmp_path):
     assert run(["scan", "gorenstein", "--m", "1", "--n", "2", "--samples", "2",
                 "--jobs", "2", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv, cores, workers", [
+    (["scan", "darboux", "--m", "1", "--n", "1", "--jobs", "64"], 2, None),
+    (["scan", "darboux", "--m", "1", "--n", "1..3", "--jobs", "64"], 2, 2),
+    (["scan", "darboux", "--m", "1", "--n", "1..3", "--jobs", "64"], None, None),
+    (["scan", "gorenstein", "--m", "1", "--n", "2", "--samples", "4",
+      "--jobs", "3"], 8, 3),
+])
+def test_jobs_pool_is_capped_by_items_and_cores(monkeypatch, tmp_path, argv,
+                                                cores, workers):
+    # the pool forks all its workers at the first submit: no more than there
+    # are items or cores, and none for a single worker
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, items):
+            return map(worker, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert run(argv + ["-o", str(tmp_path / "scan.json")]) == 0
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_env_precision(monkeypatch, tmp_path):

@@ -21,7 +21,8 @@ from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
                      echelon_rank_exact, numeric_chart, rank_mod_prime,
-                     remainder_map_matrix, series_times_denominator)
+                     remainder_map_matrix, series_times_denominator,
+                     stepwise_numeric_series)
 from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
                    is_symmetric_slope_chart, product_invariant,
                    radial_invariant, segment_oracles, segment_prediction)
@@ -94,11 +95,22 @@ def test_fixed_point_series_with_a_line_near_the_heavy_one():
             hilbert_coefficients(c, 16), k
 
 
+def _record_numeric_degrees(monkeypatch) -> list:
+    """Degrees at which hilbert_coefficients calls qi_dimension_numeric."""
+    degrees, dim = [], quasi.qi_dimension_numeric
+    monkeypatch.setattr(quasi, "qi_dimension_numeric",
+                        lambda c, d, table=None: degrees.append(d) or dim(c, d, table))
+    return degrees
+
+
 def test_numeric_series_eliminates_only_below_the_bound(monkeypatch):
-    # the rank at d - 2 is a lower bound at d (x^2 + y^2 embeds the degrees);
-    # rank_numeric runs only where it is short of min(n, |S_d| - [d even])
+    # the highest degree t of each parity whose bound |S_t| - [t even] is
+    # not capped by n (23 and 24 here) reaches that bound, and the embedding
+    # by x^2 + y^2 reads every lower degree of its parity down from it;
+    # above t the rank at d - 2 already meets the bound n
     m, n, D = 4, 20, 52
     c = numeric_chart(random_type_m1n(m, n, 1, 256))
+    degrees = _record_numeric_degrees(monkeypatch)
     widths, rank = [], quasi.rank_numeric
     monkeypatch.setattr(quasi, "rank_numeric",
                         lambda rows, precision: widths.append(len(rows[0])) or
@@ -107,16 +119,41 @@ def test_numeric_series_eliminates_only_below_the_bound(monkeypatch):
     monkeypatch.setattr(quasi, "cos_sin_table",
                         lambda c: tables.append(build(c)) or tables[-1])
     bs = hilbert_coefficients(c, D)
-    free = [len(quasi.free_indices(d, m)) for d in range(D + 1)]
-    ranks = [f - b for f, b in zip(free, bs)]
-    short = [d for d in range(D + 1)
-             if (ranks[d - 2] if d >= 2 else 0) < min(n, free[d] - (d % 2 == 0))]
-    assert short == list(range(1, 25))  # of 53; degree 0 has bound 0
-    assert widths == [free[d] for d in short]
+    assert degrees == [23, 24] and widths == [20, 21]
     # one cos/sin table, whose powers reach the last eliminated degree only
     (table,) = tables
-    assert {len(powers) for pair in table for powers in pair} == {short[-1] + 1}
+    assert {len(powers) for pair in table for powers in pair} == {25}
     assert bs == hilbert_coefficients(random_type_m1n(m, n, 1, 256), D)
+    # am1n (3, 6) is short of the bound at t = 7 and 8 (its Gorenstein
+    # kernels), too short to read any lower degree down: every degree the
+    # upward schedule eliminates is eliminated, t first
+    degrees.clear()
+    hilbert_coefficients(numeric_chart(build_am1n(3, 6, 256)), 22)
+    assert degrees == [7, 8, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14, 16, 18]
+
+
+def test_numeric_series_matches_the_stepwise_schedule(monkeypatch):
+    # the downward bound only removes eliminations: the same coefficients as
+    # the upward schedule, at a subset of its degrees
+    charts = [random_type_m1n(m, n, seed, 256)
+              for m in range(1, 4) for n in range(2, 6) for seed in (1, 2, 3)]
+    charts += [random_type_m1n(3, 14, 1, 256), random_type_m1n(4, 20, 1, 256)]
+    # rank-deficient below the bound (Gorenstein kernels), so the
+    # per-degree eliminations run there
+    charts += [build_am1n(m, n, 256) for m in range(1, 5) for n in range(1, 9)]
+    charts += [build_two_mult(m, 1, n, 256) for m in range(1, 5) for n in (2, 4, 6)]
+    charts += [from_alphas(2, [F(2 ** k), F(1), F(-1, 3), F(2, 5)], 256)
+               for k in (20, 60, 100, 120)]
+    charts = [numeric_chart(c) for c in charts]
+    charts.append(solve_general_locus((2, 1, 1), 256))
+    degrees = _record_numeric_degrees(monkeypatch)
+    for k, c in enumerate(charts):
+        m, n = quasi.m1n_parameters(c)
+        D = 2 * m + 2 * n + 4
+        want, stepwise = stepwise_numeric_series(c, D)
+        degrees.clear()
+        assert hilbert_coefficients(c, D) == want, k
+        assert set(degrees) <= set(stepwise) and len(set(degrees)) == len(degrees), k
 
 
 def test_nearly_equal_slopes_are_refused_on_the_numeric_route():
