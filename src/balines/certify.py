@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
 import mpmath as mp
@@ -345,10 +344,10 @@ def ode_residual_am1n(c: Configuration) -> DensePoly:
     m, n, P = c.m, c.n, c.P
     P1 = P.derivative()
     P2 = P1.derivative()
-    w = DensePoly.rational([0, 1])
-    one = DensePoly.rational([1])
-    term2 = (w - one).scale(Fraction(n - 1)) - (w + one).scale(Fraction(m))
-    return (w * (w - one)) * P2 - term2 * P1 - P.scale(Fraction(m * n))
+    w = DensePoly([0, 1])
+    one = DensePoly([1])
+    term2 = (w - one).scale(n - 1) - (w + one).scale(m)
+    return (w * (w - one)) * P2 - term2 * P1 - P.scale(m * n)
 
 
 def ode_residual_two_mult(c: Configuration) -> DensePoly:

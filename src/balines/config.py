@@ -160,8 +160,8 @@ class Configuration:
             return ()
         q, merged = self.q or 1, {}
         # z^q = 1 (z != 1) for the phi = 0 line's copies, z^q = -1 for pi/2's
-        copies = [(DensePoly.rational([1] * q), self.m),
-                  (DensePoly.rational([1] + [0] * (q - 1) + [1]), self.mtilde)]
+        copies = [(DensePoly([1] * q), self.m),
+                  (DensePoly([1] + [0] * (q - 1) + [1]), self.mtilde)]
         for A, mult in [(cayley(z), mu) for z, mu in copies if z.degree and mu] + [(self.R, 1)]:
             merged[mult] = merged[mult] * A if mult in merged else A
         return ((INF, self.m),) + tuple((A, mult) for mult, A in merged.items())
@@ -262,12 +262,12 @@ class Configuration:
 
 def _slope_product(alphas: Sequence[Fraction]) -> DensePoly:
     """prod (alpha - a) over the slopes a: prod (q alpha - p) on integers for
-    a = p/q, then made monic."""
-    coeffs = [1]
+    a = p/q, over its leading coefficient prod q."""
+    nums = [1]
     for a in alphas:
         p, q = a.numerator, a.denominator
-        coeffs = [q * lo - p * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
-    return DensePoly([Fraction(x, coeffs[-1]) for x in coeffs])
+        nums = [q * lo - p * hi for lo, hi in zip([0] + nums, nums + [0])]
+    return DensePoly(nums, nums[-1])
 
 
 def integer_mults(c: Configuration) -> List[int]:
@@ -338,8 +338,7 @@ def _form(A) -> List[int]:
         return [1, 0]
     if isinstance(A, Fraction):
         return [-A.numerator, A.denominator]
-    lcm = math.lcm(*(a.denominator for a in A.coeffs))
-    return [a.numerator * (lcm // a.denominator) for a in A.coeffs]
+    return list(A.nums)
 
 
 def _vanishes(form: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> bool:
@@ -420,11 +419,10 @@ def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
 
 def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
-    - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1).  On integers: with L the
-    lcm of P's denominators, each coefficient is an integer combination of
-    those of L P, L P' and L P'', and L is divided out last."""
-    L = math.lcm(*(x.denominator for x in P.coeffs))
-    a = [x.numerator * (L // x.denominator) for x in P.coeffs]
+    - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1).  On integers: each
+    coefficient is an integer combination of P's numerators and those of its
+    first two derivatives, over P's denominator."""
+    a = list(P.nums)
     a1 = [k * x for k, x in enumerate(a)][1:]
     a2 = [k * x for k, x in enumerate(a1)][1:]
     size = len(a) + 1  # coefficients of the residual
@@ -439,7 +437,7 @@ def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     r1, r0 = -n * (m + mt), -n * (m - mt)
     out = [A2[k] - A2[k + 2] + q2 * A1[k + 1] + q1 * A1[k + 2] + q0 * A1[k + 3]
            + r1 * A[k + 2] + r0 * A[k + 3] for k in range(size)]
-    return DensePoly([Fraction(x, L) for x in out] if any(out) else ())
+    return DensePoly(out, P.den)
 
 
 def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction]]:

@@ -27,7 +27,6 @@ verdict on it that no computation backs would check nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -95,15 +94,13 @@ def nu_constant(chain: DarbouxChain) -> Fraction:
 
 
 def q_trig(config: Configuration) -> TrigPoly:
-    """Q(phi) = sum_k (-1)^k e_k u^(n - 2k) from the exact elementary values."""
-    if config.e is None or config.n is None:
+    """Q(phi) = sum_k (-1)^k e_k u^(n - 2k) from the exact elementary values,
+    read off config.P = sum_k (-1)^k e_k w^(n - k): its w^j numerator is the
+    u^(2j - n) numerator of Q, over the same denominator."""
+    P = config.P
+    if P is None:
         raise MissingExactData("configuration carries no exact e values")
-    n = config.n
-    full = ((Fraction(1),) + tuple(config.e))[:n + 1]
-    den = math.lcm(*(c.denominator for c in full))
-    # the exponents n - 2k are distinct, so each term is one numerator over den
-    return _normal({n - 2 * k: ((-1) ** k * c.numerator * (den // c.denominator), 0)
-                    for k, c in enumerate(full)}, den)
+    return _normal({2 * j - config.n: (a, 0) for j, a in enumerate(P.nums)}, P.den)
 
 
 def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:

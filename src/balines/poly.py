@@ -1,119 +1,127 @@
-"""Dense exact univariate polynomials.
-
-Coefficients are Fractions (any exact field with the usual operators works).
-Index equals degree; the leading coefficient of a nonzero polynomial is
-nonzero.
+"""Dense exact univariate polynomials over the rationals, stored as integer
+numerators over one denominator, coefficient k = nums[k] / den, in a normal
+form: no trailing zero numerator, den > 0, gcd(den, every numerator) = 1
+and den = 1 for the zero polynomial.  So den is the lcm of the coefficients'
+denominators, and integer kernels read nums and den; coeffs gives Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Iterable, Optional, Tuple
 
 from .errors import NonSquarefree
 
 
 class DensePoly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def rational(coeffs: Sequence) -> "DensePoly":
-        return DensePoly([Fraction(c) for c in coeffs])
+    def __init__(self, coeffs: Iterable = (), den: Optional[int] = None):
+        """coeffs are rationals (anything Fraction takes), lowest degree
+        first; with den, they are integer numerators over den."""
+        if den is None:
+            cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+            den = math.lcm(*(c.denominator for c in cs))
+            coeffs = [c.numerator * (den // c.denominator) for c in cs]
+        if den == 0:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        nums = list(coeffs)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+        self.nums, self.den = tuple(a // g for a in nums), den // g
 
     @staticmethod
     def zero() -> "DensePoly":
-        return DensePoly([])
+        return DensePoly()
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, index equal to degree."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
-    def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+    def __getitem__(self, k: int) -> Fraction:
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
-    def leading(self):
+    def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, DensePoly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly([self[k] + other[k] for k in range(n)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return DensePoly([a * x + b * y for x, y in
+                          zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly([self[k] - other[k] for k in range(n)])
+        return self + -other
 
     def __neg__(self) -> "DensePoly":
-        return DensePoly([-c for c in self.coeffs])
+        return DensePoly([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, DensePoly):
             return self.scale(other)
         if self.is_zero or other.is_zero:
-            return DensePoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return DensePoly(out)
+            return DensePoly()
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return DensePoly(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "DensePoly":
-        return DensePoly([c * a for a in self.coeffs])
+        c = c if isinstance(c, int) else Fraction(c)
+        return DensePoly([c.numerator * a for a in self.nums], c.denominator * self.den)
 
     def derivative(self) -> "DensePoly":
-        return DensePoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return DensePoly([k * a for k, a in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "DensePoly":
-        if self.is_zero:
-            return self
-        lead = self.leading()
-        return DensePoly([c / lead for c in self.coeffs])
+        return DensePoly(self.nums, self.nums[-1]) if self.nums else self
 
     def divmod(self, other: "DensePoly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(rem) - len(other.nums)
         if dq < 0:
             return DensePoly.zero(), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
+        lead, divisor = other.leading(), other.coeffs
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
             if top == 0:
                 continue
             q = top / lead
             quot[k] = q
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(divisor):
                 rem[k + j] = rem[k + j] - q * b
         return DensePoly(quot), DensePoly(rem)
 
@@ -125,7 +133,7 @@ class DensePoly:
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        return a.monic()
 
     def is_squarefree(self) -> bool:
         g = self.gcd(self.derivative())

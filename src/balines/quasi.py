@@ -224,11 +224,11 @@ PowerTable = Sequence[Tuple[Sequence[int], int]]
 
 def power_table(R: DensePoly, top: int) -> PowerTable:
     """alpha^k mod R for k = 0..top, by shift and reduce against R made
-    monic, so a scaled R gives the same table."""
+    monic and read as its numerators over its denominator, so a scaled R
+    gives the same table."""
     R = R.monic()
-    n = R.degree
-    den_r = math.lcm(*(R[j].denominator for j in range(n)))
-    low = [int(R[j] * den_r) for j in range(n)]
+    n, den_r = R.degree, R.den
+    low = R.nums[:n]
     nums, den = [int(j == 0) for j in range(n)], 1
     table = []
     for _ in range(top + 1):
@@ -440,12 +440,12 @@ RANK_PRIME = 2 ** 61 - 1
 def _modular_ranks(R: DensePoly, m: int, D: int) -> List[int]:
     """dim W_d over F_p, p = RANK_PRIME, for d = 0..D (see the module
     docstring), from vectors of n ints mod p; all 0, which proves nothing,
-    when the monic R is not p-integral.  A full basis takes no more vectors."""
+    when p divides the monic R's denominator.  A full basis takes no more vectors."""
     p = RANK_PRIME
-    if any(a.denominator % p == 0 for a in R.coeffs):
+    if R.den % p == 0:
         return [0] * (D + 1)
-    n = R.degree
-    low = [a.numerator * pow(a.denominator, -1, p) % p for a in R.coeffs[:n]]
+    n, inv = R.degree, pow(R.den, -1, p)
+    low = [a * inv % p for a in R.nums[:n]]
 
     def times_alpha(v):
         return [(a - v[-1] * r) % p for a, r in zip([0] + v, low)] if v else v

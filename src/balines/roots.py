@@ -200,8 +200,7 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
     check_precision(precision)
     if p.degree <= 0:
         return []
-    den = math.lcm(*(a.denominator for a in p.coeffs))
-    c = [a.numerator * (den // a.denominator) for a in p.coeffs]
+    c = list(p.nums)
     # without its content, a power of two in c[n] does not widen every
     # sample point (see _isolate)
     content = math.gcd(*c)

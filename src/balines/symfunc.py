@@ -12,7 +12,6 @@ forms are test oracles, in tests/paper.py.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import comb
 from typing import List, Sequence
@@ -24,11 +23,8 @@ def poly_from_elementary(e: Sequence[Fraction], n: int) -> DensePoly:
     """Monic degree-n polynomial sum_i (-1)^i e_i w^(n-i), with e_0 = 1."""
     if len(e) != n:
         raise ValueError(f"expected {n} elementary values, got {len(e)}")
-    full = [Fraction(1)] + [Fraction(v) for v in e]
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, ei in enumerate(full):
-        coeffs[n - i] = (-1) ** i * ei
-    return DensePoly(coeffs)
+    full = [1] + [Fraction(v) for v in e]
+    return DensePoly([-c if i % 2 else c for i, c in enumerate(full)][::-1])
 
 
 def power_sums_from_elementary(e: Sequence[Fraction], upto: int) -> List[Fraction]:
@@ -66,10 +62,9 @@ def r_poly_from_ehat(ehat: Sequence[Fraction], n: int) -> DensePoly:
     nu = n // 2
     if len(ehat) != nu:
         raise ValueError(f"expected {nu} ehat values, got {len(ehat)}")
-    full = [Fraction(1)] + ehat
-    coeffs = [Fraction(0)] * (n + 1)
-    for r in range(0, nu + 1):
-        coeffs[2 * (nu - r) + (n % 2)] = (-1) ** r * full[r]
+    coeffs = [0] * (n + 1)
+    for r, c in enumerate([1] + ehat):
+        coeffs[2 * (nu - r) + (n % 2)] = -c if r % 2 else c
     return DensePoly(coeffs)
 
 
@@ -82,12 +77,10 @@ def _times_linear(re: List[int], im: List[int], s: int):
 def cayley(P: DensePoly) -> DensePoly:
     """The slope chart of a rational z-chart polynomial: the monic R with
     P(1) R(alpha) = P((alpha+i)/(alpha-i)) (alpha-i)^n, n = deg P, by Horner
-    on Gaussian-integer numerators.  A root e^{2i phi} of P gives the factor
-    -2i e^{i phi} sin(phi) (alpha - cot phi).  ValueError when P(1) = 0 (a
-    root on the phi = 0 line) or the imaginary part does not cancel."""
-    n = P.degree
-    den = math.lcm(*(c.denominator for c in P.coeffs))
-    a = [c.numerator * (den // c.denominator) for c in P.coeffs]
+    on P's numerators as Gaussian integers.  A root e^{2i phi} of P gives the
+    factor -2i e^{i phi} sin(phi) (alpha - cot phi).  ValueError when P(1) = 0
+    (a root on the phi = 0 line) or the imaginary part does not cancel."""
+    n, a = P.degree, P.nums
     p1 = sum(a)
     if p1 == 0:
         raise ValueError("P(1) = 0: P has a root on the phi = 0 line")
@@ -101,7 +94,7 @@ def cayley(P: DensePoly) -> DensePoly:
     if any(him):
         raise ValueError("P((alpha+i)/(alpha-i)) (alpha-i)^n is not a real "
                          "multiple of a real polynomial")
-    return DensePoly([Fraction(c, p1) for c in hre])
+    return DensePoly(hre, p1)
 
 
 # --- closed forms for the one-heavy-line family ------------------------------

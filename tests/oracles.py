@@ -102,6 +102,65 @@ def eval_numeric(p, x):
     return acc
 
 
+# --- rational polynomials as tuples of Fractions ---------------------------------
+# A DensePoly is read here only through its nums and den; the arithmetic below
+# is schoolbook arithmetic on Fraction coefficients, lowest degree first, with
+# no trailing zero, and shares no code with poly.py.
+
+
+def frac_poly(cs) -> Tuple[Fraction, ...]:
+    """The coefficients cs as Fractions without trailing zeros."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_of(p) -> Tuple[Fraction, ...]:
+    """A DensePoly's coefficients from its nums and den, as stored."""
+    return tuple(Fraction(a, p.den) for a in p.nums)
+
+
+def frac_add(a, b, sign: int = 1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return frac_poly(x + sign * y for x, y in zip(a, b))
+
+
+def frac_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_poly(out)
+
+
+def frac_derivative(a):
+    return frac_poly(k * x for k, x in enumerate(a) if k)
+
+
+def frac_monic(a):
+    return frac_poly(x / a[-1] for x in a) if a else a
+
+
+def frac_divmod(a, b):
+    """(quotient, remainder) of long division by a nonzero b."""
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + len(b) - 1] / b[-1]
+        quot[k] = q
+        for j, y in enumerate(b):
+            rem[k + j] -= q * y
+    return frac_poly(quot), frac_poly(rem)
+
+
+def frac_gcd(a, b):
+    """The monic gcd by Euclid's algorithm; () for two zeros."""
+    while b:
+        a, b = b, frac_divmod(a, b)[1]
+    return frac_monic(a)
+
+
 def compose_affine(p, a, b):
     """p(a*x + b) by Horner over polynomials."""
     from balines.poly import DensePoly
@@ -588,13 +647,13 @@ def fraction_two_mult_ode_residual(m: int, mt: int, n: int, P):
 
     P1 = P.derivative()
     P2 = P1.derivative()
-    w = DensePoly.rational([0, 1])
-    one = DensePoly.rational([1])
+    w = DensePoly([0, 1])
+    one = DensePoly([1])
     wsq = w * w - one
     term2 = (wsq.scale(Fraction(n - 1))
              - ((w + one) * (w + one)).scale(Fraction(m))
              - ((w - one) * (w - one)).scale(Fraction(mt)))
-    rhs = DensePoly.rational([n * (m - mt), n * (m + mt)]) * P
+    rhs = DensePoly([n * (m - mt), n * (m + mt)]) * P
     return (w * wsq) * P2 - term2 * P1 - rhs
 
 

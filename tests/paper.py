@@ -102,8 +102,8 @@ def f_to_ehat(f: Sequence[Fraction]) -> List[Fraction]:
         raise ValueError("top f value is zero (some u_i = 0)")
     full_f = [Fraction(1)] + f
     v = DensePoly.zero()
-    s_plus_1 = DensePoly.rational([1, 1])
-    power = DensePoly.rational([1])
+    s_plus_1 = DensePoly([1, 1])
+    power = DensePoly([1])
     for i in range(0, nu + 1):
         v = v + power.scale((-1) ** i * full_f[i])
         power = power * s_plus_1

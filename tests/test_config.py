@@ -165,7 +165,7 @@ def test_tq_identity_for_q1():
 
 def test_tq_exact_polynomial():
     c = t_q_expand(build_am1n(1, 2, 192), 2)
-    assert c.P == DensePoly.rational([1, 0, 1, 0, 1])  # P(w^2) = w^4 + w^2 + 1
+    assert c.P == DensePoly([1, 0, 1, 0, 1])  # P(w^2) = w^4 + w^2 + 1
     with working(192):
         base = build_am1n(1, 2, 192)
         for ln in slope_lines(base):
@@ -258,11 +258,11 @@ def test_tq_angles_within_one_ulp(precision):
 
 def test_random_r_expansion():
     c = from_alphas(2, [F(1, 2), F(-1, 3)], seed=1)
-    assert c.R == DensePoly.rational([F(-1, 6), F(-1, 6), F(1)])
+    assert c.R == DensePoly([F(-1, 6), F(-1, 6), F(1)])
     # R is formed on integers and made monic; it must be the Fraction product
     for m, n, seed in [(1, 1, 1), (2, 5, 3), (4, 20, 1)]:
         c = random_type_m1n(m, n, seed)
-        want = DensePoly.rational([1])
+        want = DensePoly([1])
         for a in c.alphas:
             want = want * DensePoly([-a, F(1)])
         assert c.R == want and c.R.leading() == 1
@@ -391,7 +391,7 @@ def test_charts_without_exact_data_have_no_groups():
 
 def test_the_pi_half_line_keeps_its_stored_slope():
     # both are degree-1 groups alpha; only twomult stores the slope 0
-    alpha = DensePoly.rational([0, 1])
+    alpha = DensePoly([0, 1])
     am, tm = build_am1n(2, 1, 128), build_two_mult(2, 2, 2, 128)
     assert am.groups[1] == (alpha, 1) and (alpha, 2) in tm.groups
     assert [ln["alpha"] for ln in am.to_json_dict()["lines"]] == ["inf", None]

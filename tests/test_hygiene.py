@@ -104,3 +104,23 @@ def test_every_traced_name_resolves():
             except AttributeError:
                 missing.append(f"{mod}.{attr}")
     assert not missing, f"traced names the package does not define: {missing}"
+
+
+def _coeffs_reads(path):
+    """Line numbers where a module reads an attribute named coeffs, other than
+    HilbertSeries reading its own self.coeffs."""
+    tree = ast.parse(path.read_text())
+    own = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+           and c.name == "HilbertSeries" for n in ast.walk(c)
+           if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+           and n.value.id == "self"}
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and n.attr == "coeffs" and id(n) not in own]
+
+
+@pytest.mark.parametrize("path", [p for p in _SRC if p.name != "poly.py"], ids=lambda p: p.name)
+def test_only_poly_reads_coeffs(path):
+    """DensePoly's Fraction view stays inside poly.py: every other module reads
+    nums and den, so no denominator clearing comes back outside it."""
+    lines = _coeffs_reads(path)
+    assert not lines, f"{path.name} reads .coeffs at lines {lines}"

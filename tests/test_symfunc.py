@@ -16,9 +16,9 @@ from paper import (OutOfRange, f_to_e, f_to_ehat, f_values, identity_a_lhs,
 
 
 def test_poly_from_elementary_examples():
-    assert poly_from_elementary([F(-4, 3), F(1)], 2) == DensePoly.rational([1, F(4, 3), 1])
-    assert poly_from_elementary([], 0) == DensePoly.rational([1])
-    assert poly_from_elementary([F(-1), F(1)], 2) == DensePoly.rational([1, 1, 1])
+    assert poly_from_elementary([F(-4, 3), F(1)], 2) == DensePoly([1, F(4, 3), 1])
+    assert poly_from_elementary([], 0) == DensePoly([1])
+    assert poly_from_elementary([F(-1), F(1)], 2) == DensePoly([1, 1, 1])
 
 
 def test_f_to_e_examples():
@@ -116,7 +116,7 @@ def test_chain_f_to_ehat_reproduces_closed_form():
 def test_r_poly_roots_are_slopes():
     # R for (m, n) = (2, 2) is alpha^2 - 1/5: roots +-1/sqrt(5)
     R = r_poly_from_ehat(ehat_values(2, 2), 2)
-    assert R == DensePoly.rational([F(-1, 5), 0, 1])
+    assert R == DensePoly([F(-1, 5), 0, 1])
     R13 = r_poly_from_ehat(ehat_values(1, 3), 3)
     assert R13(F(0)) == 0 and R13(F(1)) == 0 and R13(F(-1)) == 0
 
@@ -140,8 +140,8 @@ def test_cayley_of_two_mult_is_real_rooted():
 
 def test_cayley_maps_unit_circle_roots_to_slopes():
     # roots z = -1, i: phi = pi/2 and pi/4, slopes 0 and 1
-    P = DensePoly.rational([1, 1]) * DensePoly.rational([1, 0, 1])
-    assert cayley(P) == DensePoly.rational([0, -1, 0, 1])
+    P = DensePoly([1, 1]) * DensePoly([1, 0, 1])
+    assert cayley(P) == DensePoly([0, -1, 0, 1])
 
 
 @pytest.mark.parametrize("coeffs", [[-1, 1], [1, -3, 2], [1, 2, 3]])
@@ -149,7 +149,7 @@ def test_cayley_refuses(coeffs):
     # P(1) = 0 (a root on the phi = 0 line) for the first two; the roots of
     # 3w^2 + 2w + 1 have modulus 1/sqrt(3), so R is not real
     with pytest.raises(ValueError):
-        cayley(DensePoly.rational(coeffs))
+        cayley(DensePoly(coeffs))
 
 
 def test_newton_round_trip():
