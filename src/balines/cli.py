@@ -29,7 +29,7 @@ from .errors import BalinesError, CollisionError
 from .locus import solve_general_locus
 from .numeric import MIN_PRECISION
 from .quasi import (am1n_hilbert_numerator, hilbert_coefficients,
-                    hilbert_rational_form, is_gorenstein, m1n_parameters,
+                    hilbert_rational_form, is_gorenstein, m1n_chart,
                     r_parameter)
 
 EXIT_PASS = 0
@@ -124,7 +124,7 @@ def _load(path: str, integral: bool = False) -> Configuration:
 
 # Lowest accepted value of each integer option; scan takes these options as
 # range strings, every value of which is checked.
-_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1, "jobs": 1}
+_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1, "jobs": 1, "samples": 0}
 
 
 def _check_ranges(args) -> None:
@@ -223,7 +223,7 @@ def cmd_hilbert(args) -> int:
         cfg = _build(args, "am1n", "hilbert")
     else:
         raise UsageError("hilbert needs --input, --random, or --m and --n")
-    m, n = m1n_parameters(cfg)
+    m, n, _ = m1n_chart(cfg)
     D = args.D if args.D is not None else 2 * m + 2 * n + 4
     if D < 2 * m + 2 * n + 2:
         raise UsageError(f"--D must be >= {2 * m + 2 * n + 2} for m={m}, n={n}")

@@ -34,17 +34,20 @@ Both routes share one proof rule.  The rank is at most n, and at even d at
 most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
 sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
 f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  The lower bound is
-dim W_d on the exact route.  On the numeric one it is the larger of the rank
-settled at d - 2 and the rank read down from one degree t of d's parity
-(below).  Where it meets min(n, |S_d| - [d even]) the rank is that
-bound, with no elimination; at every other degree that degree's own
-elimination decides it.  On the exact route that is rank_exact
-(fraction-free Bareiss elimination over the integers), on the degree's
-matrix read off one table of alpha^k mod R (k <= D + 1) built only if some
-degree needs it.  Generic charts never need it; am1n charts, whose
-Gorenstein kernels exceed the bound, do at about a quarter of their degrees.
-An R that is not integral at p proves nothing mod p, so rank_exact decides
-every degree but 0, whose bound is 0.
+the larger of the rank settled at d - 2 and the route's own bound: dim W_d
+on the exact route, the rank read down from one degree t of d's parity on
+the numeric one (below).  The settled rank carries over Q: the slopes are
+real, so 1 + alpha^2 is a unit mod R, and V_d contains the image of V_(d-2)
+under multiplication by it.  Where the lower bound meets
+min(n, |S_d| - [d even]) the rank is that bound, with no elimination; at
+every other degree that degree's own elimination decides it.  On the exact
+route that is rank_exact (fraction-free Bareiss elimination over the
+integers), on the degree's matrix read off one table of alpha^k mod R
+(k <= D + 1) built only if some degree needs it.  Generic charts never need
+it; am1n charts, whose Gorenstein kernels exceed the bound, do at about a
+quarter of their degrees.  An R that is not integral at p proves nothing
+mod p, so rank_exact decides every degree but 0 (whose bound is 0) where
+the rank carried from d - 2 falls short of the bound.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
@@ -85,6 +88,12 @@ and once it reaches n every later degree of that parity is read off the
 bound.  A rank-deficient chart such as am1n, whose Gorenstein kernels hold
 some degrees below the bound, is eliminated at each degree where neither
 lower bound reaches the upper one.
+
+r, the number of distinct squared slopes, is exact on a chart with groups:
+a root a of R has -a among the roots exactly when it is a root of
+G = gcd(R(alpha), R(-alpha)), and G's roots pair off as +-a but for a root
+0, so r = deg R - (deg G - [R(0) = 0]) / 2.  Only a chart without groups
+compares its numeric squared slopes, to 2^-(p/2) relative.
 
 The closed-form numerator of the one-heavy-line family serves
 `hilbert --check-closed-form`.  The paper's per-degree segment formulas for
@@ -208,14 +217,6 @@ class QISystem:
     matrix: Tuple[Tuple[int, ...], ...]
     column_scale: Tuple[int, ...]
 
-    @property
-    def free_count(self) -> int:
-        return len(self.free)
-
-    def dimension(self) -> int:
-        """free_count minus the rank over Q, by rank_exact."""
-        return self.free_count - rank_exact(self.matrix)
-
 
 # alpha^k mod R for k = 0, 1, ..., each as (numerators, denominator) of its
 # deg R coefficients.
@@ -250,7 +251,9 @@ def assemble_system(c: Configuration, d: int,
     Column i is (d-i) alpha^(d-1-i) - i alpha^(d+1-i) mod R, read off the
     power table (built here through alpha^(d+1) unless a longer one is
     passed) and scaled to integers by the product of its two denominators."""
-    m, R = _slope_poly(c)
+    m, _, R = m1n_chart(c)
+    if R is None:
+        raise MissingExactData("quasi-invariant system needs an exact type-(m, 1^n) chart")
     if table is None:
         table = power_table(R, d + 1)
     S = free_indices(d, m)
@@ -263,54 +266,42 @@ def assemble_system(c: Configuration, d: int,
     return QISystem(free=tuple(S), matrix=tuple(zip(*cols)), column_scale=tuple(scales))
 
 
-def _slope_poly(c: Configuration) -> Tuple[int, DensePoly]:
-    """(heavy multiplicity, exact slope polynomial R) of a type-(m, 1^n)
-    chart: its groups are (INF, m) and (R, 1), m a positive integer."""
-    if len(c.groups) != 2 or c.groups[1][1] != 1:
-        raise MissingExactData("quasi-invariant system needs an exact type-(m, 1^n) chart")
-    (_, m), (R, _) = c.groups
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"multiplicity {m!r} is not a positive integer")
-    return m, R
-
-
-def m1n_parameters(c: Configuration) -> Tuple[int, int]:
-    """(heavy multiplicity, number of slope lines) of a type-(m, 1^n) chart;
-    an exact chart gives them from its groups, without its lines."""
+def m1n_chart(c: Configuration) -> Tuple[int, int, Optional[DensePoly]]:
+    """(heavy multiplicity m, number of slope lines n, slope polynomial R) of
+    a type-(m, 1^n) chart, MissingExactData on any other.  A chart with groups
+    has the groups (INF, m) and (R, 1); its lines are not read.  A chart
+    without groups (R None) has one heavy line, at phi = 0, or all lines of
+    multiplicity 1 and one at phi = 0 to play the heavy one.  ValueError on a
+    multiplicity that is not a positive integer."""
     if c.groups:
-        m, R = _slope_poly(c)
-        return m, R.degree
-    m, light = _require_m1n_chart(c)
-    return m, len(light)
-
-
-def _require_m1n_chart(c: Configuration) -> Tuple[int, List]:
-    """(heavy multiplicity, slope lines) of a type-(m, 1^n) chart; ValueError
-    on a multiplicity that is not a positive integer."""
+        if len(c.groups) != 2 or c.groups[1][1] != 1:
+            raise MissingExactData("quasi-invariant system needs an exact type-(m, 1^n) chart")
+        (_, m), (R, _) = c.groups
+        if not (isinstance(m, int) and m >= 1):
+            raise ValueError(f"multiplicity {m!r} is not a positive integer")
+        return m, R.degree, R
     integer_mults(c)
     heavy = [ln for ln in c.lines if ln.mult != 1]
-    light = [ln for ln in c.lines if ln.mult == 1]
     if len(heavy) > 1:
         raise MissingExactData(
             "quasi-invariant system needs type (m, 1^n): at most one heavy line")
-    if heavy:
-        if not (heavy[0].phi == 0 or heavy[0].alpha_exact is INF):
-            raise MissingExactData("the heavy line must sit at phi = 0")
-        m = int(heavy[0].mult)
-    else:
-        # all multiplicity 1: treat the phi = 0 line as the distinguished one
-        zero = [ln for ln in light if ln.phi == 0]
-        if not zero:
-            raise MissingExactData("no line at phi = 0 to play the heavy role")
-        m = 1
-        light = [ln for ln in light if ln.phi != 0]
-    return m, light
+    if heavy and not (heavy[0].phi == 0 or heavy[0].alpha_exact is INF):
+        raise MissingExactData("the heavy line must sit at phi = 0")
+    if not heavy and all(ln.phi != 0 for ln in c.lines):
+        raise MissingExactData("no line at phi = 0 to play the heavy role")
+    return int(heavy[0].mult) if heavy else 1, len(_slope_lines(c)), None
+
+
+def _slope_lines(c: Configuration) -> List:
+    """The slope lines of a type-(m, 1^n) chart: multiplicity 1, off phi = 0."""
+    return [ln for ln in c.lines if ln.mult == 1 and ln.phi != 0]
 
 
 def qi_dimension_exact(c: Configuration, d: int,
                        table: Optional[PowerTable] = None) -> int:
-    """dim of degree-d quasi-invariants via the exact remainder-map rank."""
-    return assemble_system(c, d, table).dimension()
+    """dim of degree-d quasi-invariants: |S_d| less rank_exact of the system."""
+    system = assemble_system(c, d, table)
+    return len(system.free) - rank_exact(system.matrix)
 
 
 # cos^k phi and sin^k phi (k = 0, 1, ...) of every slope line, as ints
@@ -331,7 +322,7 @@ def cos_sin_table(c: Configuration) -> CosSinTable:
     pivots before it clear the margin, and the rank would come out short
     without a refusal."""
     frac = check_precision(c.precision) + GUARD_BITS
-    light = _require_m1n_chart(c)[1]
+    light = _slope_lines(c)
     phis = sorted(ln.phi for ln in light)
     if len(phis) > 1:
         bits = min(64, c.precision // 4) - c.precision // 2
@@ -360,7 +351,7 @@ def qi_dimension_numeric(c: Configuration, d: int,
         for powers in pair:  # x^k = x^(k-1) x
             while len(powers) <= d:
                 powers.append((powers[-1] * powers[1]) >> frac)
-    S = free_indices(d, _require_m1n_chart(c)[0])
+    S = free_indices(d, m1n_chart(c)[0])
     rows = [[(((d - i) * cs[d - 1 - i] * sn[i + 1] if i < d else 0)
               - (i * cs[d + 1 - i] * sn[i - 1] if i else 0)) >> frac for i in S]
             for cs, sn in table]
@@ -400,35 +391,36 @@ def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
     """[b_0 .. b_D], by the exact route on a chart with groups, else
     numerically (see the module docstring): the rank is read off its bounds
     where they meet, else eliminated at that degree alone."""
-    m, n = m1n_parameters(c)
+    m, n, R = m1n_chart(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     free = [len(free_indices(d, m)) for d in range(D + 1)]
     ranks = [None] * (D + 1)
-    if c.groups:
-        R = _slope_poly(c)[1]
-        proven, powers = _modular_ranks(R.monic(), m, D), None
+    if R is not None:
+        proven, powers = _modular_ranks(R.monic(), m, D), []
+
+        def rank(d):
+            if not powers:  # built at the first degree that needs it
+                powers.append(power_table(R, D + 1))
+            return free[d] - qi_dimension_exact(c, d, powers[0])
     else:
         cos_sin, proven = cos_sin_table(c), [0] * (D + 1)
+
+        def rank(d):
+            return free[d] - qi_dimension_numeric(c, d, cos_sin)
+
         # per parity, the highest degree t whose bound |S_t| - [t even] is
         # not capped by n: its rank bounds every lower degree from below
         tops = {d % 2: d for d in range(1, D + 1) if free[d] - (d % 2 == 0) <= n}
         for t in sorted(tops.values()):
-            ranks[t] = free[t] - qi_dimension_numeric(c, t, cos_sin)
+            ranks[t] = rank(t)
             for d in range(t % 2, t, 2):
                 proven[d] = ranks[t] - (free[t] - free[d])
     for d in range(D + 1):
-        if ranks[d] is not None:
-            continue
-        bound = min(n, free[d] - (d % 2 == 0))
-        lower = proven[d] if c.groups else max(proven[d], ranks[d - 2] if d >= 2 else 0)
-        if lower >= bound:
-            ranks[d] = bound
-        elif c.groups:
-            powers = powers or power_table(R, D + 1)
-            ranks[d] = free[d] - qi_dimension_exact(c, d, powers)
-        else:
-            ranks[d] = free[d] - qi_dimension_numeric(c, d, cos_sin)
+        if ranks[d] is None:
+            bound = min(n, free[d] - (d % 2 == 0))
+            lower = max(proven[d], ranks[d - 2] if d >= 2 else 0)
+            ranks[d] = bound if lower >= bound else rank(d)
     return [f - r for f, r in zip(free, ranks)]
 
 
@@ -532,18 +524,19 @@ def is_gorenstein(h: HilbertSeries) -> Tuple[bool, Optional[int]]:
 
 
 def r_parameter(c: Configuration) -> int:
-    """Number of distinct squared slopes among the multiplicity-1 lines."""
-    if c.kind == "am1n":
-        return (c.n + 1) // 2  # the slopes pair off as +-a, plus 0 for odd n
+    """Number r of distinct squared slopes among the slope lines.  A random
+    record counts its stored slopes (no lines built); any other chart with
+    groups reads r exactly off R (see the module docstring); only a chart
+    without groups compares numeric slopes, to 2^-(p/2) relative."""
     if c.alphas is not None:
         return len({a * a for a in c.alphas})
-    _, light = _require_m1n_chart(c)
-    exact = [ln.alpha_exact for ln in light]
-    if all(isinstance(a, Fraction) for a in exact):
-        return len({a * a for a in exact})
+    _, n, R = m1n_chart(c)
+    if R is not None:
+        mirror = DensePoly([-a if k % 2 else a for k, a in enumerate(R.nums)], R.den)
+        return n - (R.gcd(mirror).degree - (R.nums[0] == 0)) // 2
     with working(c.precision):
         tol = mp.mpf(2) ** (-(c.precision // 2))
-        sq = sorted(ln.alpha() ** 2 for ln in light)
+        sq = sorted(ln.alpha() ** 2 for ln in _slope_lines(c))
         count = 1
         for a, b in zip(sq, sq[1:]):
             if abs(b - a) > tol * max(1, abs(b)):

@@ -248,10 +248,10 @@ def stepwise_numeric_series(c, D: int) -> Tuple[List[int], List[int]]:
     upward schedule alone: the rank settled at d - 2 is the only lower bound
     at d, and qi_dimension_numeric runs at every degree where it falls short
     of min(n, |S_d| - [d even])."""
-    from balines.quasi import (cos_sin_table, free_indices, m1n_parameters,
+    from balines.quasi import (cos_sin_table, free_indices, m1n_chart,
                                qi_dimension_numeric)
 
-    m, n = m1n_parameters(c)
+    m, n = m1n_chart(c)[:2]
     table = cos_sin_table(c)
     ranks, out, eliminated = [], [], []
     for d in range(D + 1):
@@ -264,6 +264,18 @@ def stepwise_numeric_series(c, D: int) -> Tuple[List[int], List[int]]:
             eliminated.append(d)
         ranks.append(free - out[-1])
     return out, eliminated
+
+
+def r_by_tolerance(c) -> int:
+    """Distinct squared slopes among the multiplicity-1 lines off phi = 0,
+    from the numeric slopes: sorted, two neighbours count as one square when
+    they agree to 2^-(p/2) relative."""
+    from balines.numeric import working
+
+    with working(c.precision):
+        tol = mp.mpf(2) ** (-(c.precision // 2))
+        sq = sorted(ln.alpha() ** 2 for ln in c.lines if ln.mult == 1 and ln.phi != 0)
+        return 1 + sum(abs(b - a) > tol * max(1, abs(b)) for a, b in zip(sq, sq[1:]))
 
 
 def remainder_map_matrix(R, d: int, m: int):

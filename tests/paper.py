@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from balines.config import Configuration
 from balines.poly import DensePoly
-from balines.quasi import _require_m1n_chart, _slope_poly, assemble_system
+from balines.quasi import assemble_system, m1n_chart
 from balines.symfunc import ehat_values
 
 
@@ -209,8 +209,7 @@ def radial_invariant(d: int = 2) -> List[Fraction]:
 def product_invariant(c: Configuration) -> List[Fraction]:
     """Coefficients of prod_lines (line form)^(2 mult): the squared defining
     polynomial, built from R so it stays rational for irrational slopes."""
-    m, R = _slope_poly(c)
-    n = R.degree
+    m, n, R = m1n_chart(c)
     # prod (x + alpha_j y) = sum_k r_k (-1)^(n-k) x^k y^(n-k),  R = sum r_k a^k
     lin = [(-1) ** (n - k) * R[k] for k in range(n + 1)]  # index = power of x
     sq: Dict[int, Fraction] = {}
@@ -227,10 +226,10 @@ def product_invariant(c: Configuration) -> List[Fraction]:
 
 def is_symmetric_slope_chart(c: Configuration) -> bool:
     """Whether slopes pair off as {a, -a} (plus one zero slope when n is odd)."""
-    _, light = _require_m1n_chart(c)
+    m1n_chart(c)
     if c.kind == "am1n":
         return True
-    exact = [ln.alpha_exact for ln in light]
+    exact = [ln.alpha_exact for ln in c.lines if ln.mult == 1 and ln.phi != 0]
     if not all(isinstance(a, Fraction) for a in exact):
         return False
     zeros = [a for a in exact if a == 0]

@@ -342,6 +342,7 @@ BAD_INPUT = [
       for cmd in ("certify", "hilbert")],
     (["scan", "darboux", "--m", "1", "--n", "1", "--jobs", "0"], None),
     (["scan", "gorenstein", "--m", "1", "--n", "2", "--jobs", "-3"], None),
+    (["scan", "gorenstein", "--m", "1", "--n", "2", "--samples", "-3"], None),
 ]
 
 
@@ -479,17 +480,23 @@ def test_malformed_env_precision_exit_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: BA_PRECISION")
 
 
+def _write_numeric_chart(cfg, path) -> None:
+    """Save cfg with e, ehat and every finite slope removed: no exact data
+    is left, so its Hilbert series takes the numeric route."""
+    data = cfg.to_json_dict()
+    data["e"] = data["ehat"] = None
+    for line in data["lines"]:
+        if line["alpha"] != "inf":
+            line["alpha"] = None
+    path.write_text(json.dumps(data))
+
+
 def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
     from balines import quasi
     from balines.config import random_type_m1n
 
-    data = random_type_m1n(2, 3, 1, 128).to_json_dict()
-    data["e"] = data["ehat"] = None
-    for line in data["lines"]:
-        if line["alpha"] != "inf":
-            line["alpha"] = None  # no exact data left: the numeric route
     path = tmp_path / "numeric.json"
-    path.write_text(json.dumps(data))
+    _write_numeric_chart(random_type_m1n(2, 3, 1, 128), path)
     frac = 128 + quasi.GUARD_BITS
     ill = [[1 << (frac - 30), 0], [0, 1 << (frac - 70)]]  # margin 2^40
     rank = quasi.rank_numeric
@@ -499,11 +506,13 @@ def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rank margin")
 
 
-# SHA-256 of the stdout of four requests, the manifest's wall_clock dropped,
+# SHA-256 of the stdout of eight requests, the manifest's wall_clock dropped,
 # run in a directory holding pert.json (am1n (3, 3) with line 2 moved by
-# 1e-2) and base.json (twomult (2, 1, 4)): they hold the bytes of passing and
-# failing certificates and of a q-expansion fixed while the arithmetic
-# behind them changes.
+# 1e-2), base.json (twomult (2, 1, 4)) and numeric.json (random (2, 5),
+# seed 1, with its exact data removed): they hold the bytes of passing and
+# failing certificates, of a q-expansion and of Hilbert series on the
+# closed-form, exact and numeric routes fixed while the arithmetic behind
+# them changes.
 PINNED = {
     "certify-am1n-2-3-q2": (
         ["certify", "--family", "am1n", "--m", "2", "--n", "3", "--q", "2"], 0,
@@ -518,6 +527,18 @@ PINNED = {
     "construct-tq-q3": (
         ["construct", "tq", "--input", "base.json", "--q", "3"], 0,
         "8ed42fb6666e6f0f71b4f19d724ab961ac0f2973984948f9d8a0401c8af417e2"),
+    "hilbert-am1n-2-3-closed-form": (
+        ["hilbert", "--m", "2", "--n", "3", "--check-closed-form"], 0,
+        "6a7b6b685e9eb2a369567310defd6bbb5878a1e7854222a43eff2faca9c890be"),
+    "hilbert-random-3-5-seed-4": (
+        ["hilbert", "--random", "--m", "3", "--n", "5", "--seed", "4"], 0,
+        "807edb5bba2e61796565fe5e4f1e6a54b354631436e81d2e36331abf9f627045"),
+    "hilbert-twomult-2-1-4": (
+        ["hilbert", "--input", "base.json"], 0,
+        "4b119055447a84d39abe275c3148ee45cd112fc170bba1cabc737578f9135c10"),
+    "hilbert-numeric-random-2-5": (
+        ["hilbert", "--input", "numeric.json"], 0,
+        "2ba111b44b97e634dbc7aa8766f536debff9c5bfda8bbe908d0197127966c077"),
 }
 
 
@@ -536,11 +557,12 @@ def pinned_digest(argv, capsys):
 
 @pytest.mark.parametrize("name", PINNED)
 def test_cli_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
-    from balines.config import build_am1n, build_two_mult, perturb_line
+    from balines.config import build_am1n, build_two_mult, perturb_line, random_type_m1n
 
     monkeypatch.delenv("BA_PRECISION", raising=False)
     monkeypatch.chdir(tmp_path)
     perturb_line(build_am1n(3, 3, 256), 2, 1e-2).save("pert.json")
     build_two_mult(2, 1, 4, 256).save("base.json")
+    _write_numeric_chart(random_type_m1n(2, 5, 1, 256), tmp_path / "numeric.json")
     argv, code, digest = PINNED[name]
     assert pinned_digest(argv, capsys) == (code, digest)

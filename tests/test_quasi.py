@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from balines import quasi
 from balines.cli import main
-from balines.config import (build_am1n, build_two_mult, from_alphas,
-                            random_type_m1n, t_q_expand)
+from balines.config import (Configuration, Line, build_am1n, build_two_mult,
+                            from_alphas, random_type_m1n, t_q_expand)
 from balines.errors import (CollisionError, IllConditioned, MissingExactData,
                              TailMismatch)
 from balines.locus import solve_general_locus
@@ -20,9 +20,9 @@ from balines.quasi import (am1n_hilbert_numerator, assemble_system,
 from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
-                     echelon_rank_exact, numeric_chart, rank_mod_prime,
-                     remainder_map_matrix, series_times_denominator,
-                     stepwise_numeric_series)
+                     echelon_rank_exact, numeric_chart, r_by_tolerance,
+                     rank_mod_prime, remainder_map_matrix,
+                     series_times_denominator, stepwise_numeric_series)
 from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
                    is_symmetric_slope_chart, product_invariant,
                    radial_invariant, segment_oracles, segment_prediction)
@@ -71,7 +71,7 @@ def test_fixed_point_series_equals_exact_series(precision):
               for m, n, seed in [(1, 4, 2), (2, 7, 5), (3, 10, 1), (1, 16, 3)]]
     charts += [build_am1n(m, n, precision) for m in range(1, 5) for n in range(1, 9)]
     for c in charts:
-        m, n = quasi.m1n_parameters(c)
+        m, n = quasi.m1n_chart(c)[:2]
         D = 2 * m + 2 * n + 4
         assert hilbert_coefficients(numeric_chart(c), D) == \
             hilbert_coefficients(c, D), (c.kind, m, n, c.seed)
@@ -148,7 +148,7 @@ def test_numeric_series_matches_the_stepwise_schedule(monkeypatch):
     charts.append(solve_general_locus((2, 1, 1), 256))
     degrees = _record_numeric_degrees(monkeypatch)
     for k, c in enumerate(charts):
-        m, n = quasi.m1n_parameters(c)
+        m, n = quasi.m1n_chart(c)[:2]
         D = 2 * m + 2 * n + 4
         want, stepwise = stepwise_numeric_series(c, D)
         degrees.clear()
@@ -185,7 +185,7 @@ def test_q_expansions_of_multiplicity_one_take_the_exact_route(base):
     # at q = 2 every line of these has multiplicity 1: one slope group
     c = t_q_expand(base(), 2)
     assert len(c.groups) == 2
-    m, n = quasi.m1n_parameters(c)
+    m, n = quasi.m1n_chart(c)[:2]
     assert (m, n) == (1, len(c.lines) - 1)
     D = 2 * m + 2 * n + 4
     assert hilbert_coefficients(c, D) == hilbert_coefficients(numeric_chart(c), D)
@@ -328,6 +328,27 @@ def test_r_parameter():
     assert r_parameter(lc) == 1
 
 
+def test_r_parameter_reads_no_numeric_slope_on_a_chart_with_groups(monkeypatch):
+    # r comes off R exactly by the gcd rule; the tolerance count on the
+    # lines found at 512 bits agrees
+    charts = [build_two_mult(m, 1, n, 512) for m in range(1, 5) for n in (2, 4, 6)]
+    charts += [t_q_expand(build_am1n(1, n, 512), 2) for n in range(1, 7)]
+    charts += [t_q_expand(build_two_mult(1, 1, 2, 512), 2)]
+    charts += [build_am1n(m, n, 512) for m, n in [(2, 5), (3, 6)]]
+    charts += [Configuration.from_json_dict(random_type_m1n(2, 6, seed, 512).to_json_dict())
+               for seed in (1, 2)]
+    charts += [Configuration.from_json_dict(from_alphas(
+        1, [F(1, 2), F(-1, 2), F(3), F(0), F(-3), F(5, 7)], 512).to_json_dict())]
+    want = [r_by_tolerance(c) for c in charts]
+
+    def refuse(self):
+        raise AssertionError("r needs no numeric slope")
+
+    monkeypatch.setattr(Line, "alpha", refuse)
+    assert all(c.groups and c.alphas is None for c in charts)
+    assert [r_parameter(c) for c in charts] == want
+
+
 def test_symmetry_detection():
     assert is_symmetric_slope_chart(build_am1n(3, 4, 128))
     assert is_symmetric_slope_chart(from_alphas(2, [F(1, 2), F(-1, 2)]))
@@ -435,7 +456,7 @@ def test_power_table_assembly_matches_polynomial_division():
             scaled = assemble_system(c, d, quasi.power_table(c.R.scale(F(3)), d + 1))
             assert _unscaled(assemble_system(c, d)) == want, d
             assert _unscaled(scaled) == want, d
-            assert scaled.dimension() == qi_dimension_exact(c, d)
+            assert len(scaled.free) - rank_exact(scaled.matrix) == qi_dimension_exact(c, d)
 
 
 def test_exact_hilbert_series_at_scale():
@@ -451,7 +472,7 @@ def test_assembled_system_shape():
     sys6 = assemble_system(c, 6)
     assert sys6.free == (0, 2, 4, 5, 6)
     assert len(sys6.matrix) == 2  # one row per power below deg R
-    assert sys6.dimension() == 4
+    assert len(sys6.free) - rank_exact(sys6.matrix) == 4
 
 
 def _count_assembly(monkeypatch):
@@ -466,7 +487,7 @@ def _bareiss_series(c, D):
     """[b_0 .. b_D] from Bareiss elimination at every degree."""
     table = quasi.power_table(c.R, D + 1)
     systems = [assemble_system(c, d, table) for d in range(D + 1)]
-    return [s.free_count - rank_exact(s.matrix) for s in systems]
+    return [len(s.free) - rank_exact(s.matrix) for s in systems]
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,7 +512,11 @@ def test_modular_pass_matches_per_degree_bareiss(m, slopes):
     ([F(1, 5), F(1, 2), F(-3), F(7, 3)], "none"),  # R not 5-integral
 ])
 def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, proven):
-    # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R
+    # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R.
+    # Bareiss decides each degree the pass leaves short of the bound (from
+    # 3 on, or every degree but 0, whose bound is 0, when the pass proves
+    # nothing) until the rank carried up from d - 2, proven over Q, meets
+    # it: n = 4 at degrees 5 and 6
     c = from_alphas(2, slopes)
     D = 2 * 2 + 2 * len(slopes) + 4
     want = hilbert_coefficients(c, D)
@@ -499,9 +524,7 @@ def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, proven):
     monkeypatch.setattr(quasi, "RANK_PRIME", 5)
     calls = _count_assembly(monkeypatch)
     assert hilbert_coefficients(c, D) == want
-    assert calls
-    # only degree 0, whose bound is 0, needs no proof
-    assert (calls == list(range(1, D + 1))) == (proven == "none")
+    assert calls == list(range(3 if proven == "some" else 1, 7))
 
 
 def test_fallback_degrees_run_rank_exact(monkeypatch):
