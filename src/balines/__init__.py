@@ -19,7 +19,7 @@ from .locus import solve_general_locus
 from .poly import DensePoly
 from .quasi import (HilbertSeries, QISystem, am1n_hilbert_numerator,
                     assemble_system, hilbert_coefficients,
-                    hilbert_rational_form, is_gorenstein, qi_dimension_exact,
+                    hilbert_rational_form, is_gorenstein,
                     qi_dimension_numeric, r_parameter)
 from .roots import poly_roots
 from .symfunc import e_values, ehat_values, poly_from_elementary
@@ -37,7 +37,7 @@ __all__ = [
     "hilbert_rational_form", "is_gorenstein", "nu_constant",
     "ode_residual_am1n", "ode_residual_two_mult", "perturb_line",
     "poly_from_elementary", "poly_roots", "q_scaling_check", "q_trig",
-    "qi_dimension_exact", "qi_dimension_numeric", "r_parameter",
+    "qi_dimension_numeric", "r_parameter",
     "random_type_m1n", "solve_general_locus", "t_q_expand", "verify_eigen",
     "verify_factorization", "verify_potential", "wronskian",
 ]

@@ -293,8 +293,11 @@ def _check_distinct_angles(s, precision: int) -> None:
 
 
 def _check_record(c: Configuration) -> None:
-    """ValueError unless an am1n record has the closed-form e and ehat, and a
-    twomult record the e and branch sign that build_two_mult picks."""
+    """ValueError unless an am1n record has positive int m and n, as
+    build_am1n needs, and their closed-form e and ehat, and a twomult record
+    the e and branch sign that build_two_mult picks."""
+    if c.kind == "am1n" and not all(type(v) is int and v >= 1 for v in (c.m, c.n)):
+        raise ValueError(f"am1n needs positive integers m and n, not {c.m!r} and {c.n!r}")
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")

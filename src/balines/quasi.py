@@ -12,7 +12,7 @@ carrying only numeric charts.
 
 Column i of the degree-d matrix is col_d(i) = (d-i) alpha^(d-1-i) -
 i alpha^(d+1-i) mod R, i in S_d (free_indices), n = deg R.  A Hilbert series
-reads its ranks off one modular pass per parity of d, on the embedding of
+reads its ranks off one pass per parity of d, on the embedding of
 degree d - 2 into degree d by multiplication with the invariant x^2 + y^2
 (the quasi-invariants are a module over the invariants):
 
@@ -23,31 +23,25 @@ i alpha^(d+1-i).  S_(d-2) with the indices d - 1 and d that are free is S_d,
 and the change of basis is unit triangular on the lowest index, so the span
 V_d of the degree-d columns is (1 + alpha^2) V_(d-2) plus the span of the
 two new columns col_d(d) = -d alpha and col_d(d-1) = 1 - (d-1) alpha^2.
-Over F_p, p = RANK_PRIME, the subspaces W_d = (1 + alpha^2)^(K - d//2) V_d
-(K = D//2) of F_p[alpha]/R therefore grow: W_d = W_(d-2) plus at most two
-vectors, one echelon basis per parity.  Multiplication can only shrink a
-span, so dim W_d is at most the rank mod p of the degree-d matrix, itself a
-lower bound on its rank over Q (a minor nonzero mod p is nonzero); the two
-are equal when 1 + alpha^2 is a unit mod (R, p).
+The subspaces W_d = (1 + alpha^2)^(K - d//2) V_d (K = D//2) therefore grow:
+W_d = W_(d-2) plus at most two vectors, one echelon basis per parity.
 
-Both routes share one proof rule.  The rank is at most n, and at even d at
-most |S_d| - 1: (x^2 + y^2)^(d/2) is quasi-invariant (with f(alpha) =
-sum_i c_i alpha^(d-i), g = (1 + alpha^2) f' - d alpha f, which vanishes for
-f = (1 + alpha^2)^(d/2)), and its odd coefficients are 0.  The lower bound is
-the larger of the rank settled at d - 2 and the route's own bound: dim W_d
-on the exact route, the rank read down from one degree t of d's parity on
-the numeric one (below).  The settled rank carries over Q: the slopes are
-real, so 1 + alpha^2 is a unit mod R, and V_d contains the image of V_(d-2)
-under multiplication by it.  Where the lower bound meets
-min(n, |S_d| - [d even]) the rank is that bound, with no elimination; at
-every other degree that degree's own elimination decides it.  On the exact
-route that is rank_exact (fraction-free Bareiss elimination over the
-integers), on the degree's matrix read off one table of alpha^k mod R
-(k <= D + 1) built only if some degree needs it.  Generic charts never need
-it; am1n charts, whose Gorenstein kernels exceed the bound, do at about a
-quarter of their degrees.  An R that is not integral at p proves nothing
-mod p, so rank_exact decides every degree but 0 (whose bound is 0) where
-the rank carried from d - 2 falls short of the bound.
+Over Q, dim W_d = dim V_d, the rank itself: the slopes are real, so
+1 + alpha^2 shares no root with R and is a unit mod R.  Over F_p,
+p = RANK_PRIME, it may share one, and multiplication can only shrink a
+span, so dim W_d is at most the rank mod p of the degree-d matrix, itself a
+lower bound on its rank over Q (a minor nonzero mod p is nonzero).  The
+rank is also at most n, and at even d at most |S_d| - 1: (x^2 + y^2)^(d/2)
+is quasi-invariant (with f(alpha) = sum_i c_i alpha^(d-i),
+g = (1 + alpha^2) f' - d alpha f, which vanishes for f = (1 + alpha^2)^(d/2)),
+and its odd coefficients are 0.  So a series keeps the ranks of the pass
+over F_p only if they meet min(n, |S_d| - [d even]) at every degree, and
+else takes those of the pass over Q, on integer vectors kept primitive.
+Generic charts keep the F_p ranks; am1n charts, whose Gorenstein kernels
+hold some degrees below the bound, take the Q run, as does an R not
+integral at p, whose pass mod p proves nothing.  The per-degree system
+(assemble_system) and its Bareiss rank (rank_exact) are the reference the
+pass is tested against; a series calls neither.
 
 The numeric route works on bounded rows in fixed point.  Row j of degree d,
 multiplied by sin^d phi_j (row scaling leaves the rank unchanged), has
@@ -297,13 +291,6 @@ def _slope_lines(c: Configuration) -> List:
     return [ln for ln in c.lines if ln.mult == 1 and ln.phi != 0]
 
 
-def qi_dimension_exact(c: Configuration, d: int,
-                       table: Optional[PowerTable] = None) -> int:
-    """dim of degree-d quasi-invariants: |S_d| less rank_exact of the system."""
-    system = assemble_system(c, d, table)
-    return len(system.free) - rank_exact(system.matrix)
-
-
 # cos^k phi and sin^k phi (k = 0, 1, ...) of every slope line, as ints
 # carrying precision + GUARD_BITS fraction bits; the lists grow in place.
 CosSinTable = Sequence[Tuple[List[int], List[int]]]
@@ -388,64 +375,70 @@ class HilbertSeries:
 
 
 def hilbert_coefficients(c: Configuration, D: int) -> List[int]:
-    """[b_0 .. b_D], by the exact route on a chart with groups, else
-    numerically (see the module docstring): the rank is read off its bounds
-    where they meet, else eliminated at that degree alone."""
+    """[b_0 .. b_D], by the passes over F_p and then Q on a chart with
+    groups, else numerically, the rank read off its bounds where they meet
+    and eliminated at that degree alone elsewhere (see the module docstring)."""
     m, n, R = m1n_chart(c)
     if D < 2 * m + 2 * n + 2:
         raise ValueError(f"need D >= {2 * m + 2 * n + 2}")
     free = [len(free_indices(d, m)) for d in range(D + 1)]
-    ranks = [None] * (D + 1)
+    bound = [min(n, f - (d % 2 == 0)) for d, f in enumerate(free)]
     if R is not None:
-        proven, powers = _modular_ranks(R.monic(), m, D), []
+        ranks = _parity_ranks(R.monic(), m, D, RANK_PRIME)
+        if ranks != bound:
+            ranks = _parity_ranks(R.monic(), m, D)
+        return [f - r for f, r in zip(free, ranks)]
+    cos_sin, proven, ranks = cos_sin_table(c), [0] * (D + 1), [None] * (D + 1)
 
-        def rank(d):
-            if not powers:  # built at the first degree that needs it
-                powers.append(power_table(R, D + 1))
-            return free[d] - qi_dimension_exact(c, d, powers[0])
-    else:
-        cos_sin, proven = cos_sin_table(c), [0] * (D + 1)
+    def rank(d):
+        return free[d] - qi_dimension_numeric(c, d, cos_sin)
 
-        def rank(d):
-            return free[d] - qi_dimension_numeric(c, d, cos_sin)
-
-        # per parity, the highest degree t whose bound |S_t| - [t even] is
-        # not capped by n: its rank bounds every lower degree from below
-        tops = {d % 2: d for d in range(1, D + 1) if free[d] - (d % 2 == 0) <= n}
-        for t in sorted(tops.values()):
-            ranks[t] = rank(t)
-            for d in range(t % 2, t, 2):
-                proven[d] = ranks[t] - (free[t] - free[d])
+    # per parity, the highest degree t whose bound |S_t| - [t even] is not
+    # capped by n: its rank bounds every lower degree from below
+    tops = {d % 2: d for d in range(1, D + 1) if free[d] - (d % 2 == 0) <= n}
+    for t in sorted(tops.values()):
+        ranks[t] = rank(t)
+        for d in range(t % 2, t, 2):
+            proven[d] = ranks[t] - (free[t] - free[d])
     for d in range(D + 1):
         if ranks[d] is None:
-            bound = min(n, free[d] - (d % 2 == 0))
             lower = max(proven[d], ranks[d - 2] if d >= 2 else 0)
-            ranks[d] = bound if lower >= bound else rank(d)
+            ranks[d] = bound[d] if lower >= bound[d] else rank(d)
     return [f - r for f, r in zip(free, ranks)]
 
 
-# Prime modulus of the modular pass: a minor that is nonzero mod p is nonzero
+# Prime modulus of the first pass: a minor that is nonzero mod p is nonzero
 # over Z, so a rank mod p is a lower bound on the rank over Q.
 RANK_PRIME = 2 ** 61 - 1
 
 
-def _modular_ranks(R: DensePoly, m: int, D: int) -> List[int]:
-    """dim W_d over F_p, p = RANK_PRIME, for d = 0..D (see the module
-    docstring), from vectors of n ints mod p; all 0, which proves nothing,
-    when p divides the monic R's denominator.  A full basis takes no more vectors."""
-    p = RANK_PRIME
-    if R.den % p == 0:
+def _parity_ranks(R: DensePoly, m: int, D: int,
+                  p: Optional[int] = None) -> List[int]:
+    """dim W_d for d = 0..D (see the module docstring), from vectors of
+    n = deg R ints: reduced mod p when p is given, and all 0, which proves
+    nothing, when p divides the monic R's denominator; over Q (p None) kept
+    primitive, which gives the rank itself.  A full basis takes no more
+    vectors."""
+    if p is not None and R.den % p == 0:
         return [0] * (D + 1)
-    n, inv = R.degree, pow(R.den, -1, p)
-    low = [a * inv % p for a in R.nums[:n]]
+    n, den, low = R.degree, R.den, R.nums[:R.degree]
+    if p:  # den 1: R's coefficients mod p
+        den, low = 1, [a * pow(R.den, -1, p) % p for a in low]
 
-    def times_alpha(v):
-        return [(a - v[-1] * r) % p for a, r in zip([0] + v, low)] if v else v
+    def reduce(v):  # mod p; over Q, where only spans count, the primitive part
+        g = 1 if p else math.gcd(*v) or 1
+        return [x % p for x in v] if p else [x // g for x in v]
 
-    powers = [[int(j == 0) for j in range(n)]]  # (1 + alpha^2)^j mod (R, p)
-    for _ in range(D // 2):
-        g = powers[-1]
-        powers.append([(a + b) % p for a, b in zip(g, times_alpha(times_alpha(g)))])
+    def times_alpha(v):  # den alpha v mod R, exact
+        return [den * a - v[-1] * r for a, r in zip([0] + v, low)] if v else v
+
+    # (g, den alpha g, den^2 alpha^2 g) for g = (1 + alpha^2)^j, j = 0..D//2
+    powers, g = [], [int(j == 0) for j in range(n)]
+    for _ in range(D // 2 + 1):
+        ag = times_alpha(g)
+        a2g = times_alpha(ag)
+        powers.append((g, ag, a2g))
+        g = reduce([den * den * x + y for x, y in zip(g, a2g)])
 
     def free(i):  # whether i <= d is in S_d
         return i % 2 == 0 or i >= 2 * m
@@ -454,20 +447,21 @@ def _modular_ranks(R: DensePoly, m: int, D: int) -> List[int]:
     for d in range(D + 1):
         basis = bases[d % 2]
         if len(basis) < n:
-            g = powers[D // 2 - d // 2]
-            ag = times_alpha(g)
-            new = [[-d * x % p for x in ag]] if free(d) else []  # col_d(d) = -d alpha
+            g, ag, a2g = powers[D // 2 - d // 2]
+            new = [reduce([-d * x for x in ag])] if free(d) else []  # col_d(d) = -d alpha
             if free(d - 1):  # col_d(d - 1) = 1 - (d - 1) alpha^2
-                new.append([(x - (d - 1) * y) % p for x, y in zip(g, times_alpha(ag))])
+                new.append(reduce([den * den * x - (d - 1) * y for x, y in zip(g, a2g)]))
             for v in new:
                 for piv, b in basis:
                     f = v[piv]
-                    if f:
+                    if f and p:  # b[piv] = 1
                         v = [(x - f * y) % p for x, y in zip(v, b)]
+                    elif f:
+                        v = reduce([b[piv] * x - f * y for x, y in zip(v, b)])
                 piv = next((j for j, x in enumerate(v) if x), None)
-                if piv is not None:
-                    inv = pow(v[piv], -1, p)
-                    basis.append((piv, [x * inv % p for x in v]))
+                if piv is not None:  # pivot 1 mod p
+                    inv = pow(v[piv], -1, p) if p else 1
+                    basis.append((piv, [x * inv % p for x in v] if p else v))
         ranks.append(len(basis))
     return ranks
 

@@ -278,6 +278,16 @@ def r_by_tolerance(c) -> int:
         return 1 + sum(abs(b - a) > tol * max(1, abs(b)) for a, b in zip(sq, sq[1:]))
 
 
+def qi_dimension_exact(c, d: int, table=None) -> int:
+    """dim of the degree-d quasi-invariants of an exact chart, degree by
+    degree: |S_d| less the Bareiss rank (quasi.rank_exact) of the system
+    quasi.assemble_system builds, off the power table when one is passed."""
+    from balines.quasi import assemble_system, rank_exact
+
+    system = assemble_system(c, d, table)
+    return len(system.free) - rank_exact(system.matrix)
+
+
 def remainder_map_matrix(R, d: int, m: int):
     """Degree-d remainder-map matrix by one polynomial division per column:
     column i, for each i the heavy line leaves free, holds the coefficients

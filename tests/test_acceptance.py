@@ -18,11 +18,11 @@ from balines.locus import solve_general_locus
 from balines.numeric import log2_abs, working
 from balines.quasi import (am1n_hilbert_numerator, hilbert_coefficients,
                            hilbert_rational_form, is_gorenstein,
-                           qi_dimension_exact, qi_dimension_numeric,
-                           r_parameter)
+                           qi_dimension_numeric, r_parameter)
 from balines.symfunc import e_values, ehat_values
 
-from oracles import brute_force_qi_dimension, config_to_oracle_lines
+from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
+                     qi_dimension_exact)
 from paper import (expand_numerator, f_to_e, f_to_ehat, f_values,
                    identity_a_lhs, identity_a_rhs, identity_b_lhs,
                    identity_b_rhs, segment_oracles)

@@ -210,10 +210,12 @@ RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
 # Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
 # (3, 2), which has as many slope lines, by name.
 FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
-# Edits of INPUT that make its record contradict its lines, store an angle
-# that is not a hex string, or name no known kind, by name.
+# Edits of INPUT that make its record contradict its lines, give it an m
+# that is not a positive int, store an angle that is not a hex string, or
+# name no known kind, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3),
+          "m-0": lambda d: d.update(m=0),
           "phi-hex-5": lambda d: d["lines"][1].update(phi_hex=5),
           "phi-hex-null": lambda d: d["lines"][1].update(phi_hex=None),
           "kind-5": lambda d: d.update(kind=5),
@@ -343,6 +345,9 @@ BAD_INPUT = [
     (["scan", "darboux", "--m", "1", "--n", "1", "--jobs", "0"], None),
     (["scan", "gorenstein", "--m", "1", "--n", "2", "--jobs", "-3"], None),
     (["scan", "gorenstein", "--m", "1", "--n", "2", "--samples", "-3"], None),
+    (["certify", "--input", "INPUT"], "m-0"),
+    (["hilbert", "--input", "INPUT"], "m-0"),
+    (["construct", "tq", "--input", "INPUT", "--q", "2"], "m-0"),
 ]
 
 

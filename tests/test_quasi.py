@@ -14,14 +14,13 @@ from balines.errors import (CollisionError, IllConditioned, MissingExactData,
 from balines.locus import solve_general_locus
 from balines.quasi import (am1n_hilbert_numerator, assemble_system,
                            hilbert_coefficients, hilbert_rational_form,
-                           is_gorenstein, qi_dimension_exact,
-                           qi_dimension_numeric, r_parameter, rank_exact,
-                           rank_numeric)
+                           is_gorenstein, qi_dimension_numeric, r_parameter,
+                           rank_exact, rank_numeric)
 from balines.numeric import GUARD_BITS
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
-                     echelon_rank_exact, numeric_chart, r_by_tolerance,
-                     rank_mod_prime, remainder_map_matrix,
+                     echelon_rank_exact, numeric_chart, qi_dimension_exact,
+                     r_by_tolerance, rank_mod_prime, remainder_map_matrix,
                      series_times_denominator, stepwise_numeric_series)
 from paper import (OutOfRange, expand_numerator, is_quasi_invariant,
                    is_symmetric_slope_chart, product_invariant,
@@ -475,12 +474,12 @@ def test_assembled_system_shape():
     assert len(sys6.free) - rank_exact(sys6.matrix) == 4
 
 
-def _count_assembly(monkeypatch):
-    """The degrees at which assemble_system runs from now on."""
-    calls, assemble = [], quasi.assemble_system
-    monkeypatch.setattr(quasi, "assemble_system",
-                        lambda *a: calls.append(a[1]) or assemble(*a))
-    return calls
+def _record_passes(monkeypatch) -> list:
+    """The modulus of each rank pass run from now on, None for the pass over Q."""
+    passes, run = [], quasi._parity_ranks
+    monkeypatch.setattr(quasi, "_parity_ranks",
+                        lambda R, m, D, p=None: passes.append(p) or run(R, m, D, p))
+    return passes
 
 
 def _bareiss_series(c, D):
@@ -496,15 +495,19 @@ def _bareiss_series(c, D):
                 min_size=1, max_size=10, unique=True))
 def test_modular_pass_matches_per_degree_bareiss(m, slopes):
     # small slopes give symmetric pairs and slope 0, whose extra kernels
-    # send some degrees to Bareiss; generic slopes prove every degree
+    # hold some degrees below the bound; generic slopes meet it everywhere
     c = from_alphas(m, slopes)
     D = 2 * m + 2 * len(slopes) + 4
-    assert hilbert_coefficients(c, D) == _bareiss_series(c, D)
+    want = _bareiss_series(c, D)
+    assert hilbert_coefficients(c, D) == want
+    R, p = c.R.monic(), quasi.RANK_PRIME
     # -1 is not a square mod 2^61 - 1, so 1 + alpha^2 is a unit mod (R, p)
     # for rational slopes, and the pass gives the rank mod p itself
-    assert quasi._modular_ranks(c.R, m, D) == [
-        rank_mod_prime(assemble_system(c, d).matrix, quasi.RANK_PRIME)
-        for d in range(D + 1)]
+    assert quasi._parity_ranks(R, m, D, p) == [
+        rank_mod_prime(assemble_system(c, d).matrix, p) for d in range(D + 1)]
+    # over Q it gives the rank at every degree
+    assert quasi._parity_ranks(R, m, D) == [
+        len(quasi.free_indices(d, m)) - b for d, b in enumerate(want)]
 
 
 @pytest.mark.parametrize("slopes, proven", [
@@ -512,40 +515,78 @@ def test_modular_pass_matches_per_degree_bareiss(m, slopes):
     ([F(1, 5), F(1, 2), F(-3), F(7, 3)], "none"),  # R not 5-integral
 ])
 def test_small_prime_takes_the_fallbacks(monkeypatch, slopes, proven):
-    # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R.
-    # Bareiss decides each degree the pass leaves short of the bound (from
-    # 3 on, or every degree but 0, whose bound is 0, when the pass proves
-    # nothing) until the rank carried up from d - 2, proven over Q, meets
-    # it: n = 4 at degrees 5 and 6
+    # -1 = 2^2 mod 5, so 1 + alpha^2 splits and can share a root with R,
+    # and an R that is not 5-integral proves nothing mod 5: either way the
+    # ranks mod 5 fall short of the bound, and the pass over Q decides
     c = from_alphas(2, slopes)
     D = 2 * 2 + 2 * len(slopes) + 4
     want = hilbert_coefficients(c, D)
     assert want == _bareiss_series(c, D)
     monkeypatch.setattr(quasi, "RANK_PRIME", 5)
-    calls = _count_assembly(monkeypatch)
+    passes = _record_passes(monkeypatch)
     assert hilbert_coefficients(c, D) == want
-    assert calls == list(range(3 if proven == "some" else 1, 7))
+    assert passes == [5, None]
 
 
-def test_fallback_degrees_run_rank_exact(monkeypatch):
-    # the exact elimination runs under its module name, where a tracer that
-    # patches module attributes sees it, once per assembled degree
-    assembled = _count_assembly(monkeypatch)
-    ranked, rank = [], quasi.rank_exact
-    monkeypatch.setattr(quasi, "rank_exact",
-                        lambda rows: ranked.append(assembled[-1]) or rank(rows))
-    hilbert_coefficients(build_am1n(3, 4, 128), 2 * 3 + 2 * 4 + 4)
-    assert assembled and ranked == assembled
+@pytest.mark.parametrize("slopes", [
+    [F(1), F(4), F(-2), F(5, 7)],  # 1 = 4 = -2 mod 3
+    [F(1, 3), F(1, 2), F(-3), F(7, 5)],  # R not 3-integral
+    [F(1), F(3, 2), F(5)],  # distinct mod 3
+])
+def test_prime_three_gives_the_same_series(monkeypatch, slopes):
+    # mod 3 the new column col_d(d) = -d alpha is 0 whenever 3 divides d;
+    # the ranks mod 3 of these charts fall short of the bound, even on
+    # slopes distinct mod 3, and the pass over Q decides
+    c = from_alphas(3, slopes)
+    D = 2 * 3 + 2 * len(slopes) + 4
+    want = _bareiss_series(c, D)
+    monkeypatch.setattr(quasi, "RANK_PRIME", 3)
+    passes = _record_passes(monkeypatch)
+    assert hilbert_coefficients(c, D) == want
+    assert passes == [3, None]
+
+
+def test_series_runs_no_per_degree_elimination(monkeypatch):
+    # the passes decide every rank: neither the per-degree system nor its
+    # Bareiss rank runs, on a chart that takes the pass over Q or not, on an
+    # R that is not integral at the default prime, nor at RANK_PRIME = 5
+    charts = [build_am1n(3, 4, 128), random_type_m1n(3, 5, seed=2),
+              from_alphas(2, [F(1, quasi.RANK_PRIME), F(1, 2), F(-3), F(7, 3)])]
+    small = [from_alphas(2, [F(2), F(1, 2), F(-3), F(7, 3)]),
+             from_alphas(2, [F(1, 5), F(1, 2), F(-3), F(7, 3)])]
+    want = [_bareiss_series(c, 2 * c.m + 2 * c.n + 4) for c in charts + small]
+
+    def refuse(*args):
+        raise AssertionError("a series needs no per-degree elimination")
+
+    monkeypatch.setattr(quasi, "assemble_system", refuse)
+    monkeypatch.setattr(quasi, "rank_exact", refuse)
+    passes = _record_passes(monkeypatch)
+    got = [hilbert_coefficients(c, 2 * c.m + 2 * c.n + 4) for c in charts]
+    assert passes == [quasi.RANK_PRIME, None, quasi.RANK_PRIME,
+                      quasi.RANK_PRIME, None]
+    monkeypatch.setattr(quasi, "RANK_PRIME", 5)
+    got += [hilbert_coefficients(c, 2 * c.m + 2 * c.n + 4) for c in small]
+    assert got == want
 
 
 def test_random_charts_need_no_bareiss(monkeypatch):
-    # guards the modular pass: on generic charts it proves every rank
-    calls = _count_assembly(monkeypatch)
+    # guards the pass mod p: on generic charts it proves every rank, and the
+    # pass over Q never runs
+    passes = _record_passes(monkeypatch)
     for m in range(1, 5):
         for n in range(1, 13):
             for seed in (1, 2, 3):
                 hilbert_coefficients(random_type_m1n(m, n, seed), 2 * m + 2 * n + 4)
-    assert calls == []
+    assert passes == [quasi.RANK_PRIME] * 144
+
+
+@pytest.mark.parametrize("m, n", [(4, 20), (2, 40), (6, 40)])
+def test_exact_am1n_series_at_scale(m, n):
+    # every am1n chart takes the pass over Q: its Gorenstein kernels hold
+    # some degrees below the bound
+    bs = hilbert_coefficients(build_am1n(m, n, 128), 2 * m + 2 * n + 4)
+    assert list(hilbert_rational_form(bs, m, n).numerator) == am1n_hilbert_numerator(m, n)
 
 
 def test_hilbert_random_builds_no_lines(monkeypatch, capsys):
