@@ -44,18 +44,17 @@ whose sin(phi_i - phi_j) does not exceed its error bound are collinear
 (CollisionError).  The JSON certificate reports the F that decided
 (fraction_bits) and the worst bound over its scale (max_bound_log2).
 
-The residuals keep the kernel's integers and are read off them: each
-residual_log2 is the log2 of |value| / scale as 53-bit mpfs round it,
-formed by int division where the float holds it exactly, and the largest
-relative residual is found by exact cross-multiplication and only then
-divided at the working precision, so the JSON is the same at any ambient
-precision.
+The residuals keep the kernel's integers and every reported number is read
+off one quotient, |total| / scale of those integers, rounded once: at the
+working precision for relative() and max_residual, whose condition exact
+cross-multiplication picks, and at 53 bits for each residual_log2, so the
+JSON is the same at any ambient precision and its max_residual_log2 is the
+largest of its residual_log2s.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -108,8 +107,10 @@ class ConditionResidual(NamedTuple):
         return self._real(self.error)
 
     def relative(self):
-        """|value| / scale at the working precision."""
-        return abs(self.value) / self.scale
+        """|value| / scale at the working precision, rounded once."""
+        num, den = self.ratio()
+        return mp.mp.make_mpf(mpf_div(from_int(num), from_int(den), mp.mp.prec,
+                                      round_nearest))
 
     def ratio(self) -> Tuple[int, int]:
         """|total| and the scale in units of 2^exp, whose quotient is the
@@ -123,22 +124,18 @@ class ConditionResidual(NamedTuple):
 
 
 def _residual_log2(r: ConditionResidual) -> float:
-    """log2_abs(r.relative()) at 53 bits: |value| rounded to 53 bits over the
-    scale, rounded to 53 bits.  A numerator of fewer than 1000 bits is
-    rounded by float() and the quotient by int division, both to nearest
-    with ties to even as mpmath rounds, so the float is that quotient unless
-    it is subnormal or 0; those, and longer numerators, take the mpf route."""
+    """log2_abs(r.relative()) at 53 bits: int true division rounds the
+    quotient once, to nearest with ties to even as mpmath does, after a
+    shift by a power of two that makes it a normal float in (1/2, 2); then
+    log2 of its odd mantissa plus one integer exponent, as log2_abs reads
+    an mpf."""
     num, den = r.ratio()
     if not num:
         return float("-inf")
-    if num.bit_length() < 1000:
-        x = (num if num.bit_length() <= 53 else int(float(num))) / den
-        if x > sys.float_info.min:
-            man, power = x.as_integer_ratio()
-            zeros = (man & -man).bit_length() - 1  # 0 unless x is an integer
-            return math.log2(man >> zeros) + zeros + 1 - power.bit_length()
-    with mp.workprec(53):
-        return log2_abs(r.relative())
+    shift = den.bit_length() - num.bit_length()
+    x = (num << shift) / den if shift >= 0 else num / (den << -shift)
+    man, power = x.as_integer_ratio()  # man is odd, or 2 when x is 2.0
+    return math.log2(man) + 1 - power.bit_length() - shift
 
 
 @dataclass(frozen=True)
@@ -158,23 +155,20 @@ class BACertificate:
 
     def to_json_dict(self) -> dict:
         """The certificate with every log2 read off a 53-bit value, whatever
-        the working precision."""
+        the working precision; max_residual_log2 is the largest
+        residual_log2 (-inf when there is no condition)."""
+        log2s = [_residual_log2(r) for r in self.residuals]
         return {
             "digest": self.digest,
             "precision_bits": self.precision,
             "fraction_bits": self.fraction_bits,
-            "max_residual_log2": log2_abs(self.max_residual),
+            "max_residual_log2": max(log2s, default=float("-inf")),
             "max_bound_log2": self.max_bound_log2,
             "threshold_log2": log2_abs(self.threshold),
             "verdict": self.verdict,
             "per_condition": [
-                {
-                    "j": r.j,
-                    "k": r.k,
-                    "form": r.form,
-                    "residual_log2": _residual_log2(r),
-                }
-                for r in self.residuals
+                {"j": r.j, "k": r.k, "form": r.form, "residual_log2": x}
+                for r, x in zip(self.residuals, log2s)
             ],
         }
 
@@ -286,20 +280,15 @@ def _verdict(sums: Sequence[ConditionResidual], threshold) -> str:
     return ""
 
 
-def _max_relative(sums: Sequence[ConditionResidual], prec: int):
-    """The largest relative residual as a prec-bit mpf: |value| rounded to
-    prec bits over the scale, rounded again.  That is monotone in the rounded
-    |total| over the scale, so the largest is found by exact
-    cross-multiplication and divided alone."""
-    num, den = 0, 1
+def _max_relative(sums: Sequence[ConditionResidual]):
+    """relative() of the condition with the largest relative residual,
+    picked by exact cross-multiplication of the integer quotients."""
+    worst, num, den = None, 0, 1
     for s in sums:
         a, b = s.ratio()
-        if a.bit_length() > prec:  # abs(value) rounds it
-            _, man, exp, _ = from_int(a, prec, round_nearest)
-            a = man << exp
         if a * den > num * b:
-            num, den = a, b
-    return mp.mp.make_mpf(mpf_div(from_int(num), from_int(den), prec, round_nearest))
+            worst, num, den = s, a, b
+    return worst.relative() if worst is not None else mp.mpf(0)
 
 
 def certify_ba(c: Configuration, threshold=None) -> BACertificate:
@@ -324,7 +313,7 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
             raise IllConditioned(
                 f"a residual stays within its rounding bound of the threshold "
                 f"at {frac // 2} fraction bits")
-        worst = _max_relative(sums, mp.mp.prec)
+        worst = _max_relative(sums)
     bounds = [(s.error, s.scale_range()[0]) for s in sums if s.error]
     max_bound = max((math.log2(b) - math.log2(lo) for b, lo in bounds),
                     default=float("-inf"))
@@ -338,16 +327,12 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
 
 
 def ode_residual_am1n(c: Configuration) -> DensePoly:
-    """w(w-1) P'' - ((n-1)(w-1) - m(w+1)) P' - mn P, exactly (z_0 = 1)."""
+    """(w + 1) times the am1n residual w(w-1) P'' - ((n-1)(w-1) - m(w+1)) P'
+    - mn P, exactly (z_0 = 1): the two-multiplicity residual at mt = 0, zero
+    exactly when the am1n residual is."""
     if c.kind != "am1n" or c.P is None:
         raise MissingExactData(f"expected an am1n record with e, got {c.kind}")
-    m, n, P = c.m, c.n, c.P
-    P1 = P.derivative()
-    P2 = P1.derivative()
-    w = DensePoly([0, 1])
-    one = DensePoly([1])
-    term2 = (w - one).scale(n - 1) - (w + one).scale(m)
-    return (w * (w - one)) * P2 - term2 * P1 - P.scale(m * n)
+    return _two_mult_ode_residual(c.m, 0, c.n, c.P)
 
 
 def ode_residual_two_mult(c: Configuration) -> DensePoly:

@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import mpmath as mp
@@ -91,11 +92,19 @@ def parse_range(text: str) -> List[int]:
     return out
 
 
+def _save(path: str, write) -> None:
+    """write(path); a path that cannot be written is a usage error, as one
+    that cannot be read is in _load."""
+    try:
+        write(path)
+    except OSError as ex:
+        raise UsageError(f"cannot write {path}: {ex.strerror}") from None
+
+
 def _write_json(path: Optional[str], payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _save(path, lambda p: Path(p).write_text(text + "\n"))
     else:
         print(text)
 
@@ -176,7 +185,7 @@ def cmd_construct(args) -> int:
     cfg = _build(args, args.family, f"construct {args.family}")
     elapsed = time.perf_counter() - t0
     if args.output:
-        cfg.save(args.output)
+        _save(args.output, cfg.save)
         manifest = RunManifest(
             subcommand=f"construct {args.family}",
             params={k: getattr(args, k, None)
@@ -240,7 +249,7 @@ def cmd_hilbert(args) -> int:
         outputs=[p for p in (args.output, args.csv) if p],
         wall_clock={"hilbert": time.perf_counter() - t0}).to_dict()
     if args.csv:
-        series.save_csv(args.csv)
+        _save(args.csv, series.save_csv)
     _write_json(args.output, payload)
     if args.check_closed_form:
         want = am1n_hilbert_numerator(m, n)

@@ -679,6 +679,19 @@ def fraction_two_mult_ode_residual(m: int, mt: int, n: int, P):
     return (w * wsq) * P2 - term2 * P1 - rhs
 
 
+def fraction_am1n_ode_residual(m: int, n: int, P):
+    """w(w-1) P'' - ((n-1)(w-1) - m(w+1)) P' - mn P, by DensePoly products
+    on Fractions."""
+    from balines.poly import DensePoly
+
+    P1 = P.derivative()
+    P2 = P1.derivative()
+    w = DensePoly([0, 1])
+    one = DensePoly([1])
+    term2 = (w - one).scale(Fraction(n - 1)) - (w + one).scale(Fraction(m))
+    return (w * (w - one)) * P2 - term2 * P1 - P.scale(Fraction(m * n))
+
+
 def mpf_t_q_expand_angles(c, q: int) -> list:
     """(mult, phi) of c's q-expansion, sorted by phi, in mpf arithmetic: each
     phi reduced mod pi and divided by q, plus r pi/q, at precision + 128

@@ -15,8 +15,9 @@ from balines.numeric import GUARD_BITS, log2_abs, working
 from balines.poly import DensePoly
 from dataclasses import replace
 
-from oracles import (cartesian_condition_value, fraction_two_mult_ode_residual,
-                     mpf_certificate, polar_condition_residual)
+from oracles import (cartesian_condition_value, fraction_am1n_ode_residual,
+                     fraction_two_mult_ode_residual, mpf_certificate,
+                     polar_condition_residual)
 
 
 def residuals(c):
@@ -135,6 +136,21 @@ def test_ode_residual_wrong_poly_nonzero():
     wrong = replace(c, e=(F(-1), F(1)))
     assert wrong.P == DensePoly([1, 1, 1])
     assert not ode_residual_am1n(wrong).is_zero
+
+
+def test_ode_residual_am1n_is_w_plus_1_times_the_am1n_residual():
+    # the two-multiplicity residual at mt = 0 against the am1n ODE evaluated
+    # by DensePoly products, on the built P and with e_1 or e_n moved by 1/7
+    for m in range(1, 5):
+        for n in range(1, 7):
+            c = build_am1n(m, n, 64)
+            e = list(c.e)
+            for edit in ((), (0,), (n - 1,)):
+                moved = replace(c, e=tuple(v + F(1, 7) if i in edit else v
+                                           for i, v in enumerate(e)))
+                want = DensePoly([1, 1]) * fraction_am1n_ode_residual(m, n, moved.P)
+                assert ode_residual_am1n(moved) == want, (m, n, edit)
+                assert want.is_zero == (not edit)
 
 
 def test_ode_residual_two_mult_zero():
@@ -313,6 +329,38 @@ def test_certificate_json_ignores_the_working_precision():
     assert float("-inf") in residual_log2s(zero)
     assert any(r.total and r.relative() < mp.mpf(2) ** -1022 for r in tiny.residuals)
     assert all(abs(r.total).bit_length() > 53 for r in wide.residuals)
+
+
+def test_max_residual_log2_is_the_largest_residual_log2():
+    # on these two, residual_log2s from numerators rounded to 53 bits
+    # before the division have a largest other than log2_abs(max_residual)
+    for cfg in (perturb_line(build_am1n(6, 4, 256), 1, 1e-2),
+                perturb_line(build_two_mult(4, 2, 4, 256), 0, 3e-3)):
+        payload = certify_ba(cfg).to_json_dict()
+        log2s = [r["residual_log2"] for r in payload["per_condition"]]
+        assert payload["max_residual_log2"] == max(log2s)
+
+
+def test_residual_log2_is_the_quotient_rounded_once():
+    # oracle: the exact quotient of the kernel's integers as a Fraction,
+    # rounded once to 53 bits by mp.fdiv, which takes both ints exactly
+    # (mp.mpf(int) would round the numerator first); a numerator rounded
+    # to 53 bits before the division misses it on am1n (2, 3), (2, 10) and
+    # (6, 10)
+    cfgs = [perturb_line(build_am1n(m, n, 256), 1, 1e-2)
+            for m in range(1, 7) for n in (3, 6, 10)]
+    cfgs += [perturb_line(build_two_mult(m, mt, 6, 256), 1, 1e-2)
+             for m in (1, 4) for mt in (0, 2)]
+    # an exactly zero residual, quotients below 2^-1022 and sums of more
+    # than 53 bits, as in the test above
+    cfgs += [build_am1n(2, 1, 256), build_am1n(2, 3, 1024),
+             perturb_line(build_am1n(3, 3, 256), 2, 1e-2)]
+    for cfg in cfgs:
+        cert = certify_ba(cfg)
+        want = [log2_abs(mp.fdiv(q.numerator, q.denominator, prec=53))
+                for q in (F(*r.ratio()) for r in cert.residuals)]
+        got = [r["residual_log2"] for r in cert.to_json_dict()["per_condition"]]
+        assert got == want, cfg.digest()
 
 
 def test_certificate_reports_its_bound():

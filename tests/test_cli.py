@@ -282,7 +282,8 @@ LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
 # FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED, LOCUS or
 # LOCUS_EDITED name);
-# MISSING stands for a path that does not exist
+# MISSING stands for a path that does not exist, UNWRITABLE for an output
+# path in a directory that does not exist
 BAD_INPUT = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
@@ -348,6 +349,12 @@ BAD_INPUT = [
     (["certify", "--input", "INPUT"], "m-0"),
     (["hilbert", "--input", "INPUT"], "m-0"),
     (["construct", "tq", "--input", "INPUT", "--q", "2"], "m-0"),
+    *[(argv + [flag, "UNWRITABLE"], None) for argv, flag in (
+        (["construct", "am1n", "--m", "1", "--n", "2"], "-o"),
+        (["certify", "--family", "am1n", "--m", "1", "--n", "2"], "-o"),
+        (["hilbert", "--m", "1", "--n", "2"], "-o"),
+        (["hilbert", "--m", "1", "--n", "2"], "--csv"),
+        (["scan", "certify", "--m", "1", "--n", "2"], "-o"))],
 ]
 
 
@@ -386,10 +393,13 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         if drop in GENERAL_EDITED:
             GENERAL_EDITED[drop](data)
         path.write_text(json.dumps(data))
-    paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json")}
+    paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json"),
+             "UNWRITABLE": str(tmp_path / "absent" / "out.json")}
     assert run([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+    if "UNWRITABLE" in argv:
+        assert err.startswith(f"error: cannot write {paths['UNWRITABLE']}: ")
     if drop in LOCUS_EDITED:
         assert "line 0: multiplicity" in err
 
