@@ -1,15 +1,17 @@
 """Batch command-line front end.
 
 Subcommands: construct, certify, hilbert, scan.  Machine-readable output
-only (JSON/CSV).  Exit codes: 0 success or verified pass, 1 verified fail,
-2 usage error, 3 computation error.
+only (JSON/CSV); every JSON output is the text of json.dumps(payload,
+indent=2, sort_keys=True), written by jsontext.to_json_text.  A request is
+parsed by its subcommand's parser alone when its first argument names one
+(see _parse_args).  Exit codes: 0 success or verified pass, 1 verified
+fail, 2 usage error, 3 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -27,6 +29,7 @@ from .config import (Configuration, Multiplicities, build_am1n,
 from .certify import certify_ba
 from .darboux import build_chain, chain_report
 from .errors import BalinesError, CollisionError
+from .jsontext import to_json_text
 from .locus import solve_general_locus
 from .numeric import MIN_PRECISION
 from .quasi import (am1n_hilbert_numerator, hilbert_coefficients,
@@ -102,7 +105,7 @@ def _save(path: str, write) -> None:
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = to_json_text(payload)
     if path:
         _save(path, lambda p: Path(p).write_text(text + "\n"))
     else:
@@ -194,7 +197,7 @@ def cmd_construct(args) -> int:
             outputs=[args.output], wall_clock={"build": elapsed})
         _write_json(args.output + ".manifest.json", manifest.to_dict())
     else:
-        print(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True))
+        _write_json(None, cfg.to_json_dict())
     return EXIT_PASS
 
 
@@ -403,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "series, and Darboux identity checks.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.subcommands = sub.choices  # name -> its parser, read by _parse_args
 
     def common(p, *, threshold=False, jobs=False):
         p.add_argument("--precision", type=int, default=None,
@@ -467,8 +471,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, or the SystemExit it raises.
+
+    When argv[0] names a subcommand, the full parse hands every later
+    argument to that subcommand's parser, so that parser alone reads them
+    here; leftovers are reported by the top-level parser, as parse_args
+    reports them.  Any other argv goes through the full parser."""
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.precision is None:
             args.precision = default_precision()

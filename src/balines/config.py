@@ -29,6 +29,7 @@ from mpmath.libmp import (from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_ge, mpf_g
                           to_fixed)
 
 from .errors import CollisionError, IdentityFailed, MissingExactData
+from .jsontext import to_json_text
 from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
                       reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
@@ -247,7 +248,7 @@ class Configuration:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
+            fh.write(to_json_text(self.to_json_dict()))
 
     @staticmethod
     def load(path: str) -> "Configuration":

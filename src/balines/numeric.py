@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 GUARD_BITS = 64
 MIN_PRECISION = 64
@@ -69,12 +70,7 @@ def hex_to_mpf(s: str):
         raise ValueError(f"bad hex float {s!r}")
     man_s, exp_s = s[2:].split("p")
     man = int(man_s, 16)
-    exp = int(exp_s)
-    if man == 0:
-        return mp.mpf(0)
-    with mp.workprec(max(man.bit_length(), 53) + 8):
-        v = mp.ldexp(mp.mpf(man), exp)
-    return -v if neg else v
+    return mp.mp.make_mpf(from_man_exp(-man if neg else man, int(exp_s)))
 
 
 def reduce_angle_mod_pi(phi):

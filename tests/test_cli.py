@@ -82,6 +82,24 @@ def test_certify_perturbed_fails(tmp_path):
     assert run(["certify", "--input", str(path)]) == 1
 
 
+def test_certify_a_line_stored_below_zero(tmp_path):
+    """The last line of am1n (2, 3) stored as phi - pi, the same line, loads
+    at its exact angle and certifies as before."""
+    import mpmath as mp
+
+    from balines.config import build_am1n
+    from balines.numeric import hex_to_mpf, mpf_to_hex, working
+
+    record = build_am1n(2, 3, 96).to_json_dict()
+    line = record["lines"][-1]
+    with working(96):
+        line["phi_hex"] = mpf_to_hex(hex_to_mpf(line["phi_hex"]) - mp.pi)
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(record))
+    assert line["phi_hex"].startswith("-")
+    assert run(["certify", "--input", str(path)]) == 0
+
+
 def test_hilbert_outputs(tmp_path):
     out = tmp_path / "h.json"
     csvp = tmp_path / "h.csv"
@@ -415,6 +433,49 @@ def test_removed_option_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+# Requests of every kind the parser meets: valid ones of each subcommand,
+# help and version, unknown subcommands and options, abbreviations, extra
+# positionals, "--", options before the subcommand, bad and missing values.
+PARSE_ARGVS = [
+    ["construct", "am1n", "--m", "2", "--n", "3"],
+    ["construct", "locus", "--mults=2,3,1,1", "-o", "x.json"],
+    ["certify", "--family", "twomult", "--m", "2", "--mt", "1", "--n", "4", "--q", "2"],
+    ["certify", "--input", "c.json", "--threshold-log2", "200", "--precision", "128"],
+    ["hilbert", "--random", "--m", "3", "--n", "5", "--seed", "4", "--csv", "h.csv"],
+    ["hilbert", "--m", "2", "--n", "3", "--check-closed-form", "-ox.json"],
+    ["scan", "darboux", "--m", "2", "--mt", "1", "--n", "4"],
+    ["scan", "certify", "--family", "tq", "--q", "1..4", "--jobs", "2"],
+    [], ["-h"], ["--help"], ["--version"], ["certify", "-h"], ["scan", "--help"],
+    ["bogus"], ["cert"], ["certify", "--bogus"], ["certify", "--bogus", "--m", "2"],
+    ["certify", "--fam", "am1n", "--m", "2", "--n", "3"],
+    ["hilbert", "--rand", "--m", "2", "--n", "2"], ["hilbert", "--c"],
+    ["certify", "extra"], ["construct", "am1n", "extra", "more"],
+    ["certify", "--", "--m", "2"], ["construct", "--", "am1n"],
+    ["construct", "am1n", "--"], ["--seed", "1", "certify"],
+    ["--version", "certify"], ["certify", "--version"], ["certify", "--vers"],
+    ["construct"], ["construct", "bogus"], ["certify", "--m", "x"],
+    ["certify", "--m"], ["certify", "--m", "-1"], ["scan"], ["scan", "gorenstein", "-h"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """parse(argv)'s Namespace, or its SystemExit code, with what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as ex:
+        result = ("exit", ex.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    from balines.cli import _parse_args, build_parser
+
+    assert (_parse_outcome(_parse_args, argv, capsys)
+            == _parse_outcome(build_parser().parse_args, argv, capsys))
 
 
 def test_public_names_resolve():

@@ -13,7 +13,7 @@ from balines.config import (INF, Configuration, Line, angle_multiset_distance,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import GUARD_BITS, mpf_to_hex, to_mp, working
+from balines.numeric import GUARD_BITS, hex_to_mpf, mpf_to_hex, to_mp, working
 from balines.poly import DensePoly
 
 from balines.locus import solve_general_locus
@@ -461,6 +461,19 @@ def test_json_round_trip_is_bit_exact(c):
     loaded = Configuration.from_json_dict(json.loads(text))
     assert json.dumps(loaded.to_json_dict(), sort_keys=True) == text
     assert loaded == c and hash(loaded) == hash(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["", "-"]), st.integers(0, 2 ** 400), st.integers(-2000, 2000))
+def test_hex_round_trip_is_exact_at_any_sign(sign, half, exp):
+    """An odd mantissa of any length, negative included, loads back to the
+    same value at the ambient 53 bits."""
+    man = 2 * half + 1
+    text = f"{sign}0x{man:x}p{exp}"
+    assert mp.mp.prec == 53
+    value = hex_to_mpf(text)
+    assert value._mpf_ == (int(sign == "-"), man, exp, man.bit_length())
+    assert mpf_to_hex(value) == text
 
 
 def test_perturb_line():

@@ -124,3 +124,20 @@ def test_only_poly_reads_coeffs(path):
     nums and den, so no denominator clearing comes back outside it."""
     lines = _coeffs_reads(path)
     assert not lines, f"{path.name} reads .coeffs at lines {lines}"
+
+
+def _indented_json_calls(path):
+    """Line numbers where a module calls json.dump, or json.dumps with an
+    indent."""
+    return [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and (n.func.attr == "dump"
+                 or n.func.attr == "dumps" and any(k.arg == "indent" for k in n.keywords))]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
+def test_only_the_writer_indents_json(path):
+    """Every indented JSON output is jsontext.to_json_text's text, so its
+    format is decided in one function."""
+    lines = _indented_json_calls(path)
+    assert not lines, f"{path.name} writes indented JSON itself at lines {lines}"
