@@ -17,10 +17,9 @@ from .darboux import (DarbouxChain, build_chain, chain_report,
                       verify_eigen, verify_factorization, verify_potential)
 from .locus import solve_general_locus
 from .poly import DensePoly
-from .quasi import (HilbertSeries, QISystem, am1n_hilbert_numerator,
-                    assemble_system, hilbert_coefficients,
-                    hilbert_rational_form, is_gorenstein,
-                    qi_dimension_numeric, r_parameter)
+from .quasi import (HilbertSeries, am1n_hilbert_numerator,
+                    hilbert_coefficients, hilbert_rational_form,
+                    is_gorenstein, qi_dimension_numeric, r_parameter)
 from .roots import poly_roots
 from .symfunc import e_values, ehat_values, poly_from_elementary
 from .trig import TrigPoly, wronskian
@@ -29,15 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACertificate", "ConditionResidual", "Configuration", "DarbouxChain",
-    "DensePoly", "HilbertSeries", "Line", "Multiplicities", "QISystem",
-    "TrigPoly", "am1n_hilbert_numerator", "angle_multiset_distance",
-    "assemble_system", "build_am1n", "build_chain", "build_two_mult",
-    "certify_ba", "chain_report", "darboux_levels", "e_values", "ehat_values",
-    "from_alphas", "general_from_angles", "hilbert_coefficients",
-    "hilbert_rational_form", "is_gorenstein", "nu_constant",
-    "ode_residual_am1n", "ode_residual_two_mult", "perturb_line",
-    "poly_from_elementary", "poly_roots", "q_scaling_check", "q_trig",
-    "qi_dimension_numeric", "r_parameter",
-    "random_type_m1n", "solve_general_locus", "t_q_expand", "verify_eigen",
-    "verify_factorization", "verify_potential", "wronskian",
+    "DensePoly", "HilbertSeries", "Line", "Multiplicities", "TrigPoly",
+    "am1n_hilbert_numerator", "angle_multiset_distance", "build_am1n",
+    "build_chain", "build_two_mult", "certify_ba", "chain_report",
+    "darboux_levels", "e_values", "ehat_values", "from_alphas",
+    "general_from_angles", "hilbert_coefficients", "hilbert_rational_form",
+    "is_gorenstein", "nu_constant", "ode_residual_am1n",
+    "ode_residual_two_mult", "perturb_line", "poly_from_elementary",
+    "poly_roots", "q_scaling_check", "q_trig", "qi_dimension_numeric",
+    "r_parameter", "random_type_m1n", "solve_general_locus", "t_q_expand",
+    "verify_eigen", "verify_factorization", "verify_potential", "wronskian",
 ]

@@ -15,7 +15,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -46,21 +45,13 @@ class UsageError(Exception):
     """Input the command cannot act on; reported with exit code 2."""
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    params: dict
-    seed: Optional[int]
-    precision: int
-    outputs: List[str]
-    version: str = __version__
-    wall_clock: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "params": dict(self.params),
-                "seed": self.seed, "precision": self.precision,
-                "outputs": list(self.outputs), "version": self.version,
-                "wall_clock": dict(self.wall_clock)}
+def run_manifest(subcommand: str, params: dict, seed: Optional[int], precision: int,
+                 outputs: List[str], wall_clock: Dict[str, float]) -> dict:
+    """The manifest each JSON answer carries: the request, the package
+    version and each stage's wall time."""
+    return {"subcommand": subcommand, "params": params, "seed": seed,
+            "precision": precision, "outputs": outputs, "version": __version__,
+            "wall_clock": wall_clock}
 
 
 def default_precision() -> int:
@@ -189,13 +180,13 @@ def cmd_construct(args) -> int:
     elapsed = time.perf_counter() - t0
     if args.output:
         _save(args.output, cfg.save)
-        manifest = RunManifest(
+        manifest = run_manifest(
             subcommand=f"construct {args.family}",
             params={k: getattr(args, k, None)
                     for k in ("m", "mt", "n", "q", "mults", "input")},
             seed=args.seed, precision=args.precision,
             outputs=[args.output], wall_clock={"build": elapsed})
-        _write_json(args.output + ".manifest.json", manifest.to_dict())
+        _write_json(args.output + ".manifest.json", manifest)
     else:
         _write_json(None, cfg.to_json_dict())
     return EXIT_PASS
@@ -214,14 +205,14 @@ def cmd_certify(args) -> int:
     log2 = args.threshold_log2
     cert = certify_ba(cfg, threshold=None if log2 is None else mp.mpf(2) ** -log2)
     payload = cert.to_json_dict()
-    payload["manifest"] = RunManifest(
+    payload["manifest"] = run_manifest(
         subcommand="certify",
         params={"input": args.input, "family": args.family,
                 "m": args.m, "mt": args.mt, "n": args.n, "q": args.q,
                 "threshold_log2": log2},
         seed=args.seed, precision=cfg.precision,
         outputs=[args.output] if args.output else [],
-        wall_clock={"certify": time.perf_counter() - t0}).to_dict()
+        wall_clock={"certify": time.perf_counter() - t0})
     _write_json(args.output, payload)
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
@@ -244,13 +235,13 @@ def cmd_hilbert(args) -> int:
     series = hilbert_rational_form(coeffs, m, n)
     payload = series.to_json_dict()
     payload["r"] = r_parameter(cfg)
-    payload["manifest"] = RunManifest(
+    payload["manifest"] = run_manifest(
         subcommand="hilbert",
         params={"input": args.input, "m": args.m, "n": args.n, "D": D,
                 "random": args.random},
         seed=args.seed, precision=cfg.precision,
         outputs=[p for p in (args.output, args.csv) if p],
-        wall_clock={"hilbert": time.perf_counter() - t0}).to_dict()
+        wall_clock={"hilbert": time.perf_counter() - t0})
     if args.csv:
         _save(args.csv, series.save_csv)
     _write_json(args.output, payload)
@@ -382,14 +373,14 @@ def cmd_scan(args) -> int:
         "scan": args.what,
         "all_pass": all_ok,
         "items": results,
-        "manifest": RunManifest(
+        "manifest": run_manifest(
             subcommand=f"scan {args.what}",
             params={k: getattr(args, k, None)
                     for k in ("m", "mt", "n", "q", "samples", "family",
                               "threshold_log2")},
             seed=args.seed, precision=precision,
             outputs=[args.output] if args.output else [],
-            wall_clock={"total": time.perf_counter() - t0}).to_dict(),
+            wall_clock={"total": time.perf_counter() - t0}),
     }
     _write_json(args.output, payload)
     return EXIT_PASS if all_ok else EXIT_FAIL

@@ -222,21 +222,17 @@ class Configuration:
                 raise ValueError(f"line {k}: multiplicity {mult!r} is not a positive "
                                  "finite number")
             alpha = entry.get("alpha")
-            if alpha == "inf":
-                alpha_exact = INF
-            elif alpha is None:
-                alpha_exact = None
-            else:
-                alpha_exact = Fraction(alpha)
+            alpha_exact = (INF if alpha == "inf" else None if alpha is None
+                           else _fraction(alpha, f"line {k}: alpha"))
             lines.append(Line(mult=mult,
                               phi=hex_to_mpf(entry["phi_hex"]),
                               alpha_exact=alpha_exact))
         Multiplicities(tuple(ln.mult for ln in lines))  # ValueError on no lines
         with working(precision):
             _check_distinct_angles(sorted(ln.phi for ln in lines), precision)
-        e = tuple(Fraction(v) for v in d["e"]) if d.get("e") is not None else None
-        ehat = (tuple(Fraction(v) for v in d["ehat"])
-                if d.get("ehat") is not None else None)
+        e, ehat = (None if d.get(key) is None
+                   else tuple(_fraction(v, f"{key}[{j}]") for j, v in enumerate(d[key]))
+                   for key in ("e", "ehat"))
         c = Configuration(
             kind=d["kind"], precision=precision, m=d.get("m"),
             mtilde=d.get("mtilde"), n=d.get("n"), q=d.get("q"), seed=d.get("seed"),
@@ -259,6 +255,14 @@ class Configuration:
         blob = json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _fraction(value, what: str) -> Fraction:
+    """Fraction(value); ValueError naming what when its denominator is 0."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {value!r} has a zero denominator") from None
 
 
 def _slope_product(alphas: Sequence[Fraction]) -> DensePoly:
@@ -293,12 +297,23 @@ def _check_distinct_angles(s, precision: int) -> None:
         raise CollisionError("two lines coincide across the pi wrap")
 
 
+# The least value each kind's builder gives the integer fields of its record.
+_INT_FIELDS = {"am1n": {"m": 1, "n": 1}, "random": {"m": 1, "n": 0},
+               "twomult": {"m": 1, "mtilde": 0, "n": 2},
+               "qexpanded": {"m": 1, "mtilde": 0, "n": 2, "q": 2}}
+
+
 def _check_record(c: Configuration) -> None:
-    """ValueError unless an am1n record has positive int m and n, as
-    build_am1n needs, and their closed-form e and ehat, and a twomult record
-    the e and branch sign that build_two_mult picks."""
-    if c.kind == "am1n" and not all(type(v) is int and v >= 1 for v in (c.m, c.n)):
-        raise ValueError(f"am1n needs positive integers m and n, not {c.m!r} and {c.n!r}")
+    """ValueError unless each integer field of c's kind (_INT_FIELDS) is a
+    non-bool int no less than its builder gives it, an am1n record has the
+    closed-form e and ehat of its m and n, and a twomult record the e and
+    branch sign that build_two_mult picks."""
+    for name, low in _INT_FIELDS.get(c.kind, {}).items():
+        value = getattr(c, name)
+        if value is None and c.kind == "qexpanded" and name != "q":
+            continue  # an expansion of a general chart, or of one without mtilde
+        if type(value) is not int or value < low:
+            raise ValueError(f"{c.kind} needs an integer {name} >= {low}, not {value!r}")
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .config import Configuration
 from .errors import IdentityFailed, InvalidOrder, MissingExactData
@@ -113,16 +113,14 @@ def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:
                          f"match configuration ({m},{mt},{config.n})")
 
 
-def verify_factorization(chain: DarbouxChain, config: Configuration,
-                         Q: Optional[TrigPoly] = None) -> bool:
-    """W = nu^-1 Q(phi) cos^(mt(mt+1)/2) sin^(m(m+1)/2), exactly.  Q, when
-    given, must be q_trig(config)."""
+def verify_factorization(chain: DarbouxChain, config: Configuration) -> bool:
+    """W = nu^-1 Q(phi) cos^(mt(mt+1)/2) sin^(m(m+1)/2), exactly, with
+    Q = q_trig(config); ValueError first when the chain is not config's
+    q = 1 chain."""
     _check_chain_matches(chain, config)
     m, mt = chain.m, chain.mt
-    nu = nu_constant(chain)
-    rhs = ((q_trig(config) if Q is None else Q)
-           * (TrigPoly.cos(1) ** (mt * (mt + 1) // 2))
-           * (TrigPoly.sin(1) ** (m * (m + 1) // 2))).scale(1 / nu)
+    rhs = (q_trig(config) * TrigPoly.cos(1) ** (mt * (mt + 1) // 2)
+           * TrigPoly.sin(1) ** (m * (m + 1) // 2)).scale(1 / nu_constant(chain))
     return require_identity(chain.W, rhs, "Wronskian factorization")
 
 
@@ -148,16 +146,13 @@ def verify_potential(chain: DarbouxChain, config: Configuration) -> bool:
     return require_identity(lhs, rhs, "transformed potential")
 
 
-def verify_eigen(config: Configuration, Q: Optional[TrigPoly] = None) -> bool:
-    """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q = 0.
-    Q, when given, must be q_trig(config)."""
-    m = config.m
-    mt = config.mtilde or 0
-    n = config.n
+def verify_eigen(config: Configuration) -> bool:
+    """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q = 0
+    with Q = q_trig(config)."""
+    m, mt, n = config.m, config.mtilde or 0, config.n
     if m is None or n is None:
         raise MissingExactData("eigen check needs the (m, mt, n) parameters")
-    if Q is None:
-        Q = q_trig(config)
+    Q = q_trig(config)
     Q1 = Q.dphi()
     Q2 = Q1.dphi()
     sc = TrigPoly.sin(1) * TrigPoly.cos(1)
@@ -207,8 +202,10 @@ def chain_report(chain: DarbouxChain, config: Configuration,
     (K = nu^-1 here) and any Q, so it needs no division and no nonvanishing
     assumption.  verify_factorization checks W = nu^-1 Q c^a s^b exactly with
     the same Q = q_trig(config) and the same (m, mt) as verify_potential, so
-    its pass proves the potential's.  The q-scaling checks always run (see
-    the module docstring).
+    its pass proves the potential's.  Each check computes that Q itself, and
+    verify_factorization raises the ValueError of a chain that is not
+    config's q = 1 chain.  The q-scaling checks always run (see the module
+    docstring).
     """
     out = {
         "m": chain.m, "mt": chain.mt, "n": chain.n,
@@ -223,14 +220,12 @@ def chain_report(chain: DarbouxChain, config: Configuration,
         except IdentityFailed as ex:
             out[name] = f"fail: {ex}"
 
-    _check_chain_matches(chain, config)
-    Q = q_trig(config)
-    run("factorization", lambda: verify_factorization(chain, config, Q))
+    run("factorization", lambda: verify_factorization(chain, config))
     if out["factorization"] == "exact-pass":
         out["potential"] = "exact-pass"
     else:
         run("potential", lambda: verify_potential(chain, config))
-    run("eigen", lambda: verify_eigen(config, Q))
+    run("eigen", lambda: verify_eigen(config))
     for q in q_values:
         run(f"q_scaling_{q}", lambda q=q: q_scaling_check(chain, q))
     return out

@@ -531,7 +531,7 @@ def r_parameter(c: Configuration) -> int:
     with working(c.precision):
         tol = mp.mpf(2) ** (-(c.precision // 2))
         sq = sorted(ln.alpha() ** 2 for ln in _slope_lines(c))
-        count = 1
+        count = 1 if sq else 0
         for a, b in zip(sq, sq[1:]):
             if abs(b - a) > tol * max(1, abs(b)):
                 count += 1

@@ -228,16 +228,21 @@ RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
 # Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
 # (3, 2), which has as many slope lines, by name.
 FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
+# Edits of INPUT that store a fraction with a zero denominator, by name.
+ZERO_DENOMINATOR = {"e-1/0": lambda d: d["e"].__setitem__(0, "1/0"),
+                    "ehat-1/0": lambda d: d["ehat"].__setitem__(0, "-3/0"),
+                    "alpha-1/0": lambda d: d["lines"][1].update(alpha="1/0")}
 # Edits of INPUT that make its record contradict its lines, give it an m
-# that is not a positive int, store an angle that is not a hex string, or
-# name no known kind, by name.
+# that is not a positive int, store an angle that is not a hex string or a
+# fraction with a zero denominator, or name no known kind, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3),
           "m-0": lambda d: d.update(m=0),
           "phi-hex-5": lambda d: d["lines"][1].update(phi_hex=5),
           "phi-hex-null": lambda d: d["lines"][1].update(phi_hex=None),
           "kind-5": lambda d: d.update(kind=5),
-          "kind-bogus": lambda d: d.update(kind="bogus")}
+          "kind-bogus": lambda d: d.update(kind="bogus"),
+          **ZERO_DENOMINATOR}
 
 
 def _general_at(bits):
@@ -289,6 +294,15 @@ GROUP_EDITED = {
     "random-light-mult-2": ("random", lambda d: d["lines"][1].update(mult=2)),
     "tq-mults-swapped": ("tq", _swap_mults),
 }
+# Integer fields of a record, by name: (family, field, value) written over
+# the field of that family's file (tq is am1n (1, 3) expanded with q = 2).
+# Each value is a bool, a float, a string or below what the builder gives.
+RECORD_EDITED = {"tq-m-true": ("tq", "m", True), "tq-q-2.5": ("tq", "q", 2.5),
+                 "tq-q-str": ("tq", "q", "2"), "tq-q-1": ("tq", "q", 1),
+                 "twomult-mtilde-true": ("twomult", "mtilde", True),
+                 "twomult-n-str": ("twomult", "n", "4"),
+                 "random-m-2.0": ("random", "m", 2.0),
+                 "random-n-true": ("random", "n", True)}
 # Multiplicities of a locus written to INPUT, by name; the 2.5 line is not of
 # integer multiplicity, which certify and hilbert need.
 LOCUS = {"locus-2.5-1-1": (2.5, 1, 1)}
@@ -298,8 +312,8 @@ LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
                 [("0", 0), ("-1", -1), ("inf", float("inf")), ("true", True), ("str", "2")]}
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
-# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED, LOCUS or
-# LOCUS_EDITED name);
+# FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED,
+# RECORD_EDITED, LOCUS or LOCUS_EDITED name);
 # MISSING stands for a path that does not exist, UNWRITABLE for an output
 # path in a directory that does not exist
 BAD_INPUT = [
@@ -373,6 +387,11 @@ BAD_INPUT = [
         (["hilbert", "--m", "1", "--n", "2"], "-o"),
         (["hilbert", "--m", "1", "--n", "2"], "--csv"),
         (["scan", "certify", "--m", "1", "--n", "2"], "-o"))],
+    *[(argv, name) for name in ZERO_DENOMINATOR for argv in (
+        ["certify", "--input", "INPUT"], ["hilbert", "--input", "INPUT"],
+        ["construct", "tq", "--input", "INPUT", "--q", "2"])],
+    *[([cmd, "--input", "INPUT"], name) for name in RECORD_EDITED
+      for cmd in ("certify", "hilbert")],
 ]
 
 
@@ -393,6 +412,14 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
     elif drop in TWOMULT_EDITED:
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
+        path.write_text(json.dumps(data))
+    elif drop in RECORD_EDITED:
+        family, key, value = RECORD_EDITED[drop]
+        build = {"tq": lambda: t_q_expand(build_am1n(1, 3, 128), 2),
+                 "twomult": lambda: build_two_mult(3, 1, 4, 128),
+                 "random": lambda: random_type_m1n(2, 4, 1, 128)}[family]
+        data = build().to_json_dict()
+        data[key] = value
         path.write_text(json.dumps(data))
     elif drop in GROUP_EDITED:
         family, edit = GROUP_EDITED[drop]
@@ -420,6 +447,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         assert err.startswith(f"error: cannot write {paths['UNWRITABLE']}: ")
     if drop in LOCUS_EDITED:
         assert "line 0: multiplicity" in err
+    if drop in ZERO_DENOMINATOR:
+        assert err.startswith(f"error: {path}: ") and "zero denominator" in err
+    if drop in RECORD_EDITED:
+        assert f"needs an integer {RECORD_EDITED[drop][1]} >= " in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,6 +89,24 @@ def test_every_public_definition_is_used(path):
     assert not unused, f"{path.name}: public definitions nothing runs {unused}"
 
 
+def _imported_from_balines(path):
+    """The names a module imports with ``from balines import ...``."""
+    return {a.name for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.ImportFrom) and n.module == "balines" for a in n.names}
+
+
+def test_every_exported_name_is_used():
+    """Each name in balines.__all__ is read in src/balines outside
+    __init__.py or imported from balines by a bench module; a reference
+    only the tests use is imported from its own module."""
+    import balines
+
+    read = set().union(*(_names_read(p) for p in _SRC if p.name != "__init__.py"),
+                       *map(_imported_from_balines, sorted((_ROOT / "bench").glob("*.py"))))
+    unused = sorted(set(balines.__all__) - read)
+    assert not unused, f"balines.__all__ exports names nothing runs: {unused}"
+
+
 def test_every_traced_name_resolves():
     """bench/tracer.py wraps each name in TRACED with getattr, so a name the
     package no longer defines would crash every traced bench run."""

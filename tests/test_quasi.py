@@ -327,6 +327,15 @@ def test_r_parameter():
     assert r_parameter(lc) == 1
 
 
+def test_r_parameter_is_zero_without_a_slope_line():
+    # one heavy line and nothing else: the numeric count (a general chart)
+    # and the stored-slope count (a random record) both find no squared slope
+    from balines.config import general_from_angles
+
+    assert r_parameter(general_from_angles([2], [0], 128)) == 0
+    assert r_parameter(from_alphas(2, [], 128)) == 0
+
+
 def test_r_parameter_reads_no_numeric_slope_on_a_chart_with_groups(monkeypatch):
     # r comes off R exactly by the gcd rule; the tolerance count on the
     # lines found at 512 bits agrees
