@@ -303,17 +303,23 @@ _INT_FIELDS = {"am1n": {"m": 1, "n": 1}, "random": {"m": 1, "n": 0},
                "qexpanded": {"m": 1, "mtilde": 0, "n": 2, "q": 2}}
 
 
+def _check_int_field(kind: str, name: str, value) -> None:
+    """ValueError unless value is a non-bool int at least _INT_FIELDS[kind][name]."""
+    low = _INT_FIELDS[kind][name]
+    if type(value) is not int or value < low:
+        raise ValueError(f"{kind} needs an integer {name} >= {low}, not {value!r}")
+
+
 def _check_record(c: Configuration) -> None:
     """ValueError unless each integer field of c's kind (_INT_FIELDS) is a
     non-bool int no less than its builder gives it, an am1n record has the
     closed-form e and ehat of its m and n, and a twomult record the e and
     branch sign that build_two_mult picks."""
-    for name, low in _INT_FIELDS.get(c.kind, {}).items():
+    for name in _INT_FIELDS.get(c.kind, {}):
         value = getattr(c, name)
         if value is None and c.kind == "qexpanded" and name != "q":
             continue  # an expansion of a general chart, or of one without mtilde
-        if type(value) is not int or value < low:
-            raise ValueError(f"{c.kind} needs an integer {name} >= {low}, not {value!r}")
+        _check_int_field(c.kind, name, value)
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
@@ -552,8 +558,11 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
     The heavy line is (0, 1) in the slope chart (phi = 0 here); each slope
     alpha gives the line with normal angle arccot(alpha).  The record keeps
     the slopes, and the lines are built when first read; two lines within
-    2^-(precision/2) of each other raise CollisionError then."""
+    2^-(precision/2) of each other raise CollisionError then.  An m that is
+    a multiplicity but not an int (2.5) is refused as Configuration.load
+    refuses it in a random record."""
     Multiplicities((m,))  # ValueError on a value no file can store
+    _check_int_field("random", "m", m)
     alphas = tuple(Fraction(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise CollisionError("slopes must be distinct")

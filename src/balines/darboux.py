@@ -18,6 +18,15 @@ reproduces, exactly as Laurent-polynomial identities:
 where Q(phi) = (prod (u^2 - z_j)) u^-n is assembled from the exact elementary
 symmetric values of the configuration.
 
+The factorization and the eigenfunction equation are computed in the chart
+w = u^2 = e^(2 i phi).  There Q = u^-n P(w) with P = config.P, and cos, sin
+and their products are powers of u times polynomials in w, so each of these
+sides is a power of u times one polynomial in w on P's integer numerators,
+put into TrigPoly normal form once (the proofs are in the verify_*
+docstrings).  The normal form is unique: it is the TrigPoly that the
+products of cos, sin and Q would give, and a failure reports the same
+difference.
+
 The potential identity is a consequence of the factorization (the proof is in
 chain_report's docstring), so chain_report expands it only when the
 factorization fails.  The q-scaling W_q(phi) = q^(m(m-1)/2) W_1(q phi) holds
@@ -27,36 +36,36 @@ verdict on it that no computation backs would check nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .config import Configuration
+from .config import Configuration, _two_mult_ode_residual
 from .errors import IdentityFailed, InvalidOrder, MissingExactData
-from .trig import TrigPoly, _normal, require_identity, wronskian
+from .poly import DensePoly
+from .trig import _I_POWERS, TrigPoly, _normal, require_identity, wronskian
 
 
 def darboux_levels(m: int, mt: int, n: int) -> List[int]:
-    """Strictly increasing frequency ladder of length m (empty for m = 0)."""
+    """Strictly increasing frequency ladder of length m (empty for m = 0).
+
+    With 0 <= mt <= m and n >= 0 both branches give m levels, each run
+    increasing and its top below the last level m + mt + n."""
+    for name, value in (("m", m), ("mt", mt)):
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={value}")
     if m < mt:
         raise InvalidOrder(f"need m >= mt, got m={m} < mt={mt}; "
                            "rotate the configuration by pi/2 first")
-    if m < 0:
-        raise ValueError("need m >= 0")
     if n < 0 or (mt >= 1 and n % 2 != 0):
         raise ValueError("the two-multiplicity ladder needs even n >= 0")
     if m == 0:
         return []
     if mt == 0:
-        levels = list(range(1, m)) + [m + n]
-    else:
-        levels = list(range(1, m - mt + 1))
-        levels += [m - mt + 2 * j for j in range(1, mt)]
-        levels += [mt + m + n]
-    assert len(levels) == m
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise InvalidOrder(f"levels {levels} are not strictly increasing")
-    return levels
+        return list(range(1, m)) + [m + n]
+    return (list(range(1, m - mt + 1)) + [m - mt + 2 * j for j in range(1, mt)]
+            + [mt + m + n])
 
 
 @dataclass(frozen=True)
@@ -93,13 +102,19 @@ def nu_constant(chain: DarbouxChain) -> Fraction:
     return nu
 
 
+def _exact_p(config: Configuration) -> DensePoly:
+    """config.P; MissingExactData when the configuration has no e values."""
+    P = config.P
+    if P is None:
+        raise MissingExactData("configuration carries no exact e values")
+    return P
+
+
 def q_trig(config: Configuration) -> TrigPoly:
     """Q(phi) = sum_k (-1)^k e_k u^(n - 2k) from the exact elementary values,
     read off config.P = sum_k (-1)^k e_k w^(n - k): its w^j numerator is the
     u^(2j - n) numerator of Q, over the same denominator."""
-    P = config.P
-    if P is None:
-        raise MissingExactData("configuration carries no exact e values")
+    P = _exact_p(config)
     return _normal({2 * j - config.n: (a, 0) for j, a in enumerate(P.nums)}, P.den)
 
 
@@ -114,13 +129,29 @@ def _check_chain_matches(chain: DarbouxChain, config: Configuration) -> None:
 
 
 def verify_factorization(chain: DarbouxChain, config: Configuration) -> bool:
-    """W = nu^-1 Q(phi) cos^(mt(mt+1)/2) sin^(m(m+1)/2), exactly, with
-    Q = q_trig(config); ValueError first when the chain is not config's
-    q = 1 chain."""
+    """W = nu^-1 Q(phi) cos^a sin^b, a = mt(mt+1)/2, b = m(m+1)/2, exactly,
+    with Q = q_trig(config); ValueError first when the chain is not config's
+    q = 1 chain.
+
+    The right side is formed in the chart w = u^2.  There Q = u^-n P(w)
+    (q_trig), cos = (u + u^-1)/2 = u^-1 (w + 1)/2 and sin = (u - u^-1)/(2i)
+    = u^-1 (w - 1)/(2i), so
+
+        nu^-1 Q cos^a sin^b = u^-(n+a+b) P(w) (w + 1)^a (w - 1)^b i^-b / (2^(a+b) nu):
+
+    the w^k coefficient of the integer product of P's numerators with the
+    binomial rows of (w + 1)^a and (w - 1)^b, times i^-b / nu over
+    2^(a+b) P.den, is the u^(2k-n-a-b) coefficient of the right side."""
     _check_chain_matches(chain, config)
     m, mt = chain.m, chain.mt
-    rhs = (q_trig(config) * TrigPoly.cos(1) ** (mt * (mt + 1) // 2)
-           * TrigPoly.sin(1) ** (m * (m + 1) // 2)).scale(1 / nu_constant(chain))
+    a, b = mt * (mt + 1) // 2, m * (m + 1) // 2
+    prod = (_exact_p(config) * DensePoly([math.comb(a, j) for j in range(a + 1)], 1)
+            * DensePoly([(-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)], 1))
+    inv = 1 / nu_constant(chain)
+    re, im = (inv.numerator * x for x in _I_POWERS[-b % 4])
+    shift = config.n + a + b
+    rhs = _normal({2 * k - shift: (c * re, c * im) for k, c in enumerate(prod.nums)},
+                  (prod.den * inv.denominator) << (a + b))
     return require_identity(chain.W, rhs, "Wronskian factorization")
 
 
@@ -148,16 +179,32 @@ def verify_potential(chain: DarbouxChain, config: Configuration) -> bool:
 
 def verify_eigen(config: Configuration) -> bool:
     """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q = 0
-    with Q = q_trig(config)."""
+    with Q = q_trig(config).
+
+    The left side is i u^-n R(u^2) with R = _two_mult_ode_residual(m, mt,
+    n, P), for every m, mt, n and every P.  Proof: in the chart w = u^2,
+    Q = u^-n P(w) (q_trig) and d/dphi = 2i theta with theta = w d/dw.  As
+    theta u^-n = -(n/2) u^-n, Q' = 2i u^-n (theta - n/2) P and
+    Q'' = -4 u^-n (theta - n/2)^2 P.  With sin cos = (w - w^-1)/(4i),
+    cos^2 = (w + 2 + w^-1)/4 and sin^2 = -(w - 2 + w^-1)/4 the left side is
+    i u^-n w^-1 S(w), where, with N = n(2(m+mt)+n) the eigenvalue,
+
+        S = (w^2 - 1)(theta - n/2)^2 P + (m(w+1)^2 + mt(w-1)^2)(theta - n/2) P
+            - (N/4)(w^2 - 1) P.
+
+    Expand theta P = w P', theta^2 P = w^2 P'' + w P' and collect:
+
+        S = w [w (w^2 - 1) P'' - ((n-1)(w^2 - 1) - m(w+1)^2 - mt(w-1)^2) P'
+               - (n(m+mt) w + n(m-mt)) P] = w R,
+
+    since the P terms are -(n/2)[m(w+1)^2 + mt(w-1)^2 + (m+mt)(w^2 - 1)]
+    = -n w ((m+mt) w + m - mt).  So the w^k coefficient r_k/den of R is the
+    u^(2k-n) coefficient i r_k/den of the left side."""
     m, mt, n = config.m, config.mtilde or 0, config.n
     if m is None or n is None:
         raise MissingExactData("eigen check needs the (m, mt, n) parameters")
-    Q = q_trig(config)
-    Q1 = Q.dphi()
-    Q2 = Q1.dphi()
-    sc = TrigPoly.sin(1) * TrigPoly.cos(1)
-    coeff = (TrigPoly.cos(1) ** 2).scale(m) - (TrigPoly.sin(1) ** 2).scale(mt)
-    lhs = sc * Q2 + coeff * Q1 * 2 + sc.scale(n * (2 * (m + mt) + n)) * Q
+    R = _two_mult_ode_residual(m, mt, n, _exact_p(config))
+    lhs = _normal({2 * k - n: (0, r) for k, r in enumerate(R.nums)}, R.den)
     return require_identity(lhs, TrigPoly.zero(), "eigenfunction equation")
 
 

@@ -155,7 +155,10 @@ class TrigPoly:
                        self.den)
 
     def subs_power(self, q: int) -> "TrigPoly":
-        """Substitute phi -> q*phi, i.e. u -> u^q, for q != 0."""
+        """Substitute phi -> q*phi, i.e. u -> u^q, for q != 0 (ValueError on
+        q = 0, which would merge terms)."""
+        if q == 0:
+            raise ValueError("subs_power needs q != 0")
         out = TrigPoly.__new__(TrigPoly)
         out.terms = {q * l: v for l, v in self.terms.items()}
         out.den = self.den

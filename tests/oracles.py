@@ -649,6 +649,56 @@ def bareiss_wronskian(fs) -> dict:
     return det if sign == 1 else {l: (-re, -im) for l, (re, im) in det.items()}
 
 
+# --- the Darboux factorization and eigen checks as TrigPoly products ---------
+# The route darboux.py took before it moved to the chart w = u^2: the same
+# identities expanded by TrigPoly products and powers of cos and sin.
+
+
+def trigpoly_factorization_rhs(chain, config):
+    """nu^-1 Q cos^(mt(mt+1)/2) sin^(m(m+1)/2) with Q = q_trig(config)."""
+    from balines.darboux import nu_constant, q_trig
+    from balines.trig import TrigPoly
+
+    m, mt = chain.m, chain.mt
+    return (q_trig(config) * TrigPoly.cos(1) ** (mt * (mt + 1) // 2)
+            * TrigPoly.sin(1) ** (m * (m + 1) // 2)).scale(1 / nu_constant(chain))
+
+
+def trigpoly_eigen_lhs(config):
+    """sin cos Q'' + 2 (m cos^2 - mt sin^2) Q' + n(2(m+mt)+n) sin cos Q."""
+    from balines.darboux import q_trig
+    from balines.trig import TrigPoly
+
+    m, mt, n = config.m, config.mtilde or 0, config.n
+    Q = q_trig(config)
+    Q1 = Q.dphi()
+    Q2 = Q1.dphi()
+    sc = TrigPoly.sin(1) * TrigPoly.cos(1)
+    coeff = (TrigPoly.cos(1) ** 2).scale(m) - (TrigPoly.sin(1) ** 2).scale(mt)
+    return sc * Q2 + coeff * Q1 * 2 + sc.scale(n * (2 * (m + mt) + n)) * Q
+
+
+def trigpoly_verify_factorization(chain, config) -> bool:
+    """darboux.verify_factorization on the TrigPoly route."""
+    from balines.darboux import _check_chain_matches
+    from balines.trig import require_identity
+
+    _check_chain_matches(chain, config)
+    return require_identity(chain.W, trigpoly_factorization_rhs(chain, config),
+                            "Wronskian factorization")
+
+
+def trigpoly_verify_eigen(config) -> bool:
+    """darboux.verify_eigen on the TrigPoly route."""
+    from balines.errors import MissingExactData
+    from balines.trig import TrigPoly, require_identity
+
+    if config.m is None or config.n is None:
+        raise MissingExactData("eigen check needs the (m, mt, n) parameters")
+    return require_identity(trigpoly_eigen_lhs(config), TrigPoly.zero(),
+                            "eigenfunction equation")
+
+
 def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:
     """Coefficients of (sum b_k t^k) * (1 - t^2)^2 through degree `deg`."""
     b = list(coeffs)

@@ -673,3 +673,20 @@ def test_cli_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     _write_numeric_chart(random_type_m1n(2, 5, 1, 256), tmp_path / "numeric.json")
     argv, code, digest = PINNED[name]
     assert pinned_digest(argv, capsys) == (code, digest)
+
+
+def test_scan_darboux_bytes_are_pinned(monkeypatch, capsys):
+    # the chain reports of every (m, mt, n) with m 1..3 and n 1..4 (24
+    # items), without the manifest's wall_clock and each item's seconds
+    monkeypatch.delenv("BA_PRECISION", raising=False)
+    assert main(["scan", "darboux", "--m", "1..3", "--n", "1..4"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+    payload["manifest"].pop("wall_clock")
+    for item in payload["items"]:
+        item.pop("seconds")
+    assert len(payload["items"]) == 24
+    blob = json.dumps(payload, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "5f17a2ebd42fa51e4dfb9207c8c7a0c43e9d78767ea0be0866f1bed65b4f378c"

@@ -295,6 +295,13 @@ def test_constructors_refuse_what_a_file_cannot_store(build):
         build()
 
 
+def test_from_alphas_takes_only_an_integer_m():
+    # a random record whose m is not an int, 2.0 included, is refused at
+    # load, so the builder refuses it too, with the loader's message
+    with pytest.raises(ValueError, match="random needs an integer m >= 1, not 2.0"):
+        from_alphas(2.0, [F(1), F(2)], 128)
+
+
 def test_serialization_bit_exact_round_trip(tmp_path):
     for c in [build_am1n(3, 4, 256), build_two_mult(2, 1, 4, 192),
               random_type_m1n(2, 3, 5), t_q_expand(build_am1n(2, 2, 128), 3),

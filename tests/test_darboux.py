@@ -1,7 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balines.config import build_am1n, build_two_mult
 from balines.darboux import (build_chain, chain_report, darboux_levels,
@@ -10,9 +14,12 @@ from balines.darboux import (build_chain, chain_report, darboux_levels,
                              verify_potential)
 from balines.errors import IdentityFailed, InvalidOrder
 from balines.numeric import working
+from balines.poly import DensePoly
 from balines.trig import TrigPoly, wronskian
 
-from oracles import mult1_lines, slope_lines, trig_value
+from oracles import (mult1_lines, slope_lines, trig_value, trigpoly_eigen_lhs,
+                     trigpoly_factorization_rhs, trigpoly_verify_eigen,
+                     trigpoly_verify_factorization)
 
 
 def test_level_ladders():
@@ -29,6 +36,15 @@ def test_levels_reject_bad_order():
         darboux_levels(1, 2, 2)
     with pytest.raises(ValueError):
         darboux_levels(2, 1, 3)  # odd n in the two-multiplicity family
+
+
+def test_levels_refuse_negative_multiplicities():
+    # the signs are checked before the order, and each names its field
+    with pytest.raises(ValueError, match="need mt >= 0"):
+        darboux_levels(2, -1, 3)
+    with pytest.raises(ValueError, match="need m >= 0") as err:
+        darboux_levels(-1, 0, 2)
+    assert not isinstance(err.value, InvalidOrder)
 
 
 def test_chain_wronskians():
@@ -247,3 +263,59 @@ def test_full_potential_expansion_on_the_bench_grid():
         chain = build_chain(m, mt, n)
         assert verify_factorization(chain, cfg), (m, mt, n)
         assert verify_potential(chain, cfg), (m, mt, n)
+
+
+def _outcome(check):
+    """("exact-pass", zero) when check() passes, else the IdentityFailed
+    message and difference."""
+    try:
+        check()
+    except IdentityFailed as ex:
+        return str(ex), ex.difference
+    return "exact-pass", TrigPoly.zero()
+
+
+@st.composite
+def _parameters_and_p(draw):
+    """(m, mt, n) of a valid ladder and any P of degree at most n over a
+    common denominator, zero included: nearly never a solution."""
+    m = draw(st.integers(0, 4))
+    mt = draw(st.integers(0, m))
+    n = draw(st.integers(0, 4)) * (2 if mt else 1)
+    nums = draw(st.lists(st.integers(-60, 60), min_size=0, max_size=n + 1))
+    return m, mt, n, DensePoly(nums, draw(st.integers(1, 36)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parameters_and_p())
+def test_chart_checks_equal_the_trigpoly_expansions(case):
+    # both sides in the w = u^2 chart are the TrigPoly expansions' normal
+    # forms, so outcome, message and difference all agree, for any P
+    m, mt, n, P = case
+    cfg = SimpleNamespace(m=m, mtilde=mt, n=n, P=P)
+    chain = build_chain(m, mt, n)
+    eigen = _outcome(lambda: verify_eigen(cfg))
+    assert eigen == _outcome(lambda: trigpoly_verify_eigen(cfg))
+    assert eigen[1] == trigpoly_eigen_lhs(cfg)
+    factor = _outcome(lambda: verify_factorization(chain, cfg))
+    assert factor == _outcome(lambda: trigpoly_verify_factorization(chain, cfg))
+    assert chain.W - factor[1] == trigpoly_factorization_rhs(chain, cfg)
+
+
+def test_chain_reports_equal_the_trigpoly_route_on_the_bench_grid(monkeypatch):
+    # every bench item, and each with one e shifted by 1/7, reports the same
+    # dict on the chart route and on the TrigPoly route
+    import balines.darboux as darboux
+
+    cases = []
+    for m, mt, n in _darboux_bench_grid():
+        cfg = build_two_mult(m, mt, n, 128) if mt else build_am1n(m, n, 128)
+        e = list(cfg.e)
+        e[(m + mt + n) % n] += F(1, 7)
+        chain = build_chain(m, mt, n)
+        cases += [(chain, cfg), (chain, replace(cfg, e=tuple(e)))]
+    reports = [chain_report(chain, cfg) for chain, cfg in cases]
+    assert sum(r["eigen"] != "exact-pass" for r in reports) == 50
+    monkeypatch.setattr(darboux, "verify_factorization", trigpoly_verify_factorization)
+    monkeypatch.setattr(darboux, "verify_eigen", trigpoly_verify_eigen)
+    assert [chain_report(chain, cfg) for chain, cfg in cases] == reports

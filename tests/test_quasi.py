@@ -308,14 +308,14 @@ def test_universal_invariants_members():
 
 
 def test_non_integer_heavy_multiplicity_is_refused():
-    # truncating 2.5 to 2 would answer with the series of m = 2; the exact
-    # chart of from_alphas takes its heavy multiplicity from its groups
+    # truncating 2.5 to 2 would answer with the series of m = 2; from_alphas
+    # refuses the value as Configuration.load refuses it in a random record
     c = solve_general_locus((2.5, 1, 1), 128)
-    exact = from_alphas(2.5, [F(1), F(2)], 128)
-    for compute in (lambda: hilbert_coefficients(c, 12),
-                    lambda: r_parameter(c), lambda: hilbert_coefficients(exact, 12)):
+    for compute in (lambda: hilbert_coefficients(c, 12), lambda: r_parameter(c)):
         with pytest.raises(ValueError, match="2.5 is not a positive integer"):
             compute()
+    with pytest.raises(ValueError, match="random needs an integer m >= 1, not 2.5"):
+        from_alphas(2.5, [F(1), F(2)], 128)
 
 
 def test_r_parameter():

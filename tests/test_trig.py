@@ -110,6 +110,14 @@ def test_subs_power():
     assert TrigPoly.sin(3).subs_power(2) == TrigPoly.sin(6)
 
 
+def test_subs_power_refuses_zero():
+    # u -> u^0 would send every term to u^0 and keep only the last one
+    for p in (TrigPoly.cos(1), TrigPoly.sin(1)):
+        with pytest.raises(ValueError, match="q != 0"):
+            p.subs_power(0)
+    assert TrigPoly.cos(2).subs_power(-1) == TrigPoly.cos(2)
+
+
 def _oracle_ladders():
     """(levels, q): every (m, mt) with m <= 6 at q = 1 and every (m, mt)
     with m <= 4 at q = 2, 3; n runs over 1..10 (even 2..10 when mt >= 1)
