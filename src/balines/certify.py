@@ -34,15 +34,17 @@ Next to every quantity runs a bound on its rounding error in units of
 2^-F (running error analysis, Wilkinson 1963; Higham 2002, section 3.3):
 each stored cos and sin is off by at most _INPUT_ERROR units, and every
 product, shift and quotient adds its truncation.  The sums of the bounds
-bound the error of each condition's sum and of its scale.  A condition
+bound the error of each condition's sum and of its scale, each formed
+once by sum and max over the pairs' powers and bounds.  A condition
 passes when |sum| + bound < threshold * (scale - its bound), and fails,
 verified, when |sum| - bound >= threshold * (scale + its bound).  The
 certificate passes when every condition passes and fails when one fails
-verified; otherwise the table and sums are redone with F doubled, at most
-_MAX_DOUBLINGS times, after which IllConditioned is raised.  Two lines
-whose sin(phi_i - phi_j) does not exceed its error bound are collinear
-(CollisionError).  The JSON certificate reports the F that decided
-(fraction_bits) and the worst bound over its scale (max_bound_log2).
+verified (one exact pass over the conditions); otherwise the table and
+sums are redone with F doubled, at most _MAX_DOUBLINGS times, after which
+IllConditioned is raised.  Two lines whose sin(phi_i - phi_j) does not
+exceed its error bound are collinear (CollisionError).  The JSON
+certificate reports the F that decided (fraction_bits) and the worst
+bound over its scale (max_bound_log2).
 
 The residuals keep the kernel's integers and every reported number is read
 off one quotient, |total| / scale of those integers, rounded once: at the
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import List, NamedTuple, Sequence, Tuple
 
 import mpmath as mp
@@ -116,11 +119,6 @@ class ConditionResidual(NamedTuple):
         """|total| and the scale in units of 2^exp, whose quotient is the
         relative residual."""
         return abs(self.total), max(1 << -self.exp, self.top)
-
-    def scale_range(self) -> Tuple[int, int]:
-        """Lower and upper bounds on the scale, max(1, largest summand)."""
-        one = 1 << -self.exp
-        return max(one, self.top - self.error), max(one, self.top + self.error)
 
 
 def _residual_log2(r: ConditionResidual) -> float:
@@ -183,7 +181,8 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
     line j weighs by m_i and line i by -m_j.  The power of order k + 1 is
     the one of order k times c^2; its bound follows from |x c2 - X t^2| <=
     |x| |c2 - t^2| + t^2 |x - X| plus the truncation.  The locus sums are
-    kept four times over, so that they need no division."""
+    kept four times over, so that they need no division.  Multiplicities
+    are at least 1."""
     one = 1 << frac
     e = _INPUT_ERROR
     eta = e * (one << 2) + 2 * e * e  # error of the products below, units 2^-2F
@@ -191,13 +190,12 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
     for phi in phis:
         c, s = (to_fixed(v, frac) for v in mpf_cos_sin(phi._mpf_, frac + 10))
         cs.append((c, s, c + s, c - s))
-    # acc[j][k]: first sum, its bound, largest |term|, locus sum, its bound,
-    # largest |locus term|
-    acc = [[[0] * 6 for _ in range(kmax)] for kmax in orders]
+    # rows[j]: per partner of line j, in order, c, its bound, c^3, its bound...
+    rows = [[] for _ in cs]
     n = len(cs)
     for j in range(n):
         cj, sj, aj, bj = cs[j]
-        mj, oj, acc_j = mults[j], orders[j], acc[j]
+        oj, rows_j = orders[j], rows[j]
         for i in range(j + 1, n):
             oi = orders[i]
             top = oi if oi > oj else oj
@@ -219,76 +217,84 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
             cot2 = (p * p) >> frac
             err2 = (((size << 1) + b) * b >> frac) + 2  # |T^2 - X^2| <= E (2|T| + E)
             over = cot2 + err2  # bounds cot^2 from above
-            powers, bounds = [p], [b]
+            row = [p, b]
             for _ in range(top):
                 b = ((size * err2 + over * b) >> frac) + 2
                 p = (p * cot2) >> frac
                 size = p if p > 0 else -p
-                powers.append(p)
-                bounds.append(b)
-            # line i sees cot(phi_j - phi_i) = -cot, and odd powers of it
-            for sums, m, sign in ((acc_j, mults[i], 1), (acc[i], mj, -1)):
-                w = m * (m + 1)
-                sm, sw = sign * m, sign * w
-                for k in range(len(sums)):
-                    s = sums[k]
-                    term = sm * powers[k]
-                    s[0] += term
-                    s[1] += m * bounds[k]
-                    if term < 0:
-                        term = -term
-                    if term > s[2]:
-                        s[2] = term
-                    term = sw * (powers[k] + powers[k + 1])
-                    s[3] += term
-                    s[4] += w * (bounds[k] + bounds[k + 1])
-                    if term < 0:
-                        term = -term
-                    if term > s[5]:
-                        s[5] = term
-    return [ConditionResidual(j, k + 1, "polar-" + form, -frac - shift, *s[at:at + 3])
-            for j, sums in enumerate(acc) for k, s in enumerate(sums)
-            for form, shift, at in (("first", 0, 0), ("locus", 2, 3))]
+                row += (p, b)
+            rows_j.append(row)
+            rows[i].append(row)
+    # Line j weighs partner i by s m_i and s m_i (m_i + 1), s = -1 for an
+    # earlier partner (its cot is of phi_j - phi_i): weights 1 and 2 by sum
+    # and max over the columns, then the difference for each m_i != 1.
+    heavy = [(i, m) for i, m in enumerate(mults) if m != 1]
+    out = []
+    for j, oj in enumerate(orders):
+        # partner i is at position i (earlier) or i - 1 (later) in rows[j]
+        fix = [(i if i < j else i - 1, -1 if i < j else 1, m, m * (m + 1))
+               for i, m in heavy if i != j]
+        cols = list(zip(*rows[j]))[:2 * oj + 2] or [()] * (2 * oj + 2)  # no partner: zeros
+        sums = [sum(col) if c % 2 else sum(col[j:]) - sum(col[:j]) for c, col in enumerate(cols)]
+        for at in range(0, 2 * oj, 2):
+            powers, bounds, higher, hbounds = cols[at:at + 4]
+            total, bound = sums[at], sums[at + 1]
+            top = max(map(abs, powers), default=0)
+            ltotal, lbound = 2 * (total + sums[at + 2]), 2 * (bound + sums[at + 3])
+            ltop = 2 * max(map(abs, map(add, powers, higher)), default=0)
+            for pos, sign, m, w in fix:
+                p, pair = powers[pos], powers[pos] + higher[pos]
+                total += sign * (m - 1) * p
+                bound += (m - 1) * bounds[pos]
+                top = max(top, m * abs(p))
+                ltotal += sign * (w - 2) * pair
+                lbound += (w - 2) * (bounds[pos] + hbounds[pos])
+                ltop = max(ltop, w * abs(pair))
+            k = at // 2 + 1
+            out += (ConditionResidual(j, k, "polar-first", -frac, total, bound, top),
+                    ConditionResidual(j, k, "polar-locus", -frac - 2, ltotal, lbound, ltop))
+    return out
 
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
     """The first-family residual at line j and order k, with F the ambient
-    working precision."""
+    working precision; ValueError on a multiplicity below 1."""
+    mults = [ln.mult for ln in lines]
+    if min(mults) < 1:
+        raise ValueError(f"multiplicity {min(mults)!r} is below 1")
     orders = [k if i == j else 0 for i in range(len(lines))]
-    return _sums([ln.mult for ln in lines], [ln.phi for ln in lines], orders,
-                 mp.mp.prec)[2 * k - 2]
+    return _sums(mults, [ln.phi for ln in lines], orders, mp.mp.prec)[2 * k - 2]
 
 
 def default_threshold(precision: int):
     return mp.mpf(2) ** (-(precision - 32))
 
 
-def _verdict(sums: Sequence[ConditionResidual], threshold) -> str:
-    """pass, fail, or '' when some condition's bound straddles the threshold
-    and none fails verified; exact integer comparisons."""
+def _decide(sums: Sequence[ConditionResidual], threshold):
+    """(verdict, worst, max_bound_log2) by one pass of exact integer
+    comparisons, each scale lying between max(1, top - error) and max(1,
+    top + error): pass, fail, or '' when a bound straddles the threshold
+    and none fails verified; the first condition of largest |total| /
+    max(1, top), None if all are 0; the largest log2(error / least scale)."""
     sign, man, exp, _ = threshold._mpf_
     man = -man if sign else man
-
-    def below(x: int, y: int) -> bool:  # x < threshold * y
-        return (x << -exp) < man * y if exp < 0 else x < (man * y) << exp
-
-    lo_hi = [s.scale_range() for s in sums]
-    if all(below(abs(s.total) + s.error, lo) for s, (lo, _) in zip(sums, lo_hi)):
-        return "pass"
-    if any(not below(abs(s.total) - s.error, hi) for s, (_, hi) in zip(sums, lo_hi)):
-        return "fail"
-    return ""
-
-
-def _max_relative(sums: Sequence[ConditionResidual]):
-    """relative() of the condition with the largest relative residual,
-    picked by exact cross-multiplication of the integer quotients."""
+    # x < threshold * y exactly when (x << left) < (man * y) << right
+    left, right = (-exp, 0) if exp < 0 else (0, exp)
+    passed, failed = True, False
     worst, num, den = None, 0, 1
+    max_bound = float("-inf")
     for s in sums:
-        a, b = s.ratio()
-        if a * den > num * b:
-            worst, num, den = s, a, b
-    return worst.relative() if worst is not None else mp.mpf(0)
+        _, _, _, e, total, error, top = s
+        one, size = 1 << -e, abs(total)
+        lo, hi = max(one, top - error), max(one, top + error)
+        passed = passed and (size + error) << left < (man * lo) << right
+        failed = failed or (size - error) << left >= (man * hi) << right
+        scale = max(one, top)
+        if size * den > num * scale:
+            worst, num, den = s, size, scale
+        if error:
+            max_bound = max(max_bound, math.log2(error) - math.log2(lo))
+    return "pass" if passed else "fail" if failed else "", worst, max_bound
 
 
 def certify_ba(c: Configuration, threshold=None) -> BACertificate:
@@ -305,7 +311,7 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
         frac = c.precision + GUARD_BITS
         for _ in range(_MAX_DOUBLINGS + 1):
             sums = _sums(mults, phis, mults, frac)
-            verdict = _verdict(sums, thr)
+            verdict, worst, max_bound = _decide(sums, thr)
             if verdict:
                 break
             frac *= 2
@@ -313,12 +319,9 @@ def certify_ba(c: Configuration, threshold=None) -> BACertificate:
             raise IllConditioned(
                 f"a residual stays within its rounding bound of the threshold "
                 f"at {frac // 2} fraction bits")
-        worst = _max_relative(sums)
-    bounds = [(s.error, s.scale_range()[0]) for s in sums if s.error]
-    max_bound = max((math.log2(b) - math.log2(lo) for b, lo in bounds),
-                    default=float("-inf"))
+        max_residual = worst.relative() if worst is not None else mp.mpf(0)
     return BACertificate(digest=c.digest(), precision=c.precision,
-                         threshold=thr, max_residual=worst, verdict=verdict,
+                         threshold=thr, max_residual=max_residual, verdict=verdict,
                          residuals=tuple(sums), fraction_bits=frac,
                          max_bound_log2=max_bound)
 

@@ -24,14 +24,14 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import (from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_ge, mpf_gt,
-                          mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest,
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div, mpf_ge,
+                          mpf_gt, mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest,
                           to_fixed)
 
 from .errors import CollisionError, IdentityFailed, MissingExactData
 from .jsontext import to_json_text
-from .numeric import (GUARD_BITS, check_precision, hex_to_mpf, mpf_to_hex,
-                      reduce_angle_mod_pi, to_mp, working)
+from .numeric import (GUARD_BITS, angle_gap, check_precision, exact_ints,
+                      hex_to_mpf, mpf_to_hex, reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
 from .symfunc import (cayley, e_values, ehat_values, poly_from_elementary,
@@ -224,12 +224,10 @@ class Configuration:
             alpha = entry.get("alpha")
             alpha_exact = (INF if alpha == "inf" else None if alpha is None
                            else _fraction(alpha, f"line {k}: alpha"))
-            lines.append(Line(mult=mult,
-                              phi=hex_to_mpf(entry["phi_hex"]),
+            lines.append(Line(mult=mult, phi=hex_to_mpf(entry["phi_hex"]),
                               alpha_exact=alpha_exact))
         Multiplicities(tuple(ln.mult for ln in lines))  # ValueError on no lines
-        with working(precision):
-            _check_distinct_angles(sorted(ln.phi for ln in lines), precision)
+        _check_distinct_angles([ln.phi for ln in lines], precision)
         e, ehat = (None if d.get(key) is None
                    else tuple(_fraction(v, f"{key}[{j}]") for j, v in enumerate(d[key]))
                    for key in ("e", "ehat"))
@@ -286,15 +284,18 @@ def integer_mults(c: Configuration) -> List[int]:
     return [int(ln.mult) for ln in c.lines]
 
 
-def _check_distinct_angles(s, precision: int) -> None:
-    """CollisionError when two of the ascending angles s lie within
-    2^-(precision/2) of each other, also across the pi wrap."""
-    tol = mp.mpf(2) ** (-(precision // 2))
-    for a, b in zip(s, s[1:]):
-        if abs(b - a) < tol:
-            raise CollisionError(f"two lines coincide near phi = {mp.nstr(a, 10)}")
-    if s and (s[0] + mp.pi) - s[-1] < tol:
-        raise CollisionError("two lines coincide across the pi wrap")
+def _check_distinct_angles(phis, precision: int) -> None:
+    """CollisionError when two of the angles lie within 2^-(precision/2) of
+    each other mod pi, compared exactly (numeric.angle_gap)."""
+    gap, at, e = angle_gap(phis, precision)
+    if gap < 1 << (-(precision // 2) - e):
+        raise CollisionError(f"two lines coincide near phi = {mp.nstr(math.ldexp(at, e), 10)}")
+
+
+def _sorted_lines(lines: Sequence[Line]) -> Tuple[Line, ...]:
+    """lines in increasing phi, lines of equal phi in their order."""
+    keys = exact_ints([ln.phi for ln in lines])[0]
+    return tuple(ln for _, _, ln in sorted(zip(keys, range(len(lines)), lines)))
 
 
 # The least value each kind's builder gives the integer fields of its record.
@@ -342,7 +343,7 @@ def _check_slopes(c: Configuration) -> None:
     if groups and want != have:
         raise ValueError(f"the record has the multiplicities {want}, the lines {have}")
     bits, tol = check_precision(c.precision) // 2 + GUARD_BITS, c.precision // 2
-    points = {(ln.phi, ln.mult): [to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits)]
+    points = {(ln.phi._mpf_, ln.mult): [to_fixed(v, bits) for v in mpf_cos_sin(ln.phi._mpf_, bits)]
               for ln in c.lines if groups or ln.alpha_exact is not None}
     for form, mult in groups:
         zeros = sum(_vanishes(form, *xy, bits, tol) for (_, mu), xy in points.items()
@@ -352,7 +353,7 @@ def _check_slopes(c: Configuration) -> None:
                              f"{mult} vanishes at only {zeros} distinct stored lines")
     for k, ln in enumerate(c.lines):
         a = ln.alpha_exact
-        if a is not None and not _vanishes(_form(a), *points[ln.phi, ln.mult], bits, tol):
+        if a is not None and not _vanishes(_form(a), *points[ln.phi._mpf_, ln.mult], bits, tol):
             raise ValueError(f"line {k}: the stored slope {a} is not cot phi")
 
 
@@ -410,7 +411,7 @@ def _exact_chart(c: Configuration) -> Tuple[Line, ...]:
         if c.mtilde:
             lines.append(Line(mult=c.mtilde, phi=mp.pi / 2, alpha_exact=Fraction(0)))
         lines += [Line(mult=1, phi=+phi) for phi in phis]
-    return tuple(sorted(lines, key=lambda ln: ln.phi))
+    return _sorted_lines(lines)
 
 
 def _slope_chart(c: Configuration) -> Tuple[Line, ...]:
@@ -424,9 +425,8 @@ def _slope_chart(c: Configuration) -> Tuple[Line, ...]:
             if phi < 0:
                 phi += mp.pi
             lines.append(Line(mult=1, phi=phi, alpha_exact=a))
-        lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], c.precision)
-    return tuple(lines)
+    _check_distinct_angles([ln.phi for ln in lines], c.precision)
+    return _sorted_lines(lines)
 
 
 def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
@@ -534,9 +534,7 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
             if mpf_ge(angle, pi):
                 angle = mpf_sub(angle, pi, prec, rnd)
             new_lines.append(Line(mult=ln.mult, phi=mp.mp.make_mpf(angle)))
-    with working(c.precision):
-        new_lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in new_lines], c.precision)
+    _check_distinct_angles([ln.phi for ln in new_lines], c.precision)
 
     e = None
     if c.e is not None and c.n:
@@ -548,7 +546,7 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
     return Configuration(kind="qexpanded", precision=c.precision, m=c.m,
                          mtilde=c.mtilde, n=(c.n * q if c.n else None),
                          q=(c.q or 1) * q, e=tuple(e) if e else None,
-                         e_branch_sign=c.e_branch_sign, chart=tuple(new_lines))
+                         e_branch_sign=c.e_branch_sign, chart=_sorted_lines(new_lines))
 
 
 def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
@@ -600,9 +598,8 @@ def general_from_angles(mults: Sequence, phis: Sequence, precision: int = 256) -
             phi = reduce_angle_mod_pi(mp.mpf(phi))
             alpha = INF if phi == 0 else None
             lines.append(Line(mult=mu, phi=phi, alpha_exact=alpha))
-        lines.sort(key=lambda ln: ln.phi)
-        _check_distinct_angles([ln.phi for ln in lines], precision)
-    return Configuration(kind="general", precision=precision, chart=tuple(lines))
+    _check_distinct_angles([ln.phi for ln in lines], precision)
+    return Configuration(kind="general", precision=precision, chart=_sorted_lines(lines))
 
 
 def perturb_line(c: Configuration, index: int, delta: float) -> Configuration:
@@ -617,43 +614,23 @@ def perturb_line(c: Configuration, index: int, delta: float) -> Configuration:
 # --- equivalence of arrangements ---------------------------------------------
 
 
-def _circular_angle_distance(a, b):
-    d = abs(a - b)
-    return min(d, abs(mp.pi - d))
-
-
-def _matched_distance(pairs_a, pairs_b):
-    """Max distance after sorting both (phi, mult) lists; inf on mult mismatch."""
-    pa = sorted(pairs_a)
-    pb = sorted(pairs_b)
-    worst = mp.mpf(0)
-    for (phi1, m1), (phi2, m2) in zip(pa, pb):
-        if m1 != m2:
-            return mp.inf
-        worst = max(worst, _circular_angle_distance(phi1, phi2))
-    return worst
-
-
 def angle_multiset_distance(c1: Configuration, c2: Configuration):
-    """Distance between arrangements modulo rotation.
-
-    Tries every rotation aligning a line of c1 to the first line of c2,
-    then reports the smallest max mismatch of the sorted angle multisets;
-    equal multiplicity multisets are required."""
-    if len(c1) != len(c2):
-        return mp.inf
+    """Distance between arrangements modulo rotation: over no rotation and
+    the rotations taking each line of c1 onto the first line of c2, the
+    least largest circular gap mod pi between the two lists of (angle,
+    multiplicity) in order, exactly on integers (as numeric.angle_gap, at the
+    lower precision); inf when the multiplicities differ."""
     if sorted(ln.mult for ln in c1.lines) != sorted(ln.mult for ln in c2.lines):
         return mp.inf
-    precision = min(c1.precision, c2.precision)
-    with working(precision):
-        b = [(ln.phi, ln.mult) for ln in c2.lines]
-        base = c2.lines[0].phi
-        best = mp.inf
-        for ref in c1.lines:
-            delta = base - ref.phi
-            a = [(reduce_angle_mod_pi(ln.phi + delta), ln.mult) for ln in c1.lines]
-            best = min(best, _matched_distance(a, b))
-        # also the un-rotated comparison
-        a0 = [(ln.phi, ln.mult) for ln in c1.lines]
-        best = min(best, _matched_distance(a0, b))
-        return best
+    pi = mpf_pi(min(c1.precision, c2.precision) + GUARD_BITS, round_nearest)
+    ints, e = exact_ints([mp.mp.make_mpf(pi)] + [ln.phi for ln in c1.lines + c2.lines],
+                         least=2 * pi[2])
+    P, a, b = ints[0], ints[1:len(c1) + 1], ints[len(c1) + 1:]
+    want = sorted((x % P, ln.mult) for x, ln in zip(b, c2.lines))
+    best = mp.inf
+    for shift in [0] + [b[0] - x for x in a]:
+        got = sorted(((x + shift) % P, ln.mult) for x, ln in zip(a, c1.lines))
+        if [m for _, m in got] == [m for _, m in want]:
+            gap = max(min(abs(x - y), P - abs(x - y)) for (x, _), (y, _) in zip(got, want))
+            best = min(best, mp.mp.make_mpf(from_man_exp(gap, e)))
+    return best

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import sub
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_pi, round_nearest
 
 GUARD_BITS = 64
 MIN_PRECISION = 64
@@ -71,6 +72,29 @@ def hex_to_mpf(s: str):
     man_s, exp_s = s[2:].split("p")
     man = int(man_s, 16)
     return mp.mp.make_mpf(from_man_exp(-man if neg else man, int(exp_s)))
+
+
+def exact_ints(xs, least=-math.inf):
+    """(ints, e): the mpfs xs as the ints x * 2^-e, e their least exponent
+    but not below `least`.  Exact, so ordered and tied as the xs are, but
+    for bits below 2^least, which are floored."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (x._mpf_ for x in xs)]
+    e = max(min((exp for _, exp in parts), default=0), least)
+    return [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in parts], e
+
+
+def angle_gap(phis, precision: int):
+    """(gap, at, e): the least gap between the angles mod the working-precision
+    pi, the one across the pi wrap included, and the angle it starts at, as
+    exact_ints over 2^-e (e at least twice pi's exponent); ValueError on an
+    angle of 2^(precision/2) or more, which that pi cannot place."""
+    if any(sum(phi._mpf_[2:]) > precision // 2 for phi in phis):  # exponent plus bit count
+        raise ValueError(f"an angle of 2^{precision // 2} or more is too large to reduce "
+                         f"mod pi at {precision} bits")
+    pi = mpf_pi(precision + GUARD_BITS, round_nearest)
+    ints, e = exact_ints([mp.mp.make_mpf(pi), *phis], least=2 * pi[2])
+    s = sorted(x % ints[0] for x in ints[1:])
+    return (*min(zip(map(sub, s[1:] + [s[0] + ints[0]], s), s)), e)
 
 
 def reduce_angle_mod_pi(phi):

@@ -108,7 +108,7 @@ from mpmath.libmp import mpf_cos_sin, to_fixed
 
 from .config import INF, Configuration, integer_mults
 from .errors import IllConditioned, MissingExactData, TailMismatch
-from .numeric import GUARD_BITS, check_precision, working
+from .numeric import GUARD_BITS, angle_gap, check_precision, working
 from .poly import DensePoly
 
 
@@ -310,16 +310,12 @@ def cos_sin_table(c: Configuration) -> CosSinTable:
     without a refusal."""
     frac = check_precision(c.precision) + GUARD_BITS
     light = _slope_lines(c)
-    phis = sorted(ln.phi for ln in light)
-    if len(phis) > 1:
+    if len(light) > 1:
         bits = min(64, c.precision // 4) - c.precision // 2
-        with working(c.precision):
-            gap = min([b - a for a, b in zip(phis, phis[1:])]
-                      + [phis[0] + mp.pi - phis[-1]])
-            if gap < mp.mpf(2) ** bits:
-                raise IllConditioned(
-                    f"rank margin: two slope lines are 2^{mp.nstr(mp.log(gap, 2), 5)} "
-                    f"apart, closer than 2^{bits}")
+        gap, _, e = angle_gap([ln.phi for ln in light], c.precision)
+        if gap < 1 << (bits - e):
+            raise IllConditioned(f"rank margin: two slope lines are 2^"
+                                 f"{mp.nstr(math.log2(gap) + e, 5)} apart, closer than 2^{bits}")
     return [tuple([1 << frac, to_fixed(v, frac)]
                   for v in mpf_cos_sin(ln.phi._mpf_, frac)) for ln in light]
 

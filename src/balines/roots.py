@@ -27,7 +27,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import NoConvergence, NonSquarefree
-from .numeric import check_precision
+from .numeric import check_precision, exact_ints
 from .poly import DensePoly
 
 # G = 4n + 4 sample points at first, doubled at most this many times
@@ -233,4 +233,4 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
         x, t = _refine(c, lo << (t - s), hi << (t - s), slo, x, t, width,
                        precision + 96 + extra, precision)
         roots.append(_exact(x, t))
-    return sorted(roots)
+    return [r for _, r in sorted(zip(exact_ints(roots)[0], roots))]  # distinct roots

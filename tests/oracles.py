@@ -849,6 +849,106 @@ def mpf_certificate(lines, threshold):
     return ("pass" if worst < threshold else "fail"), out
 
 
+# --- the fixed-point kernel and decision as loops over every term ---------------
+
+
+def loop_sums(mults, phis, orders, frac: int):
+    """certify._sums with each condition's sum, bound and largest |term|
+    accumulated term by term in the pair loop: for each pair, each of its
+    two lines and each order, six running values updated in Python."""
+    from mpmath.libmp import mpf_cos_sin, to_fixed
+
+    from balines.certify import _INPUT_ERROR, ConditionResidual
+    from balines.errors import CollisionError
+
+    one = 1 << frac
+    e = _INPUT_ERROR
+    eta = e * (one << 2) + 2 * e * e
+    cs = []
+    for phi in phis:
+        c, s = (to_fixed(v, frac) for v in mpf_cos_sin(phi._mpf_, frac + 10))
+        cs.append((c, s, c + s, c - s))
+    acc = [[[0] * 6 for _ in range(kmax)] for kmax in orders]
+    n = len(cs)
+    for j in range(n):
+        cj, sj, aj, bj = cs[j]
+        mj, oj, acc_j = mults[j], orders[j], acc[j]
+        for i in range(j + 1, n):
+            oi = orders[i]
+            top = oi if oi > oj else oj
+            if not top:
+                continue
+            ci, si, ai, _ = cs[i]
+            k1 = cj * ai
+            den = k1 - ci * aj
+            gap = (den if den > 0 else -den) - eta
+            if gap <= 0:
+                raise CollisionError(f"lines {i} and {j} are collinear")
+            p = ((k1 - si * bj) << frac) // den
+            size = p if p > 0 else -p
+            b = 2 + (eta * (one + size + 1) >> (gap.bit_length() - 1))
+            cot2 = (p * p) >> frac
+            err2 = (((size << 1) + b) * b >> frac) + 2
+            over = cot2 + err2
+            powers, bounds = [p], [b]
+            for _ in range(top):
+                b = ((size * err2 + over * b) >> frac) + 2
+                p = (p * cot2) >> frac
+                size = p if p > 0 else -p
+                powers.append(p)
+                bounds.append(b)
+            for sums, m, sign in ((acc_j, mults[i], 1), (acc[i], mj, -1)):
+                w = m * (m + 1)
+                sm, sw = sign * m, sign * w
+                for k in range(len(sums)):
+                    s = sums[k]
+                    term = sm * powers[k]
+                    s[0] += term
+                    s[1] += m * bounds[k]
+                    s[2] = max(s[2], abs(term))
+                    term = sw * (powers[k] + powers[k + 1])
+                    s[3] += term
+                    s[4] += w * (bounds[k] + bounds[k + 1])
+                    s[5] = max(s[5], abs(term))
+    return [ConditionResidual(j, k + 1, "polar-" + form, -frac - shift, *s[at:at + 3])
+            for j, sums in enumerate(acc) for k, s in enumerate(sums)
+            for form, shift, at in (("first", 0, 0), ("locus", 2, 3))]
+
+
+def _scale_range(s):
+    """Lower and upper bounds on a condition's scale, max(1, largest summand)."""
+    one = 1 << -s.exp
+    return max(one, s.top - s.error), max(one, s.top + s.error)
+
+
+def loop_decide(sums, threshold):
+    """(verdict, worst, max_bound_log2) as three separate passes: all() and
+    any() of the threshold tests for the verdict, a cross-multiplication loop
+    for the worst condition, and max over a list of log2 differences."""
+    sign, man, exp, _ = threshold._mpf_
+    man = -man if sign else man
+
+    def below(x: int, y: int) -> bool:  # x < threshold * y
+        return (x << -exp) < man * y if exp < 0 else x < (man * y) << exp
+
+    lo_hi = [_scale_range(s) for s in sums]
+    if all(below(abs(s.total) + s.error, lo) for s, (lo, _) in zip(sums, lo_hi)):
+        verdict = "pass"
+    elif any(not below(abs(s.total) - s.error, hi) for s, (_, hi) in zip(sums, lo_hi)):
+        verdict = "fail"
+    else:
+        verdict = ""
+    worst, num, den = None, 0, 1
+    for s in sums:
+        a, b = s.ratio()
+        if a * den > num * b:
+            worst, num, den = s, a, b
+    bounds = [(s.error, _scale_range(s)[0]) for s in sums if s.error]
+    max_bound = max((math.log2(b) - math.log2(lo) for b, lo in bounds),
+                    default=float("-inf"))
+    return verdict, worst, max_bound
+
+
 # --- the locus Newton phase in mpmath ------------------------------------------
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from balines import certify
 from balines.certify import (certify_ba, default_threshold, ode_residual_am1n,
                              ode_residual_two_mult)
 from balines.cli import main
@@ -14,10 +15,13 @@ from balines.locus import solve_general_locus
 from balines.numeric import GUARD_BITS, log2_abs, working
 from balines.poly import DensePoly
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from oracles import (cartesian_condition_value, fraction_am1n_ode_residual,
-                     fraction_two_mult_ode_residual, mpf_certificate,
-                     polar_condition_residual)
+                     fraction_two_mult_ode_residual, loop_decide, loop_sums,
+                     mpf_certificate, polar_condition_residual)
 
 
 def residuals(c):
@@ -377,8 +381,6 @@ def test_bound_covers_inputs_pushed_to_their_error(monkeypatch):
     # error; the error of every sum stays within its bound, and the worst
     # one within 2^3 of it (a bound without the error of c^2 in the odd
     # powers falls below the error here)
-    from balines import certify
-
     with mp.workprec(400):
         phis = [mp.mpf(0), mp.mpf(2) ** -40, mp.mpf(1) / 3, mp.mpf(2)]
     c = general_from_angles([4, 5, 1, 2], phis, 256)
@@ -412,3 +414,108 @@ def test_bound_covers_inputs_pushed_to_their_error(monkeypatch):
                 assert err <= r.bound, (signs, r.j, r.k, r.form)
                 worst = max(worst, err / r.bound)
     assert worst > 2 ** -3
+
+
+# --- the kernel and the decision pass against their term-by-term loops --------
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(mults, phis, orders, frac): 2 to 30 lines at distinct thousandths in
+    [-3, 6], so some lie outside [0, pi), multiplicities 1 to 6, and orders
+    as certify_ba passes them (the multiplicities), as
+    first_condition_residual_lines does (k at one line, 0 elsewhere) or any
+    from 0 to 6."""
+    n = draw(st.integers(2, 30))
+    mults = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    nums = draw(st.lists(st.integers(-3000, 6000), min_size=n, max_size=n, unique=True))
+    with mp.workprec(320):
+        phis = [mp.mpf(k) / 1000 for k in nums]
+    how = draw(st.sampled_from(["mults", "one", "any"]))
+    if how == "mults":
+        orders = mults
+    elif how == "one":
+        j = draw(st.integers(0, n - 1))
+        k = draw(st.integers(1, mults[j]))
+        orders = [k if i == j else 0 for i in range(n)]
+    else:
+        orders = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return mults, phis, orders, draw(st.sampled_from([80, 128, 256 + GUARD_BITS]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_inputs())
+def test_sums_equal_the_loop(args):
+    assert certify._sums(*args) == loop_sums(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.data(), st.integers(300, 330), st.booleans())
+def test_near_collinear_pairs_raise_as_the_loop_does(n, data, gap_bits, wrap):
+    # one line moved 2^-gap_bits (or pi less that) off another: below the
+    # rounding bound of the sine at 320 fraction bits from about 2^-317
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    with mp.workprec(400):
+        phis = [mp.mpf(k) / (n + 1) for k in range(n)]
+        phis[b] = phis[a] + (mp.pi if wrap else 0) - mp.mpf(2) ** -gap_bits
+    args = ([1 + k % 3 for k in range(n)], phis, [1 + k % 3 for k in range(n)],
+            256 + GUARD_BITS)
+    try:
+        want = loop_sums(*args)
+    except CollisionError as err:
+        with pytest.raises(CollisionError) as got:
+            certify._sums(*args)
+        assert str(got.value) == str(err)
+    else:
+        assert certify._sums(*args) == want
+
+
+@st.composite
+def _residuals_and_threshold(draw):
+    """Conditions of small integers, so that many straddle a threshold
+    man * 2^exp with exp from -8 to 3: of either family, with any total,
+    error and top."""
+    frac = draw(st.integers(4, 12))
+    sums = []
+    for j in range(draw(st.integers(0, 12))):
+        shift = draw(st.sampled_from([0, 2]))
+        big = 1 << (frac + 3)
+        sums.append(certify.ConditionResidual(
+            j, 1, ("polar-first", "", "polar-locus")[shift], -frac - shift,
+            draw(st.integers(-big, big)), draw(st.integers(0, 64)),
+            draw(st.integers(0, big))))
+    thr = mp.mp.make_mpf(from_man_exp(draw(st.integers(1, 7)), draw(st.integers(-8, 3))))
+    return sums, thr
+
+
+def _decisions_agree(sums, thr):
+    """_decide against loop_decide: the same verdict and bound, and the
+    same condition object as the worst; returns the verdict."""
+    got, want = certify._decide(sums, thr), loop_decide(sums, thr)
+    assert (got[0], got[2]) == (want[0], want[2])
+    assert got[1] is want[1]
+    return got[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_residuals_and_threshold())
+def test_decision_pass_equals_the_loops(args):
+    _decisions_agree(*args)
+
+
+def test_decision_pass_equals_the_loops_on_charts():
+    # undecided at the worst residual itself (threshold below 1), at
+    # threshold 1 on two lines whose every residual is 1, and decided
+    # either way at 2^-3, 2^3 and the default
+    c = t_q_expand(build_am1n(3, 4, 256), 2)
+    two = general_from_angles([1, 1], [0, mp.mpf(1) / 2], 256)
+    pert = perturb_line(build_am1n(3, 3, 256), 2, 1e-2)
+    frac = 256 + GUARD_BITS
+    verdicts = []
+    for chart, thr in [(c, certify_ba(c).max_residual), (two, mp.mpf(1)),
+                       (two, mp.mpf(2) ** -3), (two, mp.mpf(8)), (pert, mp.mpf(2) ** -3),
+                       (c, default_threshold(256)), (pert, default_threshold(256))]:
+        mults = [ln.mult for ln in chart.lines]
+        sums = certify._sums(mults, [ln.phi for ln in chart.lines], mults, frac)
+        verdicts.append(_decisions_agree(sums, thr))
+    assert verdicts == ["", "", "fail", "pass", "pass", "pass", "fail"]

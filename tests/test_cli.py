@@ -82,21 +82,73 @@ def test_certify_perturbed_fails(tmp_path):
     assert run(["certify", "--input", str(path)]) == 1
 
 
+def _below_zero(record, k, precision):
+    """record with line k's angle stored pi less, the same line."""
+    import mpmath as mp
+
+    from balines.numeric import hex_to_mpf, mpf_to_hex, working
+
+    line = record["lines"][k]
+    with working(precision):
+        line["phi_hex"] = mpf_to_hex(hex_to_mpf(line["phi_hex"]) - mp.pi)
+    return record
+
+
+@pytest.mark.parametrize("cmd", ["certify", "hilbert"])
+def test_a_line_stored_below_zero_answers_as_in_range(cmd, tmp_path, capsys):
+    """Line 1, the first after the line at 0, stored as phi - pi: the load
+    check measures the gaps mod pi, so certify passes as on the stored
+    record and the Hilbert series of the numeric chart is the same."""
+    from balines.config import build_am1n, random_type_m1n
+
+    if cmd == "certify":
+        record = build_am1n(2, 3, 256).to_json_dict()
+    else:
+        _write_numeric_chart(random_type_m1n(2, 5, 1, 256), tmp_path / "numeric.json")
+        record = json.loads((tmp_path / "numeric.json").read_text())
+    outputs = []
+    for k in (None, 1):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(record if k is None else _below_zero(record, k, 256)))
+        assert run([cmd, "--input", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("manifest")
+        outputs.append(payload)
+    if cmd == "certify":
+        assert [c["verdict"] for c in outputs] == ["pass", "pass"]
+    else:
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["numerator"] == [1, 0, -1, 0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def test_an_angle_of_huge_exponent_is_refused_at_once(tmp_path, capsys):
+    """A phi_hex of 2^1000000 exits 2 before anything reduces it, and one
+    of 2^-1000000 floors to the line at 0 without a million-bit int."""
+    import time
+
+    from balines.config import build_am1n
+
+    for phi_hex, words in (("0x1p1000000", "too large to reduce mod pi"),
+                           ("0x1p-1000000", "coincide near phi = 0.0")):
+        record = build_am1n(2, 3, 256).to_json_dict()
+        record["lines"][1]["phi_hex"] = phi_hex
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(record))
+        start = time.perf_counter()
+        assert run(["certify", "--input", str(path)]) == 2
+        assert time.perf_counter() - start < 2
+        assert words in capsys.readouterr().err
+
+
 def test_certify_a_line_stored_below_zero(tmp_path):
     """The last line of am1n (2, 3) stored as phi - pi, the same line, loads
     at its exact angle and certifies as before."""
-    import mpmath as mp
-
     from balines.config import build_am1n
-    from balines.numeric import hex_to_mpf, mpf_to_hex, working
 
-    record = build_am1n(2, 3, 96).to_json_dict()
-    line = record["lines"][-1]
-    with working(96):
-        line["phi_hex"] = mpf_to_hex(hex_to_mpf(line["phi_hex"]) - mp.pi)
+    record = _below_zero(build_am1n(2, 3, 96).to_json_dict(), -1, 96)
     path = tmp_path / "below.json"
     path.write_text(json.dumps(record))
-    assert line["phi_hex"].startswith("-")
+    assert record["lines"][-1]["phi_hex"].startswith("-")
     assert run(["certify", "--input", str(path)]) == 0
 
 
@@ -233,13 +285,16 @@ ZERO_DENOMINATOR = {"e-1/0": lambda d: d["e"].__setitem__(0, "1/0"),
                     "ehat-1/0": lambda d: d["ehat"].__setitem__(0, "-3/0"),
                     "alpha-1/0": lambda d: d["lines"][1].update(alpha="1/0")}
 # Edits of INPUT that make its record contradict its lines, give it an m
-# that is not a positive int, store an angle that is not a hex string or a
-# fraction with a zero denominator, or name no known kind, by name.
+# that is not a positive int, store an angle that is not a hex string, one
+# too large to reduce mod pi, one on top of the line at 0 or a fraction with
+# a zero denominator, or name no known kind, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3),
           "m-0": lambda d: d.update(m=0),
           "phi-hex-5": lambda d: d["lines"][1].update(phi_hex=5),
           "phi-hex-null": lambda d: d["lines"][1].update(phi_hex=None),
+          "phi-hex-2^1000000": lambda d: d["lines"][1].update(phi_hex="0x1p1000000"),
+          "phi-hex-2^-1000000": lambda d: d["lines"][1].update(phi_hex="0x1p-1000000"),
           "kind-5": lambda d: d.update(kind=5),
           "kind-bogus": lambda d: d.update(kind="bogus"),
           **ZERO_DENOMINATOR}
@@ -391,6 +446,8 @@ BAD_INPUT = [
         ["certify", "--input", "INPUT"], ["hilbert", "--input", "INPUT"],
         ["construct", "tq", "--input", "INPUT", "--q", "2"])],
     *[([cmd, "--input", "INPUT"], name) for name in RECORD_EDITED
+      for cmd in ("certify", "hilbert")],
+    *[([cmd, "--input", "INPUT"], name) for name in ("phi-hex-2^1000000", "phi-hex-2^-1000000")
       for cmd in ("certify", "hilbert")],
 ]
 
@@ -613,11 +670,13 @@ def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rank margin")
 
 
-# SHA-256 of the stdout of eight requests, the manifest's wall_clock dropped,
-# run in a directory holding pert.json (am1n (3, 3) with line 2 moved by
-# 1e-2), base.json (twomult (2, 1, 4)) and numeric.json (random (2, 5),
-# seed 1, with its exact data removed): they hold the bytes of passing and
-# failing certificates, of a q-expansion and of Hilbert series on the
+# SHA-256 of the stdout of eleven requests, the manifest's wall_clock
+# dropped, run in a directory holding pert.json (am1n (3, 3) with line 2
+# moved by 1e-2), base.json (twomult (2, 1, 4)), numeric.json (random (2, 5),
+# seed 1, with its exact data removed), and below.json and numeric-below.json
+# (am1n (2, 3) and numeric.json with line 1 stored pi less): they hold the
+# bytes of passing and failing certificates, of one whose heavy line repeats
+# at four indices, of a q-expansion and of Hilbert series on the
 # closed-form, exact and numeric routes fixed while the arithmetic behind
 # them changes.
 PINNED = {
@@ -628,6 +687,15 @@ PINNED = {
         ["certify", "--family", "twomult", "--m", "2", "--mt", "1", "--n", "4",
          "--q", "3"], 0,
         "133f7b0455cc8afabd91131dcbf0eeab5e7e270c7a2a821b01d8900c2a72765f"),
+    "certify-am1n-6-4-q4": (
+        ["certify", "--family", "am1n", "--m", "6", "--n", "4", "--q", "4"], 0,
+        "84de04ced55fe1fdd9b82da382629cef0cb3f8bbad427c6834ac74d540d2914a"),
+    "certify-line-1-below-zero": (
+        ["certify", "--input", "below.json"], 0,
+        "3fada6167ccddf34ad3b16a3df14aca7238d3b55aa88bf8bc84919e9350a1375"),
+    "hilbert-numeric-line-1-below-zero": (
+        ["hilbert", "--input", "numeric-below.json"], 0,
+        "8319b4a04d6a6c60dad7b7e347174f0d5825b606fe3b09a1af857d87107c221b"),
     "certify-perturbed": (
         ["certify", "--input", "pert.json"], 1,
         "2b3d534b2e5996b0db6569ee6846753a7265614ff3237424e979d9d2a7068ea3"),
@@ -671,6 +739,10 @@ def test_cli_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     perturb_line(build_am1n(3, 3, 256), 2, 1e-2).save("pert.json")
     build_two_mult(2, 1, 4, 256).save("base.json")
     _write_numeric_chart(random_type_m1n(2, 5, 1, 256), tmp_path / "numeric.json")
+    (tmp_path / "below.json").write_text(
+        json.dumps(_below_zero(build_am1n(2, 3, 256).to_json_dict(), 1, 256)))
+    numeric = json.loads((tmp_path / "numeric.json").read_text())
+    (tmp_path / "numeric-below.json").write_text(json.dumps(_below_zero(numeric, 1, 256)))
     argv, code, digest = PINNED[name]
     assert pinned_digest(argv, capsys) == (code, digest)
 

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmath.libmp import mpf_pi, round_down
+from mpmath.libmp import from_man_exp, mpf_pi, round_down, round_nearest
 
 from balines.config import (INF, Configuration, Line, angle_multiset_distance,
                             build_am1n, build_two_mult, from_alphas,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import GUARD_BITS, hex_to_mpf, mpf_to_hex, to_mp, working
+from balines.numeric import (GUARD_BITS, angle_gap, exact_ints, hex_to_mpf, mpf_to_hex, to_mp,
+                             working)
 from balines.poly import DensePoly
 
 from balines.locus import solve_general_locus
@@ -502,3 +503,63 @@ def test_random_single_line():
     c = random_type_m1n(1, 1, seed=123)
     (ln,) = slope_lines(c)
     assert isinstance(ln.alpha_exact, F) and ln.alpha_exact != 0
+
+
+# --- angles ordered and separated as integers ---------------------------------
+
+
+@st.composite
+def _mpf_lists(draw):
+    """mpfs of mantissas up to 2^330 and exponents -1100 to 40: zeros,
+    negatives, values far below 2^-1000 and repeats of earlier ones."""
+    xs = [mp.mp.make_mpf(from_man_exp(draw(st.integers(-2 ** 330, 2 ** 330)),
+                                      draw(st.integers(-1100, 40))))
+          for _ in range(draw(st.integers(0, 20)))]
+    if xs:
+        xs += [xs[i] for i in draw(st.lists(st.integers(0, len(xs) - 1), max_size=5))]
+    if draw(st.booleans()):
+        xs.append(mp.mpf(0))
+    return draw(st.permutations(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mpf_lists())
+def test_exact_ints_order_as_the_mpfs(xs):
+    keys = exact_ints(xs)[0]
+    assert sorted(range(len(xs)), key=keys.__getitem__) == \
+        sorted(range(len(xs)), key=xs.__getitem__)
+
+
+def test_angle_gap_is_exact_on_whole_turns():
+    # 1/3 and 2/3 (at p + GUARD_BITS bits) moved by whole turns of the
+    # working pi (p + GUARD_BITS bits, rounded to nearest) are their exact
+    # difference apart, and 0 and that pi are the same line
+    p = 256
+    with mp.workprec(p + GUARD_BITS):
+        third, two_thirds = mp.mpf(1) / 3, mp.mpf(2) / 3
+    with mp.workprec(2000):
+        pi = mp.mp.make_mpf(mpf_pi(p + GUARD_BITS, round_nearest))
+        want = angle_gap([third, two_thirds], p)
+        for k1, k2 in [(0, -1), (3, -7), (-2, 5)]:
+            assert angle_gap([third + k1 * pi, two_thirds + k2 * pi], p) == want
+        gap, at, e = want
+        assert mp.ldexp(gap, e) == two_thirds - third and mp.ldexp(at, e) == third
+        assert angle_gap([mp.mpf(0), pi], p)[0] == 0
+
+
+@pytest.mark.parametrize("turns", [0, 1, -2])
+def test_separation_is_exact_at_the_tolerance_mod_pi(turns):
+    # a gap of exactly 2^-(p/2) is allowed, 2^-300 less is a collision,
+    # wherever the pair sits mod pi
+    p = 256
+    with mp.workprec(2000):
+        pi = mp.mp.make_mpf(mpf_pi(p + GUARD_BITS, round_nearest))
+        a = mp.mpf(1) + turns * pi
+        lines = [Line(1, mp.mpf(0)), Line(1, a), Line(1, a + mp.mpf(2) ** -(p // 2))]
+    record = Configuration(kind="general", precision=p, chart=tuple(lines)).to_json_dict()
+    Configuration.from_json_dict(record)
+    with mp.workprec(2000):
+        lines[2] = Line(1, lines[2].phi - mp.mpf(2) ** -300)
+    record = Configuration(kind="general", precision=p, chart=tuple(lines)).to_json_dict()
+    with pytest.raises(CollisionError, match="coincide near phi = 1.0"):
+        Configuration.from_json_dict(record)

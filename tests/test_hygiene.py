@@ -159,3 +159,31 @@ def test_only_the_writer_indents_json(path):
     format is decided in one function."""
     lines = _indented_json_calls(path)
     assert not lines, f"{path.name} writes indented JSON itself at lines {lines}"
+
+
+def _mpf_angle_sorts(path):
+    """Line numbers where a module sorts by an angle: a key= lambda that
+    reads .phi, or sorted() or .sort() over an expression that reads .phi."""
+    def reads_phi(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "phi" for n in ast.walk(node))
+
+    lines = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(n, ast.Call):
+            continue
+        if any(k.arg == "key" and isinstance(k.value, ast.Lambda) and reads_phi(k.value.body)
+               for k in n.keywords):
+            lines.append(n.lineno)
+        sorts = (isinstance(n.func, ast.Name) and n.func.id == "sorted"
+                 or isinstance(n.func, ast.Attribute) and n.func.attr == "sort")
+        if sorts and n.args and reads_phi(n.args[0]):
+            lines.append(n.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
+def test_no_sort_by_an_mpf_angle(path):
+    """Lines and angles are ordered on exact ints (numeric.exact_ints) or
+    checked on them (numeric.angle_gap), not by mpf comparisons."""
+    lines = _mpf_angle_sorts(path)
+    assert not lines, f"{path.name} sorts by an mpf angle at lines {lines}"

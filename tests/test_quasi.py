@@ -167,6 +167,22 @@ def test_nearly_equal_slopes_are_refused_on_the_numeric_route():
         qi_dimension_numeric(c, 18)
 
 
+@pytest.mark.parametrize("turns", [0, -1, 2])
+def test_slope_gap_is_measured_mod_pi(turns):
+    # the close pair of the test above, one of them stored turns * pi away:
+    # the same gap, 2^-126 and a real log2, whichever way it is stored
+    c = numeric_chart(from_alphas(2, [F(1), 1 + F(1, 2 ** 125), F(-1, 3), F(2, 5), F(7)], 256))
+    lines = list(c.lines)
+    with mpmath.workprec(2000):
+        near = [i for i, ln in enumerate(lines) if abs(ln.phi - mpmath.pi / 4) < 2 ** -100]
+        assert len(near) == 2
+        lines[near[1]] = Line(1, lines[near[1]].phi + turns * mpmath.mp.make_mpf(
+            mpmath.libmp.mpf_pi(256 + quasi.GUARD_BITS, mpmath.libmp.round_nearest)))
+    moved = Configuration(kind="general", precision=256, chart=tuple(lines))
+    with pytest.raises(IllConditioned, match=r"two slope lines are 2\^-126\.0 apart"):
+        quasi.cos_sin_table(moved)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_twomult_with_a_light_line_at_pi_half(m):
     # mtilde = 1 makes the pi/2 line the slope root alpha = 0 of alpha R
