@@ -181,8 +181,7 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
     line j weighs by m_i and line i by -m_j.  The power of order k + 1 is
     the one of order k times c^2; its bound follows from |x c2 - X t^2| <=
     |x| |c2 - t^2| + t^2 |x - X| plus the truncation.  The locus sums are
-    kept four times over, so that they need no division.  Multiplicities
-    are at least 1."""
+    kept four times over, so that they need no division."""
     one = 1 << frac
     e = _INPUT_ERROR
     eta = e * (one << 2) + 2 * e * e  # error of the products below, units 2^-2F
@@ -226,9 +225,12 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
             rows_j.append(row)
             rows[i].append(row)
     # Line j weighs partner i by s m_i and s m_i (m_i + 1), s = -1 for an
-    # earlier partner (its cot is of phi_j - phi_i): weights 1 and 2 by sum
-    # and max over the columns, then the difference for each m_i != 1.
-    heavy = [(i, m) for i, m in enumerate(mults) if m != 1]
+    # earlier partner (its cot is of phi_j - phi_i): the least weights u and
+    # u (u + 1), u = 1 unless a multiplicity is less, by sum and max over the
+    # columns, then the difference for each m_i != u, whose terms are larger.
+    u = min([1, *mults])
+    uw = u * (u + 1)
+    heavy = [(i, m) for i, m in enumerate(mults) if m != u]
     out = []
     for j, oj in enumerate(orders):
         # partner i is at position i (earlier) or i - 1 (later) in rows[j]
@@ -238,17 +240,17 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
         sums = [sum(col) if c % 2 else sum(col[j:]) - sum(col[:j]) for c, col in enumerate(cols)]
         for at in range(0, 2 * oj, 2):
             powers, bounds, higher, hbounds = cols[at:at + 4]
-            total, bound = sums[at], sums[at + 1]
-            top = max(map(abs, powers), default=0)
-            ltotal, lbound = 2 * (total + sums[at + 2]), 2 * (bound + sums[at + 3])
-            ltop = 2 * max(map(abs, map(add, powers, higher)), default=0)
+            total, bound = u * sums[at], u * sums[at + 1]
+            top = u * max(map(abs, powers), default=0)
+            ltotal, lbound = uw * (sums[at] + sums[at + 2]), uw * (sums[at + 1] + sums[at + 3])
+            ltop = uw * max(map(abs, map(add, powers, higher)), default=0)
             for pos, sign, m, w in fix:
                 p, pair = powers[pos], powers[pos] + higher[pos]
-                total += sign * (m - 1) * p
-                bound += (m - 1) * bounds[pos]
+                total += sign * (m - u) * p
+                bound += (m - u) * bounds[pos]
                 top = max(top, m * abs(p))
-                ltotal += sign * (w - 2) * pair
-                lbound += (w - 2) * (bounds[pos] + hbounds[pos])
+                ltotal += sign * (w - uw) * pair
+                lbound += (w - uw) * (bounds[pos] + hbounds[pos])
                 ltop = max(ltop, w * abs(pair))
             k = at // 2 + 1
             out += (ConditionResidual(j, k, "polar-first", -frac, total, bound, top),
@@ -258,12 +260,10 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
     """The first-family residual at line j and order k, with F the ambient
-    working precision; ValueError on a multiplicity below 1."""
-    mults = [ln.mult for ln in lines]
-    if min(mults) < 1:
-        raise ValueError(f"multiplicity {min(mults)!r} is below 1")
+    working precision."""
     orders = [k if i == j else 0 for i in range(len(lines))]
-    return _sums(mults, [ln.phi for ln in lines], orders, mp.mp.prec)[2 * k - 2]
+    return _sums([ln.mult for ln in lines], [ln.phi for ln in lines], orders,
+                 mp.mp.prec)[2 * k - 2]
 
 
 def default_threshold(precision: int):

@@ -30,8 +30,8 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div,
 
 from .errors import CollisionError, IdentityFailed, MissingExactData
 from .jsontext import to_json_text
-from .numeric import (GUARD_BITS, angle_gap, check_precision, exact_ints,
-                      hex_to_mpf, mpf_to_hex, reduce_angle_mod_pi, to_mp, working)
+from .numeric import (GUARD_BITS, angle_gap, check_precision, hex_to_mpf, mpf_to_hex,
+                      order_keys, reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
 from .symfunc import (cayley, e_values, ehat_values, poly_from_elementary,
@@ -289,12 +289,13 @@ def _check_distinct_angles(phis, precision: int) -> None:
     each other mod pi, compared exactly (numeric.angle_gap)."""
     gap, at, e = angle_gap(phis, precision)
     if gap < 1 << (-(precision // 2) - e):
-        raise CollisionError(f"two lines coincide near phi = {mp.nstr(math.ldexp(at, e), 10)}")
+        raise CollisionError(f"two lines coincide near phi = "
+                             f"{mp.nstr(mp.mp.make_mpf(from_man_exp(at, e)), 10)}")
 
 
 def _sorted_lines(lines: Sequence[Line]) -> Tuple[Line, ...]:
     """lines in increasing phi, lines of equal phi in their order."""
-    keys = exact_ints([ln.phi for ln in lines])[0]
+    keys = order_keys([ln.phi for ln in lines])
     return tuple(ln for _, _, ln in sorted(zip(keys, range(len(lines)), lines)))
 
 
@@ -614,23 +615,43 @@ def perturb_line(c: Configuration, index: int, delta: float) -> Configuration:
 # --- equivalence of arrangements ---------------------------------------------
 
 
+def _circular_angle_distance(a, b):
+    d = abs(a - b)
+    return min(d, abs(mp.pi - d))
+
+
+def _matched_distance(pairs_a, pairs_b):
+    """Max distance after sorting both (phi, mult) lists; inf on mult mismatch."""
+    pa = sorted(pairs_a)
+    pb = sorted(pairs_b)
+    worst = mp.mpf(0)
+    for (phi1, m1), (phi2, m2) in zip(pa, pb):
+        if m1 != m2:
+            return mp.inf
+        worst = max(worst, _circular_angle_distance(phi1, phi2))
+    return worst
+
+
 def angle_multiset_distance(c1: Configuration, c2: Configuration):
-    """Distance between arrangements modulo rotation: over no rotation and
-    the rotations taking each line of c1 onto the first line of c2, the
-    least largest circular gap mod pi between the two lists of (angle,
-    multiplicity) in order, exactly on integers (as numeric.angle_gap, at the
-    lower precision); inf when the multiplicities differ."""
+    """Distance between arrangements modulo rotation.
+
+    Tries every rotation aligning a line of c1 to the first line of c2,
+    then reports the smallest max mismatch of the sorted angle multisets;
+    equal multiplicity multisets are required."""
+    if len(c1) != len(c2):
+        return mp.inf
     if sorted(ln.mult for ln in c1.lines) != sorted(ln.mult for ln in c2.lines):
         return mp.inf
-    pi = mpf_pi(min(c1.precision, c2.precision) + GUARD_BITS, round_nearest)
-    ints, e = exact_ints([mp.mp.make_mpf(pi)] + [ln.phi for ln in c1.lines + c2.lines],
-                         least=2 * pi[2])
-    P, a, b = ints[0], ints[1:len(c1) + 1], ints[len(c1) + 1:]
-    want = sorted((x % P, ln.mult) for x, ln in zip(b, c2.lines))
-    best = mp.inf
-    for shift in [0] + [b[0] - x for x in a]:
-        got = sorted(((x + shift) % P, ln.mult) for x, ln in zip(a, c1.lines))
-        if [m for _, m in got] == [m for _, m in want]:
-            gap = max(min(abs(x - y), P - abs(x - y)) for (x, _), (y, _) in zip(got, want))
-            best = min(best, mp.mp.make_mpf(from_man_exp(gap, e)))
-    return best
+    precision = min(c1.precision, c2.precision)
+    with working(precision):
+        b = [(ln.phi, ln.mult) for ln in c2.lines]
+        base = c2.lines[0].phi
+        best = mp.inf
+        for ref in c1.lines:
+            delta = base - ref.phi
+            a = [(reduce_angle_mod_pi(ln.phi + delta), ln.mult) for ln in c1.lines]
+            best = min(best, _matched_distance(a, b))
+        # also the un-rotated comparison
+        a0 = [(ln.phi, ln.mult) for ln in c1.lines]
+        best = min(best, _matched_distance(a0, b))
+        return best

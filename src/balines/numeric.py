@@ -74,25 +74,30 @@ def hex_to_mpf(s: str):
     return mp.mp.make_mpf(from_man_exp(-man if neg else man, int(exp_s)))
 
 
-def exact_ints(xs, least=-math.inf):
-    """(ints, e): the mpfs xs as the ints x * 2^-e, e their least exponent
-    but not below `least`.  Exact, so ordered and tied as the xs are, but
-    for bits below 2^least, which are floored."""
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (x._mpf_ for x in xs)]
-    e = max(min((exp for _, exp in parts), default=0), least)
-    return [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in parts], e
+def order_keys(xs):
+    """Ints ordered and tied as the mpfs xs are, none much wider than the
+    widest mantissa whatever the exponents: |x| as the position of its top
+    bit above the lowest one's, then its mantissa widened to the widest."""
+    parts = [x._mpf_ for x in xs]  # (sign, man, exp, bc)
+    width = max([x[3] for x in parts], default=0)
+    low = min([x[2] + x[3] for x in parts if x[1]], default=0) - 1
+    return [(-1 if sign else 1) * (((exp + bc - low) << width) + (man << (width - bc)))
+            if man else 0 for sign, man, exp, bc in parts]
 
 
 def angle_gap(phis, precision: int):
     """(gap, at, e): the least gap between the angles mod the working-precision
     pi, the one across the pi wrap included, and the angle it starts at, as
-    exact_ints over 2^-e (e at least twice pi's exponent); ValueError on an
-    angle of 2^(precision/2) or more, which that pi cannot place."""
+    exact ints over 2^-e, e the least exponent but at least twice pi's (lower
+    bits floored); ValueError on an angle of 2^(precision/2) or more, which
+    that pi cannot place."""
     if any(sum(phi._mpf_[2:]) > precision // 2 for phi in phis):  # exponent plus bit count
         raise ValueError(f"an angle of 2^{precision // 2} or more is too large to reduce "
                          f"mod pi at {precision} bits")
     pi = mpf_pi(precision + GUARD_BITS, round_nearest)
-    ints, e = exact_ints([mp.mp.make_mpf(pi), *phis], least=2 * pi[2])
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in [pi, *(x._mpf_ for x in phis)]]
+    e = max(min(exp for _, exp in parts), 2 * pi[2])
+    ints = [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in parts]
     s = sorted(x % ints[0] for x in ints[1:])
     return (*min(zip(map(sub, s[1:] + [s[0] + ints[0]], s), s)), e)
 

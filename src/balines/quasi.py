@@ -104,7 +104,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import mpf_cos_sin, to_fixed
+from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
 
 from .config import INF, Configuration, integer_mults
 from .errors import IllConditioned, MissingExactData, TailMismatch
@@ -314,8 +314,9 @@ def cos_sin_table(c: Configuration) -> CosSinTable:
         bits = min(64, c.precision // 4) - c.precision // 2
         gap, _, e = angle_gap([ln.phi for ln in light], c.precision)
         if gap < 1 << (bits - e):
-            raise IllConditioned(f"rank margin: two slope lines are 2^"
-                                 f"{mp.nstr(math.log2(gap) + e, 5)} apart, closer than 2^{bits}")
+            gap = mp.mp.make_mpf(from_man_exp(gap, e))
+            raise IllConditioned(f"rank margin: two slope lines are 2^{mp.nstr(mp.log(gap, 2), 5)} "
+                                 f"apart, closer than 2^{bits}")
     return [tuple([1 << frac, to_fixed(v, frac)]
                   for v in mpf_cos_sin(ln.phi._mpf_, frac)) for ln in light]
 

@@ -27,7 +27,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import NoConvergence, NonSquarefree
-from .numeric import check_precision, exact_ints
+from .numeric import check_precision, order_keys
 from .poly import DensePoly
 
 # G = 4n + 4 sample points at first, doubled at most this many times
@@ -233,4 +233,4 @@ def poly_roots(p: DensePoly, precision: int = 256) -> List[mp.mpf]:
         x, t = _refine(c, lo << (t - s), hi << (t - s), slo, x, t, width,
                        precision + 96 + extra, precision)
         roots.append(_exact(x, t))
-    return [r for _, r in sorted(zip(exact_ints(roots)[0], roots))]  # distinct roots
+    return [r for _, r in sorted(zip(order_keys(roots), roots))]  # distinct roots

@@ -4,8 +4,8 @@ import mpmath as mp
 import pytest
 
 from balines import certify
-from balines.certify import (certify_ba, default_threshold, ode_residual_am1n,
-                             ode_residual_two_mult)
+from balines.certify import (certify_ba, default_threshold, first_condition_residual_lines,
+                             ode_residual_am1n, ode_residual_two_mult)
 from balines.cli import main
 from balines.config import (Configuration, Line, build_am1n, build_two_mult,
                             general_from_angles, perturb_line,
@@ -447,6 +447,28 @@ def _kernel_inputs(draw):
 @given(_kernel_inputs())
 def test_sums_equal_the_loop(args):
     assert certify._sums(*args) == loop_sums(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_inputs(), st.data())
+def test_sums_equal_the_loop_at_weights_below_one(args, data):
+    # multiplicities in quarters from 1/4 to 6, at least one below 1, as
+    # Fractions so that both sides stay exact: the least weight is then
+    # that multiplicity, and partners of multiplicity 1 are corrections too
+    mults, phis, orders, frac = args
+    mults = [F(data.draw(st.integers(1, 24)), 4) for _ in mults]
+    mults[data.draw(st.integers(0, len(mults) - 1))] = F(data.draw(st.integers(1, 3)), 4)
+    assert certify._sums(mults, phis, orders, frac) == loop_sums(mults, phis, orders, frac)
+
+
+def test_first_condition_residual_at_multiplicity_one_half():
+    # a loadable chart may carry multiplicity 0.5; the residual is the loop's
+    c = general_from_angles([0.5, 2, 1], [0, mp.mpf(1) / 2, 2], 256)
+    with working(256):
+        got = first_condition_residual_lines(c.lines, 1, 1)
+        want = loop_sums([0.5, 2, 1], [ln.phi for ln in c.lines], [0, 1, 0], mp.mp.prec)[0]
+    assert got[:3] == want[:3] and got.top == want.top
+    assert float(got.total) == pytest.approx(float(want.total), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -140,6 +140,55 @@ def test_an_angle_of_huge_exponent_is_refused_at_once(tmp_path, capsys):
         assert words in capsys.readouterr().err
 
 
+def _general_record(path, precision, phis):
+    """Write a general chart of lines of multiplicity 1 at the mpfs phis."""
+    from balines.config import Configuration, Line
+
+    lines = tuple(Line(1, phi) for phi in phis)
+    record = Configuration(kind="general", precision=precision, chart=lines).to_json_dict()
+    path.write_text(json.dumps(record))
+
+
+@pytest.mark.parametrize("argv, code", [(["certify"], 1), (["construct", "tq"], 0)])
+def test_a_tiny_angle_off_zero_stays_small(tmp_path, capsys, argv, code):
+    """A general chart with a line at 2^-1000000000 and none at 0 loads (the
+    gap check floors that line), and its expansion at q 2 keeps the half
+    angle 2^-1000000001 and orders the lines without an int as wide as that
+    exponent, which would take 125 MB a line."""
+    import tracemalloc
+
+    import mpmath as mp
+
+    with mp.workprec(320):
+        phis = [mp.mpf(2) ** -1000000000] + [mp.mpf(k) / 3 for k in (1, 3, 6)]
+    path = tmp_path / "tiny.json"
+    _general_record(path, 256, phis)
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--input", str(path), "--q", "2"]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    if argv[0] == "construct":
+        lines = json.loads(capsys.readouterr().out)["lines"]
+        assert lines[0]["phi_hex"] == "0x1p-1000000001"
+
+
+def test_coincident_lines_at_1024_bits_exit_two(tmp_path, capsys):
+    """Two lines 2^-600 apart at 1024 bits collide; the message names the
+    lower angle to 10 digits."""
+    import mpmath as mp
+
+    with mp.workprec(1200):
+        third = mp.mpf(1) / 3
+        phis = [mp.mpf(0), third, third + mp.mpf(2) ** -600, mp.mpf(2)]
+    path = tmp_path / "close.json"
+    _general_record(path, 1024, phis)
+    assert run(["certify", "--input", str(path)]) == 2
+    assert "two lines coincide near phi = 0.3333333333\n" in capsys.readouterr().err
+
+
 def test_certify_a_line_stored_below_zero(tmp_path):
     """The last line of am1n (2, 3) stored as phi - pi, the same line, loads
     at its exact angle and certifies as before."""

@@ -13,7 +13,7 @@ from balines.config import (INF, Configuration, Line, angle_multiset_distance,
                             general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import (GUARD_BITS, angle_gap, exact_ints, hex_to_mpf, mpf_to_hex, to_mp,
+from balines.numeric import (GUARD_BITS, angle_gap, hex_to_mpf, mpf_to_hex, order_keys, to_mp,
                              working)
 from balines.poly import DensePoly
 
@@ -524,10 +524,21 @@ def _mpf_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_mpf_lists())
-def test_exact_ints_order_as_the_mpfs(xs):
-    keys = exact_ints(xs)[0]
+def test_order_keys_order_as_the_mpfs(xs):
+    keys = order_keys(xs)
     assert sorted(range(len(xs)), key=keys.__getitem__) == \
         sorted(range(len(xs)), key=xs.__getitem__)
+    assert all((x == y) == (a == b) for x, a in zip(xs, keys) for y, b in zip(xs, keys))
+
+
+def test_order_keys_do_not_grow_with_the_exponents():
+    # 2^-1000000000 next to 1/3 and -7: keys about as wide as 1/3's
+    # mantissa plus the 30 bits of the exponents' spread
+    with mp.workprec(300):
+        xs = [mp.mpf(2) ** -1000000000, mp.mpf(1) / 3, mp.mpf(-7), mp.mpf(0)]
+    keys = order_keys(xs)
+    assert max(k.bit_length() for k in keys) < 300 + 32
+    assert sorted(range(4), key=keys.__getitem__) == [2, 3, 0, 1]
 
 
 def test_angle_gap_is_exact_on_whole_turns():

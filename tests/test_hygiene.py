@@ -183,7 +183,7 @@ def _mpf_angle_sorts(path):
 
 @pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
 def test_no_sort_by_an_mpf_angle(path):
-    """Lines and angles are ordered on exact ints (numeric.exact_ints) or
+    """Lines and angles are ordered on exact ints (numeric.order_keys) or
     checked on them (numeric.angle_gap), not by mpf comparisons."""
     lines = _mpf_angle_sorts(path)
     assert not lines, f"{path.name} sorts by an mpf angle at lines {lines}"

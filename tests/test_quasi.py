@@ -183,6 +183,13 @@ def test_slope_gap_is_measured_mod_pi(turns):
         quasi.cos_sin_table(moved)
 
 
+def test_slope_gap_is_printed_to_five_digits():
+    # slopes 1 and 1 + 3 * 2^-125 lie about 3 * 2^-126 apart in angle
+    c = numeric_chart(from_alphas(2, [F(1), 1 + F(3, 2 ** 125), F(-1, 3), F(2, 5), F(7)], 256))
+    with pytest.raises(IllConditioned, match=r"two slope lines are 2\^-124\.42 apart, "):
+        quasi.cos_sin_table(c)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_twomult_with_a_light_line_at_pi_half(m):
     # mtilde = 1 makes the pi/2 line the slope root alpha = 0 of alpha R
