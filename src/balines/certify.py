@@ -174,7 +174,8 @@ class BACertificate:
 def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
           frac: int) -> List[ConditionResidual]:
     """(first, locus) sums of line j for k = 1..orders[j], j in order, with
-    `frac` fraction bits and error bounds in units of 2^-frac.
+    `frac` fraction bits and error bounds in units of 2^-frac, on integer
+    weights mults, each at least 1.
 
     One cos/sin per line; per unordered pair (j, i) one division for c =
     cot(phi_i - phi_j), its square, and the odd powers c^(2k-1), which
@@ -225,12 +226,10 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
             rows_j.append(row)
             rows[i].append(row)
     # Line j weighs partner i by s m_i and s m_i (m_i + 1), s = -1 for an
-    # earlier partner (its cot is of phi_j - phi_i): the least weights u and
-    # u (u + 1), u = 1 unless a multiplicity is less, by sum and max over the
-    # columns, then the difference for each m_i != u, whose terms are larger.
-    u = min([1, *mults])
-    uw = u * (u + 1)
-    heavy = [(i, m) for i, m in enumerate(mults) if m != u]
+    # earlier partner (its cot is of phi_j - phi_i): weights 1 and 2 by sum
+    # and max over the columns, then the difference for each m_i > 1, whose
+    # terms are larger.
+    heavy = [(i, m) for i, m in enumerate(mults) if m != 1]
     out = []
     for j, oj in enumerate(orders):
         # partner i is at position i (earlier) or i - 1 (later) in rows[j]
@@ -240,17 +239,17 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
         sums = [sum(col) if c % 2 else sum(col[j:]) - sum(col[:j]) for c, col in enumerate(cols)]
         for at in range(0, 2 * oj, 2):
             powers, bounds, higher, hbounds = cols[at:at + 4]
-            total, bound = u * sums[at], u * sums[at + 1]
-            top = u * max(map(abs, powers), default=0)
-            ltotal, lbound = uw * (sums[at] + sums[at + 2]), uw * (sums[at + 1] + sums[at + 3])
-            ltop = uw * max(map(abs, map(add, powers, higher)), default=0)
+            total, bound = sums[at], sums[at + 1]
+            top = max(map(abs, powers), default=0)
+            ltotal, lbound = 2 * (sums[at] + sums[at + 2]), 2 * (sums[at + 1] + sums[at + 3])
+            ltop = 2 * max(map(abs, map(add, powers, higher)), default=0)
             for pos, sign, m, w in fix:
                 p, pair = powers[pos], powers[pos] + higher[pos]
-                total += sign * (m - u) * p
-                bound += (m - u) * bounds[pos]
+                total += sign * (m - 1) * p
+                bound += (m - 1) * bounds[pos]
                 top = max(top, m * abs(p))
-                ltotal += sign * (w - uw) * pair
-                lbound += (w - uw) * (bounds[pos] + hbounds[pos])
+                ltotal += sign * (w - 2) * pair
+                lbound += (w - 2) * (bounds[pos] + hbounds[pos])
                 ltop = max(ltop, w * abs(pair))
             k = at // 2 + 1
             out += (ConditionResidual(j, k, "polar-first", -frac, total, bound, top),
@@ -260,10 +259,15 @@ def _sums(mults: Sequence[int], phis: Sequence, orders: Sequence[int],
 
 def first_condition_residual_lines(lines: Sequence[Line], j: int, k: int) -> ConditionResidual:
     """The first-family residual at line j and order k, with F the ambient
-    working precision."""
+    working precision.  Every multiplicity (an int, or a float, so dyadic)
+    is w / 2^s exactly, for one s; the family is linear in the weights, so
+    it is summed on the ints w, and s is taken off the exponent."""
+    ratios = [ln.mult.as_integer_ratio() for ln in lines]
+    den = max(d for _, d in ratios)  # 2^s
     orders = [k if i == j else 0 for i in range(len(lines))]
-    return _sums([ln.mult for ln in lines], [ln.phi for ln in lines], orders,
-                 mp.mp.prec)[2 * k - 2]
+    r = _sums([w * (den // d) for w, d in ratios], [ln.phi for ln in lines], orders,
+              mp.mp.prec)[2 * k - 2]
+    return r._replace(exp=r.exp - den.bit_length() + 1)
 
 
 def default_threshold(precision: int):

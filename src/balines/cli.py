@@ -111,7 +111,8 @@ def _require(args, what: str, *names: str) -> None:
 
 def _load(path: str, integral: bool = False) -> Configuration:
     """The configuration in path; with integral, also check that every
-    multiplicity is a positive integer, as certify and hilbert need."""
+    multiplicity is a positive integer, as certify and hilbert need.  A
+    number too large for the arithmetic that reads it is an input error."""
     try:
         cfg = Configuration.load(path)
         if integral:
@@ -119,7 +120,7 @@ def _load(path: str, integral: bool = False) -> Configuration:
         return cfg
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
-    except (TypeError, ValueError, CollisionError) as ex:
+    except (TypeError, ValueError, OverflowError, CollisionError) as ex:
         raise UsageError(f"{path}: {ex}") from None
     except OSError as ex:
         raise UsageError(f"cannot read {path}: {ex.strerror}") from None

@@ -61,14 +61,6 @@ class Line:
     phi: object  # mpf, exact snapshot
     alpha_exact: object = None  # Fraction | INF | None
 
-    def alpha(self):
-        """Numeric slope cot(phi); infinite for phi = 0."""
-        if self.alpha_exact is INF or self.phi == 0:
-            return mp.inf
-        if isinstance(self.alpha_exact, Fraction):
-            return to_mp(self.alpha_exact)
-        return mp.cot(self.phi)
-
 
 def _is_multiplicity(v) -> bool:
     """Whether v can be a stored multiplicity: a non-bool int or float in (0, inf)."""
@@ -256,7 +248,10 @@ class Configuration:
 
 
 def _fraction(value, what: str) -> Fraction:
-    """Fraction(value); ValueError naming what when its denominator is 0."""
+    """Fraction(value); ValueError naming what when its denominator is 0 or
+    it is not finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -468,30 +463,28 @@ def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
 
 def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction]]:
     """(sign, e) of the recurrence branch whose P satisfies the
-    two-multiplicity ODE exactly; with m = mt the seed is zero and the
-    sign is 1."""
+    two-multiplicity ODE: sign 1 when m = mt, where the seed is zero, else
+    -1.  The ODE is checked exactly, and IdentityFailed raised if it fails."""
     if m < 1 or mt < 0:
         raise ValueError("need m >= 1 and mt >= 0")
     if n < 2 or n % 2 != 0:
         raise ValueError("the two-multiplicity family needs even n >= 2")
-    for sign in ((1,) if m == mt else (-1, 1)):
-        e = _two_mult_recurrence(m, mt, n, sign)
-        P = poly_from_elementary(e, n)
-        residual = _two_mult_ode_residual(m, mt, n, P)
-        if residual.is_zero:
-            return sign, e
-    raise IdentityFailed(
-        f"neither sign branch satisfies the two-multiplicity ODE "
-        f"for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
+    sign = 1 if m == mt else -1
+    e = _two_mult_recurrence(m, mt, n, sign)
+    residual = _two_mult_ode_residual(m, mt, n, poly_from_elementary(e, n))
+    if not residual.is_zero:
+        raise IdentityFailed(f"the sign {sign} branch does not satisfy the two-multiplicity "
+                             f"ODE for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
+    return sign, e
 
 
 def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configuration:
     """Arrangement with multiplicity m at phi = 0, mt at phi = pi/2 (omitted
     when mt = 0) and n multiplicity-1 lines produced by the recurrence.
 
-    The seed e_{n-1} has an ambiguous sign; the branch kept is the one whose
-    polynomial P satisfies the two-multiplicity ODE exactly (reported in
-    e_branch_sign, as a factor on (m - mt) n / (n + m + mt - 1))."""
+    The seed e_{n-1} is a sign times (m - mt) n / (n + m + mt - 1); the sign,
+    reported in e_branch_sign, is -1 (1 when m = mt), the branch whose
+    polynomial P satisfies the two-multiplicity ODE, checked exactly."""
     sign, e = _two_mult_branch(m, mt, n)
     check_precision(precision)
     return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,

@@ -87,7 +87,11 @@ r, the number of distinct squared slopes, is exact on a chart with groups:
 a root a of R has -a among the roots exactly when it is a root of
 G = gcd(R(alpha), R(-alpha)), and G's roots pair off as +-a but for a root
 0, so r = deg R - (deg G - [R(0) = 0]) / 2.  Only a chart without groups
-compares its numeric squared slopes, to 2^-(p/2) relative.
+reads numbers: equal cot^2 is equal sin^2 on (0, pi), so r counts distinct
+squares of the fixed-point sines read as cos_sin_table reads them, sorted
+neighbours a <= b being one when b - a <= 2^-(p/2) b.  Every slope line is
+2^-(p/2) or more from the line at phi = 0 (the load check), so each square
+is good to about 2^-(p/2 + 60) relative, far inside that tolerance.
 
 The closed-form numerator of the one-heavy-line family serves
 `hilbert --check-closed-form`.  The paper's per-degree segment formulas for
@@ -108,7 +112,7 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
 
 from .config import INF, Configuration, integer_mults
 from .errors import IllConditioned, MissingExactData, TailMismatch
-from .numeric import GUARD_BITS, angle_gap, check_precision, working
+from .numeric import GUARD_BITS, angle_gap, check_precision
 from .poly import DensePoly
 
 
@@ -517,19 +521,15 @@ def is_gorenstein(h: HilbertSeries) -> Tuple[bool, Optional[int]]:
 def r_parameter(c: Configuration) -> int:
     """Number r of distinct squared slopes among the slope lines.  A random
     record counts its stored slopes (no lines built); any other chart with
-    groups reads r exactly off R (see the module docstring); only a chart
-    without groups compares numeric slopes, to 2^-(p/2) relative."""
+    groups reads r exactly off R; only a chart without groups compares
+    numeric squared sines (see the module docstring)."""
     if c.alphas is not None:
         return len({a * a for a in c.alphas})
     _, n, R = m1n_chart(c)
     if R is not None:
         mirror = DensePoly([-a if k % 2 else a for k, a in enumerate(R.nums)], R.den)
         return n - (R.gcd(mirror).degree - (R.nums[0] == 0)) // 2
-    with working(c.precision):
-        tol = mp.mpf(2) ** (-(c.precision // 2))
-        sq = sorted(ln.alpha() ** 2 for ln in _slope_lines(c))
-        count = 1 if sq else 0
-        for a, b in zip(sq, sq[1:]):
-            if abs(b - a) > tol * max(1, abs(b)):
-                count += 1
-        return count
+    frac = c.precision + GUARD_BITS
+    sines = [to_fixed(mpf_cos_sin(ln.phi._mpf_, frac)[1], frac) for ln in _slope_lines(c)]
+    sq = sorted(s * s for s in sines)
+    return len(sq[:1]) + sum((b - a) << c.precision // 2 > b for a, b in zip(sq, sq[1:]))

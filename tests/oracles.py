@@ -274,7 +274,7 @@ def r_by_tolerance(c) -> int:
 
     with working(c.precision):
         tol = mp.mpf(2) ** (-(c.precision // 2))
-        sq = sorted(ln.alpha() ** 2 for ln in c.lines if ln.mult == 1 and ln.phi != 0)
+        sq = sorted(mp.cot(ln.phi) ** 2 for ln in c.lines if ln.mult == 1 and ln.phi != 0)
         return 1 + sum(abs(b - a) > tol * max(1, abs(b)) for a, b in zip(sq, sq[1:]))
 
 

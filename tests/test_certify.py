@@ -449,26 +449,41 @@ def test_sums_equal_the_loop(args):
     assert certify._sums(*args) == loop_sums(*args)
 
 
+def _in_real_units(r):
+    """(j, k, form) and total, error and top of a residual times 2^exp, exactly."""
+    unit = F(2) ** r.exp
+    return r[:3], r.total * unit, r.error * unit, r.top * unit
+
+
 @settings(max_examples=60, deadline=None)
 @given(_kernel_inputs(), st.data())
 def test_sums_equal_the_loop_at_weights_below_one(args, data):
-    # multiplicities in quarters from 1/4 to 6, at least one below 1, as
-    # Fractions so that both sides stay exact: the least weight is then
-    # that multiplicity, and partners of multiplicity 1 are corrections too
-    mults, phis, orders, frac = args
-    mults = [F(data.draw(st.integers(1, 24)), 4) for _ in mults]
-    mults[data.draw(st.integers(0, len(mults) - 1))] = F(data.draw(st.integers(1, 3)), 4)
-    assert certify._sums(mults, phis, orders, frac) == loop_sums(mults, phis, orders, frac)
+    # float multiplicities in quarters from 1/4 to 6, at least one below 1:
+    # the kernel sums ints, and in real units its residual is the loop's on
+    # the same values as Fractions
+    _, phis, _, frac = args
+    quarters = [data.draw(st.integers(1, 24)) for _ in phis]
+    quarters[data.draw(st.integers(0, len(phis) - 1))] = data.draw(st.integers(1, 3))
+    j = data.draw(st.integers(0, len(phis) - 1))
+    k = data.draw(st.integers(1, 4))
+    lines = [Line(mult=q / 4, phi=phi) for q, phi in zip(quarters, phis)]
+    orders = [k if i == j else 0 for i in range(len(lines))]
+    with mp.workprec(frac):
+        got = first_condition_residual_lines(lines, j, k)
+    want = loop_sums([F(q, 4) for q in quarters], phis, orders, frac)[2 * k - 2]
+    assert all(isinstance(x, int) for x in got[4:])
+    assert _in_real_units(got) == _in_real_units(want)
 
 
 def test_first_condition_residual_at_multiplicity_one_half():
     # a loadable chart may carry multiplicity 0.5; the residual is the loop's
+    # on the Fraction 1/2, exactly
     c = general_from_angles([0.5, 2, 1], [0, mp.mpf(1) / 2, 2], 256)
     with working(256):
         got = first_condition_residual_lines(c.lines, 1, 1)
-        want = loop_sums([0.5, 2, 1], [ln.phi for ln in c.lines], [0, 1, 0], mp.mp.prec)[0]
-    assert got[:3] == want[:3] and got.top == want.top
-    assert float(got.total) == pytest.approx(float(want.total), rel=1e-12)
+        want = loop_sums([F(1, 2), 2, 1], [ln.phi for ln in c.lines], [0, 1, 0], mp.mp.prec)[0]
+    assert all(isinstance(x, int) for x in got[4:])
+    assert _in_real_units(got) == _in_real_units(want)
 
 
 @settings(max_examples=60, deadline=None)

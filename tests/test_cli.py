@@ -335,8 +335,8 @@ ZERO_DENOMINATOR = {"e-1/0": lambda d: d["e"].__setitem__(0, "1/0"),
                     "alpha-1/0": lambda d: d["lines"][1].update(alpha="1/0")}
 # Edits of INPUT that make its record contradict its lines, give it an m
 # that is not a positive int, store an angle that is not a hex string, one
-# too large to reduce mod pi, one on top of the line at 0 or a fraction with
-# a zero denominator, or name no known kind, by name.
+# too large to reduce mod pi, one on top of the line at 0, a fraction with
+# a zero denominator or an infinite slope, or name no known kind, by name.
 EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "m-3": lambda d: d.update(m=3),
           "m-0": lambda d: d.update(m=0),
@@ -346,6 +346,7 @@ EDITED = {"heavy-mult-4": lambda d: d["lines"][0].update(mult=4),
           "phi-hex-2^-1000000": lambda d: d["lines"][1].update(phi_hex="0x1p-1000000"),
           "kind-5": lambda d: d.update(kind=5),
           "kind-bogus": lambda d: d.update(kind="bogus"),
+          "alpha-inf": lambda d: d["lines"][1].update(alpha=float("inf")),
           **ZERO_DENOMINATOR}
 
 
@@ -415,12 +416,27 @@ LOCUS = {"locus-2.5-1-1": (2.5, 1, 1)}
 LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
                 [("0", 0), ("-1", -1), ("inf", float("inf")), ("true", True), ("str", "2")]}
 
+# Fields of a record given a value too large for the arithmetic that reads
+# it, by name: (family, field, value) as in RECORD_EDITED.
+TOO_LARGE = {"twomult-precision-10^400": ("twomult", "precision_bits", 10 ** 400),
+             "random-q-10^400": ("random", "q", 10 ** 400)}
+
+
+def _case_id(argv, drop):
+    """A bad-input case's id: its argv without option dashes, then its edit
+    name, joined by '-'."""
+    return "-".join([a.lstrip("-") for a in argv] + ([drop] if drop else []))
+
+
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
 # FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED,
-# RECORD_EDITED, LOCUS or LOCUS_EDITED name);
+# RECORD_EDITED, LOCUS, LOCUS_EDITED or TOO_LARGE name);
 # MISSING stands for a path that does not exist, UNWRITABLE for an output
-# path in a directory that does not exist
-BAD_INPUT = [
+# path in a directory that does not exist.  The cases of _NUMBERED keep the
+# positional ids they were first collected under (argv<k>-<name>), so that
+# none is renamed; the list is closed, and every later case goes into
+# BAD_INPUT with an id from _case_id, which no other row's place changes.
+_NUMBERED = [
     (["construct", "am1n", "--n", "2"], None),
     (["construct", "twomult", "--m", "2"], None),
     (["construct", "random"], None),
@@ -499,6 +515,13 @@ BAD_INPUT = [
     *[([cmd, "--input", "INPUT"], name) for name in ("phi-hex-2^1000000", "phi-hex-2^-1000000")
       for cmd in ("certify", "hilbert")],
 ]
+BAD_INPUT = [pytest.param(argv, drop, id=f"argv{k}-{drop}")
+             for k, (argv, drop) in enumerate(_NUMBERED)] + [
+    pytest.param(argv, drop, id=_case_id(argv, drop)) for argv, drop in [
+        (["certify", "--input", "INPUT"], "alpha-inf"),
+        (["certify", "--input", "INPUT"], "twomult-precision-10^400"),
+        (["construct", "tq", "--input", "INPUT", "--q", "2"], "random-q-10^400"),
+    ]]
 
 
 @pytest.mark.parametrize("argv,drop", BAD_INPUT)
@@ -519,8 +542,8 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
         path.write_text(json.dumps(data))
-    elif drop in RECORD_EDITED:
-        family, key, value = RECORD_EDITED[drop]
+    elif drop in RECORD_EDITED or drop in TOO_LARGE:
+        family, key, value = RECORD_EDITED.get(drop) or TOO_LARGE[drop]
         build = {"tq": lambda: t_q_expand(build_am1n(1, 3, 128), 2),
                  "twomult": lambda: build_two_mult(3, 1, 4, 128),
                  "random": lambda: random_type_m1n(2, 4, 1, 128)}[family]
@@ -557,6 +580,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         assert err.startswith(f"error: {path}: ") and "zero denominator" in err
     if drop in RECORD_EDITED:
         assert f"needs an integer {RECORD_EDITED[drop][1]} >= " in err
+    if drop in TOO_LARGE:
+        assert err.startswith(f"error: {path}: ")
+    if drop == "alpha-inf":
+        assert err == f"error: {path}: line 1: alpha inf is not finite"
 
 
 @pytest.mark.parametrize("argv", [
@@ -719,10 +746,12 @@ def test_hilbert_numeric_refusal_exit_three(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rank margin")
 
 
-# SHA-256 of the stdout of eleven requests, the manifest's wall_clock
+# SHA-256 of the stdout of twelve requests, the manifest's wall_clock
 # dropped, run in a directory holding pert.json (am1n (3, 3) with line 2
 # moved by 1e-2), base.json (twomult (2, 1, 4)), numeric.json (random (2, 5),
-# seed 1, with its exact data removed), and below.json and numeric-below.json
+# seed 1, with its exact data removed), pairs.json (the slopes 1/2, -1/2, 3,
+# -3 and 5/7 with m = 2, exact data removed: r = 3 of n = 5 counted on
+# numeric lines), and below.json and numeric-below.json
 # (am1n (2, 3) and numeric.json with line 1 stored pi less): they hold the
 # bytes of passing and failing certificates, of one whose heavy line repeats
 # at four indices, of a q-expansion and of Hilbert series on the
@@ -763,6 +792,9 @@ PINNED = {
     "hilbert-numeric-random-2-5": (
         ["hilbert", "--input", "numeric.json"], 0,
         "2ba111b44b97e634dbc7aa8766f536debff9c5bfda8bbe908d0197127966c077"),
+    "hilbert-numeric-slope-pairs": (
+        ["hilbert", "--input", "pairs.json"], 0,
+        "515f0d1d1ec642172cc90be2b7636bb99dc8aaeb9469738cf0e9596f266ea2e3"),
 }
 
 
@@ -781,13 +813,18 @@ def pinned_digest(argv, capsys):
 
 @pytest.mark.parametrize("name", PINNED)
 def test_cli_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
-    from balines.config import build_am1n, build_two_mult, perturb_line, random_type_m1n
+    from fractions import Fraction as F
+
+    from balines.config import (build_am1n, build_two_mult, from_alphas, perturb_line,
+                                random_type_m1n)
 
     monkeypatch.delenv("BA_PRECISION", raising=False)
     monkeypatch.chdir(tmp_path)
     perturb_line(build_am1n(3, 3, 256), 2, 1e-2).save("pert.json")
     build_two_mult(2, 1, 4, 256).save("base.json")
     _write_numeric_chart(random_type_m1n(2, 5, 1, 256), tmp_path / "numeric.json")
+    _write_numeric_chart(from_alphas(2, [F(1, 2), F(-1, 2), 3, -3, F(5, 7)], 256),
+                         tmp_path / "pairs.json")
     (tmp_path / "below.json").write_text(
         json.dumps(_below_zero(build_am1n(2, 3, 256).to_json_dict(), 1, 256)))
     numeric = json.loads((tmp_path / "numeric.json").read_text())

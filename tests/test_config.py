@@ -31,7 +31,7 @@ def test_am1n_2_2_exact_data():
         for ln in mult1_lines(c):
             assert abs(abs(line_z(ln)) - 1) < mp.mpf(2) ** -240
             # slopes are +-1/sqrt(5)
-            assert abs(ln.alpha() ** 2 - mp.mpf(1) / 5) < mp.mpf(2) ** -240
+            assert abs(mp.cot(ln.phi) ** 2 - mp.mpf(1) / 5) < mp.mpf(2) ** -240
 
 
 def test_am1n_1_2_is_dihedral():
@@ -85,7 +85,7 @@ def test_am1n_r_poly_vanishes_on_slopes():
         with working(256):
             scale = max(abs(mp.mpf(v.numerator) / v.denominator) for v in c.R.coeffs)
             for ln in slope_lines(c):
-                assert abs(eval_numeric(c.R, ln.alpha())) < mp.mpf(2) ** -(256 - 32) * scale
+                assert abs(eval_numeric(c.R, mp.cot(ln.phi))) < mp.mpf(2) ** -(256 - 32) * scale
 
 
 def test_two_mult_1_1_2_is_square_dihedral():
@@ -112,6 +112,29 @@ def test_two_mult_branch_sign_reported():
         c = build_two_mult(m, mt, n, 192)
         assert c.e_branch_sign == -1
         assert c.e[-2] == F(-(m - mt) * n, n + m + mt - 1)
+
+
+def test_two_mult_branch_is_the_only_ode_branch(monkeypatch):
+    # off m = mt the sign -1 branch satisfies the ODE and the sign 1 branch
+    # does not, on mt below, at and above m; with a wrong recurrence the
+    # one exact check raises
+    from balines import config
+    from balines.errors import IdentityFailed
+    from balines.symfunc import poly_from_elementary
+
+    for m in range(1, 7):
+        for mt in range(0, m + 6):
+            for n in range(2, 21, 2):
+                sign, e = config._two_mult_branch(m, mt, n)
+                assert sign == (1 if m == mt else -1)
+                if m != mt:
+                    other = poly_from_elementary(config._two_mult_recurrence(m, mt, n, 1), n)
+                    assert not config._two_mult_ode_residual(m, mt, n, other).is_zero
+    recurrence = config._two_mult_recurrence
+    monkeypatch.setattr(config, "_two_mult_recurrence",
+                        lambda m, mt, n, sign: recurrence(m, mt, n, -sign))
+    with pytest.raises(IdentityFailed, match=r"sign -1 branch .* \(2, 1, 4\)"):
+        config._two_mult_branch(2, 1, 4)
 
 
 def test_two_mult_mt0_equals_am1n():

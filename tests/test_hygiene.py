@@ -187,3 +187,19 @@ def test_no_sort_by_an_mpf_angle(path):
     checked on them (numeric.angle_gap), not by mpf comparisons."""
     lines = _mpf_angle_sorts(path)
     assert not lines, f"{path.name} sorts by an mpf angle at lines {lines}"
+
+
+def _mp_cot_calls(path):
+    """Line numbers where a module calls mp.cot or mpmath.cot."""
+    return [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "cot" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("mp", "mpmath")]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
+def test_no_mp_cot(path):
+    """Numeric slopes come from the fixed-point cos and sin of a line's
+    angle, not from an mpf cotangent."""
+    lines = _mp_cot_calls(path)
+    assert not lines, f"{path.name} calls mp.cot at lines {lines}"

@@ -372,12 +372,52 @@ def test_r_parameter_reads_no_numeric_slope_on_a_chart_with_groups(monkeypatch):
         1, [F(1, 2), F(-1, 2), F(3), F(0), F(-3), F(5, 7)], 512).to_json_dict())]
     want = [r_by_tolerance(c) for c in charts]
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("r needs no numeric slope")
 
-    monkeypatch.setattr(Line, "alpha", refuse)
+    monkeypatch.setattr(quasi, "mpf_cos_sin", refuse)
     assert all(c.groups and c.alphas is None for c in charts)
     assert [r_parameter(c) for c in charts] == want
+
+
+def _numeric_copy(c):
+    """c as a general chart of its lines alone, with no slope but the
+    infinite one, so that r is counted on numeric sines."""
+    lines = [{**ln, "alpha": "inf" if ln["alpha"] == "inf" else None}
+             for ln in c.to_json_dict()["lines"]]
+    return Configuration.from_json_dict(
+        {"kind": "general", "precision_bits": c.precision, "lines": lines})
+
+
+@pytest.mark.parametrize("precision", [128, 256, 512])
+def test_r_parameter_on_numeric_sines_is_the_tolerance_count(precision):
+    # pairs of slopes +-a, a slope 0 and lines near the heavy one: the count
+    # of squared sines agrees with the squared cotangents to 2^-(p/2)
+    charts = [build_two_mult(m, 1, n, precision) for m in range(1, 4) for n in (2, 4, 6)]
+    charts += [build_am1n(m, n, precision) for m, n in [(1, 4), (2, 5), (3, 6)]]
+    charts += [t_q_expand(build_am1n(1, 3, precision), 2)]
+    charts += [from_alphas(1, [F(1, 2), F(-1, 2), F(3), F(0), F(-3), F(5, 7)], precision),
+               from_alphas(2, [F(1, 2), F(-1, 2), F(3), F(-3), F(5, 7)], precision),
+               from_alphas(1, [F(10 ** 9), F(-10 ** 9), F(1, 10 ** 9)], precision),
+               random_type_m1n(2, 6, 1, precision)]
+    numeric = [_numeric_copy(c) for c in charts]
+    assert not any(c.groups for c in numeric)
+    assert [r_parameter(c) for c in numeric] == [r_by_tolerance(c) for c in numeric]
+    assert [r_parameter(c) for c in numeric] == [r_parameter(c) for c in charts]
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+@pytest.mark.parametrize("shift,r", [(-4, 2), (6, 1)])
+def test_r_parameter_reads_squares_to_half_the_precision(precision, shift, r):
+    # lines at pi/4 and 3pi/4 + delta, whose squared sines differ by 2 delta
+    # relative: two squares above the tolerance 2^-(p/2), one below it
+    from balines.config import general_from_angles
+
+    with mpmath.workprec(precision + GUARD_BITS):
+        delta = mpmath.mpf(2) ** -(precision // 2 + shift)
+        c = general_from_angles([2, 1, 1], [0, mpmath.pi / 4, 3 * mpmath.pi / 4 + delta],
+                                precision)
+    assert r_parameter(c) == r_by_tolerance(c) == r
 
 
 def test_symmetry_detection():
