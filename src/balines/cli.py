@@ -54,33 +54,56 @@ def run_manifest(subcommand: str, params: dict, seed: Optional[int], precision: 
             "wall_clock": wall_clock}
 
 
+# The (lowest, highest) accepted value of each integer option, None for no
+# bound, set so that no request sizes a computation past seconds (README);
+# BA_PRECISION has the bounds of --precision.  scan takes m, mt, n and q as
+# range strings, whose ends are checked before they are expanded.
+_BOUNDS = {"m": (1, 1000), "mt": (0, 1000), "n": (1, 1000), "q": (1, 1000),
+           "D": (0, 10000), "samples": (0, 1000), "jobs": (1, None),
+           "precision": (MIN_PRECISION, 65536), "threshold_log2": (-65536, 65536)}
+
+
+def _check_bound(name: str, value: int, what: Optional[str] = None) -> None:
+    """UsageError naming what (default the option --name) unless value lies
+    within _BOUNDS[name]."""
+    low, high = _BOUNDS[name]
+    what = what or "--" + name.replace("_", "-")
+    if value < low:
+        raise UsageError(f"{what} must be >= {low}")
+    if high is not None and value > high:
+        raise UsageError(f"{what} must be <= {high}")
+
+
 def default_precision() -> int:
     """BA_PRECISION when set, else 256; UsageError on a value that is not
-    an integer."""
+    an integer within the bounds of --precision."""
     env = os.environ.get("BA_PRECISION")
     if not env:
         return 256
     try:
-        return int(env)
+        bits = int(env)
     except ValueError:
         raise UsageError(f"BA_PRECISION={env!r} is not an integer") from None
+    _check_bound("precision", bits, "BA_PRECISION")
+    return bits
 
 
-def parse_range(text: str) -> List[int]:
+def parse_range(text: str, name: Optional[str] = None) -> List[int]:
     """'1..4' -> [1,2,3,4]; '2,4,6' -> [2,4,6]; '3' -> [3].  Raises
-    UsageError on any other text and on an empty range such as '3..1'."""
+    UsageError on any other text, on an empty range such as '3..1' and,
+    given an option name, on a value or range end outside _BOUNDS[name],
+    which is checked before the range is expanded."""
     out: List[int] = []
     try:
         for chunk in text.split(","):
             chunk = chunk.strip()
-            if ".." in chunk:
-                lo, hi = chunk.split("..")
-                values = range(int(lo), int(hi) + 1)
-                if not values:
-                    raise UsageError(f"the range {chunk!r} holds no value")
-                out.extend(values)
-            else:
-                out.append(int(chunk))
+            lo, hi = map(int, chunk.split("..")) if ".." in chunk else (int(chunk),) * 2
+            if name:
+                _check_bound(name, lo)
+                _check_bound(name, hi)
+            if lo > hi:
+                raise UsageError(f"the range {chunk!r} holds no value")
+            out.extend(range(lo, hi + 1))
     except ValueError:
         raise UsageError(f"cannot read {text!r} as integers or ranges") from None
     return out
@@ -126,19 +149,15 @@ def _load(path: str, integral: bool = False) -> Configuration:
         raise UsageError(f"cannot read {path}: {ex.strerror}") from None
 
 
-# Lowest accepted value of each integer option; scan takes these options as
-# range strings, every value of which is checked.
-_MINIMUM = {"m": 1, "n": 1, "mt": 0, "q": 1, "jobs": 1, "samples": 0}
-
-
 def _check_ranges(args) -> None:
-    if args.precision < MIN_PRECISION:
-        raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
-    for name, low in _MINIMUM.items():
+    """UsageError unless each integer option, and each end of a range
+    option, lies within its _BOUNDS."""
+    for name in _BOUNDS:
         value = getattr(args, name, None)
-        values = parse_range(value) if isinstance(value, str) else [value]
-        if any(isinstance(v, int) and v < low for v in values):
-            raise UsageError(f"--{name} must be >= {low}")
+        if isinstance(value, str):
+            parse_range(value, name)
+        elif value is not None:
+            _check_bound(name, value)
 
 
 def _parse_mults(text: str) -> Multiplicities:

@@ -9,7 +9,8 @@ A Configuration is an exact record (elementary symmetric values, or the
 slopes of a random chart), from which the polynomials P and R and the slope
 groups are derived, whenever the construction provides one, and a chart of
 numeric lines, which the am1n, twomult and random families build only when
-something reads them.
+something reads them.  The am1n and twomult records are closed forms (symfunc),
+and the builders and the load check share one rule for integer fields.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div,
                           mpf_gt, mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest,
                           to_fixed)
 
-from .errors import CollisionError, IdentityFailed, MissingExactData
+from .errors import CollisionError, MissingExactData
 from .jsontext import to_json_text
 from .numeric import (GUARD_BITS, angle_gap, check_precision, hex_to_mpf, mpf_to_hex,
                       order_keys, reduce_angle_mod_pi, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
-from .symfunc import (cayley, e_values, ehat_values, poly_from_elementary,
+from .symfunc import (cayley, e_from_ehat, e_values, ehat_values, poly_from_elementary,
                       r_poly_from_ehat)
 
 
@@ -300,31 +301,33 @@ _INT_FIELDS = {"am1n": {"m": 1, "n": 1}, "random": {"m": 1, "n": 0},
                "qexpanded": {"m": 1, "mtilde": 0, "n": 2, "q": 2}}
 
 
-def _check_int_field(kind: str, name: str, value) -> None:
-    """ValueError unless value is a non-bool int at least _INT_FIELDS[kind][name]."""
-    low = _INT_FIELDS[kind][name]
-    if type(value) is not int or value < low:
-        raise ValueError(f"{kind} needs an integer {name} >= {low}, not {value!r}")
+def _check_int_fields(kind: str, **values) -> None:
+    """ValueError unless each value is a non-bool int at least
+    _INT_FIELDS[kind][name], and a twomult n is even.  The builders and the
+    load check both call it, so a record a builder makes is one load takes."""
+    for name, value in values.items():
+        low = _INT_FIELDS[kind][name]
+        if type(value) is not int or value < low:
+            raise ValueError(f"{kind} needs an integer {name} >= {low}, not {value!r}")
+    if kind == "twomult" and values["n"] % 2:
+        raise ValueError("the two-multiplicity family needs even n >= 2")
 
 
 def _check_record(c: Configuration) -> None:
-    """ValueError unless each integer field of c's kind (_INT_FIELDS) is a
-    non-bool int no less than its builder gives it, an am1n record has the
-    closed-form e and ehat of its m and n, and a twomult record the e and
-    branch sign that build_two_mult picks."""
-    for name in _INT_FIELDS.get(c.kind, {}):
-        value = getattr(c, name)
-        if value is None and c.kind == "qexpanded" and name != "q":
-            continue  # an expansion of a general chart, or of one without mtilde
-        _check_int_field(c.kind, name, value)
+    """ValueError unless each integer field of c's kind (_INT_FIELDS) passes
+    _check_int_fields, an am1n record has the closed-form e and ehat of its
+    m and n, and a twomult record the e and branch sign of build_two_mult."""
+    fields = {name: getattr(c, name) for name in _INT_FIELDS.get(c.kind, {})}
+    if c.kind == "qexpanded":  # an expansion of a general chart, or of one without mtilde
+        fields = {name: v for name, v in fields.items() if v is not None or name == "q"}
+    _check_int_fields(c.kind, **fields)
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
-    if c.kind == "twomult":
-        sign, e = _two_mult_branch(c.m, c.mtilde or 0, c.n)
-        if list(c.e or ()) != e or c.e_branch_sign != sign:
-            raise ValueError(f"e and e_branch_sign are not those of twomult "
-                             f"({c.m}, {c.mtilde}, {c.n})")
+    if c.kind == "twomult" and (c.e_branch_sign != (1 if c.m == c.mtilde else -1) or list(
+            c.e or ()) != e_from_ehat(ehat_values(c.m, c.n, c.mtilde), c.n)):
+        raise ValueError(f"e and e_branch_sign are not those of twomult "
+                         f"({c.m}, {c.mtilde}, {c.n})")
 
 
 def _check_slopes(c: Configuration) -> None:
@@ -377,9 +380,8 @@ def _vanishes(form: Sequence[int], x: int, y: int, bits: int, tol_bits: int) -> 
 def build_am1n(m: int, n: int, precision: int = 256) -> Configuration:
     """The unique real arrangement with one multiplicity-m line at phi = 0
     and n multiplicity-1 lines, fixed by its elementary symmetric values.
-    Its lines are the roots of P, found when first read."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    Its lines are the roots of R, found when first read."""
+    _check_int_fields("am1n", m=m, n=n)
     check_precision(precision)
     e = e_values(m, n)
     ehat = ehat_values(m, n)
@@ -425,19 +427,6 @@ def _slope_chart(c: Configuration) -> Tuple[Line, ...]:
     return _sorted_lines(lines)
 
 
-def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
-    """e_n..e_0 (descending) from the three-term recurrence and seeds.  The
-    leading coefficient (m + mt + n - k - 1)(k + 1) is at least 1 for
-    m >= 1, mt >= 0 and 1 <= k < n."""
-    N = n + m + mt - 1
-    e = {n: Fraction(1), n - 1: Fraction(sign * (m - mt) * n, N)}
-    for k in range(1, n):
-        val = ((m + mt + k - 1) * (k - n - 1) * e[n - k + 1]
-               + (n - 2 * k) * (m - mt) * e[n - k])
-        e[n - k - 1] = Fraction(-val, (m + mt + n - k - 1) * (k + 1))
-    return [e[j] for j in range(1, n + 1)]
-
-
 def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     """w(w^2-1) P'' - ((n-1)(w^2-1) - m(w+1)^2 - mt(w-1)^2) P'
     - (n(m+mt) w + n(m-mt)) P, exactly (z_0 = 1).  On integers: each
@@ -461,34 +450,17 @@ def _two_mult_ode_residual(m: int, mt: int, n: int, P: DensePoly) -> DensePoly:
     return DensePoly(out, P.den)
 
 
-def _two_mult_branch(m: int, mt: int, n: int) -> Tuple[int, List[Fraction]]:
-    """(sign, e) of the recurrence branch whose P satisfies the
-    two-multiplicity ODE: sign 1 when m = mt, where the seed is zero, else
-    -1.  The ODE is checked exactly, and IdentityFailed raised if it fails."""
-    if m < 1 or mt < 0:
-        raise ValueError("need m >= 1 and mt >= 0")
-    if n < 2 or n % 2 != 0:
-        raise ValueError("the two-multiplicity family needs even n >= 2")
-    sign = 1 if m == mt else -1
-    e = _two_mult_recurrence(m, mt, n, sign)
-    residual = _two_mult_ode_residual(m, mt, n, poly_from_elementary(e, n))
-    if not residual.is_zero:
-        raise IdentityFailed(f"the sign {sign} branch does not satisfy the two-multiplicity "
-                             f"ODE for (m, mt, n) = ({m}, {mt}, {n})", difference=residual)
-    return sign, e
-
-
 def build_two_mult(m: int, mt: int, n: int, precision: int = 256) -> Configuration:
     """Arrangement with multiplicity m at phi = 0, mt at phi = pi/2 (omitted
-    when mt = 0) and n multiplicity-1 lines produced by the recurrence.
-
-    The seed e_{n-1} is a sign times (m - mt) n / (n + m + mt - 1); the sign,
-    reported in e_branch_sign, is -1 (1 when m = mt), the branch whose
-    polynomial P satisfies the two-multiplicity ODE, checked exactly."""
-    sign, e = _two_mult_branch(m, mt, n)
+    when mt = 0) and n multiplicity-1 lines, n even: the roots of the slope
+    polynomial of ehat_values(m, n, mt), found when first read.  The record
+    keeps e (e_from_ehat) and e_branch_sign, 1 when m = mt and else -1, the
+    sign in e_(n-1) = sign (m - mt) n / (n + m + mt - 1)."""
+    _check_int_fields("twomult", m=m, mtilde=mt, n=n)
     check_precision(precision)
     return Configuration(kind="twomult", precision=precision, m=m, mtilde=mt,
-                         n=n, e=tuple(e), e_branch_sign=sign)
+                         n=n, e=tuple(e_from_ehat(ehat_values(m, n, mt), n)),
+                         e_branch_sign=1 if m == mt else -1)
 
 
 def t_q_expand(c: Configuration, q: int) -> Configuration:
@@ -554,7 +526,7 @@ def from_alphas(m: int, alphas: Sequence[Fraction], precision: int = 256,
     a multiplicity but not an int (2.5) is refused as Configuration.load
     refuses it in a random record."""
     Multiplicities((m,))  # ValueError on a value no file can store
-    _check_int_field("random", "m", m)
+    _check_int_fields("random", m=m)
     alphas = tuple(Fraction(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise CollisionError("slopes must be distinct")

@@ -2,18 +2,18 @@
 
 Two exact fingerprints build every arrangement: e_k (elementary symmetric in
 the unit-circle coordinates z_j) and ehat_r (elementary symmetric in the
-squared slopes).  This module turns them into the polynomials P and R,
-takes P to the slope chart (cayley), converts between power sums and
-elementary values, and gives the closed forms of e_k and ehat_r for the
-distinguished one-heavy-line family.  The paper's f chart (sin^2 of the
-angles), its conversions and the binomial identities behind the closed
-forms are test oracles, in tests/paper.py.
+squared slopes).  This module turns them into P and R, takes P to the slope
+chart (cayley) and an even-degree R back to e (e_from_ehat), converts power
+sums and elementary values, and gives the closed forms: e_k of the
+one-heavy-line family, ehat_r of it and of the two-heavy-line family.  The
+paper's f chart (sin^2 of the angles), its conversions and the binomial
+identities behind the closed forms are test oracles, in tests/paper.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Sequence
 
 from .poly import DensePoly
@@ -97,7 +97,31 @@ def cayley(P: DensePoly) -> DensePoly:
     return DensePoly(hre, p1)
 
 
-# --- closed forms for the one-heavy-line family ------------------------------
+def _times_square(p: List[int], s: int) -> List[int]:
+    """p (z + s)^2 for a coefficient list indexed by power."""
+    return [a + 2 * s * b + c for a, b, c in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
+
+
+def e_from_ehat(ehat: Sequence[Fraction], n: int) -> List[Fraction]:
+    """e_1..e_n of the z chart of the even-degree slope polynomial
+    R = sum_r (-1)^r ehat_r alpha^(n-2r).  With alpha = i(z+1)/(z-1),
+    (z-1)^n R(alpha) = (-1)^(n/2) sum_r ehat_r (z+1)^(n-2r) (z-1)^(2r), a
+    multiple of P: Horner in (z-1)^2 on the numerators of ehat over their
+    common denominator, then one division per coefficient by the leading
+    one, sum_r ehat_r times that denominator (nonzero for positive ehat)."""
+    nu = n // 2
+    if n % 2 or len(ehat) != nu:
+        raise ValueError(f"expected even n and n/2 ehat values, got n = {n} and {len(ehat)}")
+    den = lcm(*(x.denominator for x in ehat))
+    a = [den] + [x.numerator * (den // x.denominator) for x in ehat]
+    h, v = [a[nu]], [1]  # sum_{s >= r} a_s (z-1)^(2(s-r)) (z+1)^(2(nu-s)), (z+1)^(2(nu-r))
+    for r in range(nu - 1, -1, -1):
+        h, v = _times_square(h, -1), _times_square(v, 1)
+        h = [x + a[r] * y for x, y in zip(h, v)]
+    return [Fraction(-c if k % 2 else c, h[n]) for k, c in enumerate(reversed(h[:-1]), 1)]
+
+
+# --- closed forms --------------------------------------------------------------
 
 
 def e_values(m: int, n: int) -> List[Fraction]:
@@ -108,13 +132,14 @@ def e_values(m: int, n: int) -> List[Fraction]:
     ]
 
 
-def ehat_values(m: int, n: int) -> List[Fraction]:
-    """ehat_r = C([n/2], r) prod_{i=1}^r (2*ceil(n/2) - 2i + 1) / (2m + 2i - 1)."""
+def ehat_values(m: int, n: int, mt: int = 0) -> List[Fraction]:
+    """ehat_r = C([n/2], r) prod_{i=1}^r (2*ceil(n/2) - 2i + 1 + 2mt) / (2m + 2i - 1):
+    am1n's at mt = 0, twomult's (even n, mt at phi = pi/2) otherwise."""
     nu = n // 2
     ceil_half = (n + 1) // 2
     out = []
     prod = Fraction(1)
     for r in range(1, nu + 1):
-        prod *= Fraction(2 * ceil_half - 2 * r + 1, 2 * m + 2 * r - 1)
+        prod *= Fraction(2 * ceil_half - 2 * r + 1 + 2 * mt, 2 * m + 2 * r - 1)
         out.append(comb(nu, r) * prod)
     return out

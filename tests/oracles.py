@@ -709,7 +709,20 @@ def series_times_denominator(coeffs: Sequence[int], deg: int) -> List[int]:
     return [at(k) - 2 * at(k - 2) + at(k - 4) for k in range(deg + 1)]
 
 
-# --- the two-multiplicity ODE and the q-expansion, as first written -------------
+# --- the two-multiplicity family, its ODE and the q-expansion, as first written ---
+
+
+def _two_mult_recurrence(m: int, mt: int, n: int, sign: int) -> List[Fraction]:
+    """e_n..e_0 (descending) from the three-term recurrence and seeds.  The
+    leading coefficient (m + mt + n - k - 1)(k + 1) is at least 1 for
+    m >= 1, mt >= 0 and 1 <= k < n."""
+    N = n + m + mt - 1
+    e = {n: Fraction(1), n - 1: Fraction(sign * (m - mt) * n, N)}
+    for k in range(1, n):
+        val = ((m + mt + k - 1) * (k - n - 1) * e[n - k + 1]
+               + (n - 2 * k) * (m - mt) * e[n - k])
+        e[n - k - 1] = Fraction(-val, (m + mt + n - k - 1) * (k + 1))
+    return [e[j] for j in range(1, n + 1)]
 
 
 def fraction_two_mult_ode_residual(m: int, mt: int, n: int, P):

@@ -8,6 +8,8 @@ reproduce:
 - the f chart (elementary symmetric in sin^2 of the angles) and its
   conversions to e_k and ehat_r, with the two Saalschutz-backed binomial
   identities behind the closed forms of e_k and ehat_r;
+- the slope recurrence that the k = 1 conditions at the light lines put on
+  R, for one heavy line and for two perpendicular ones;
 - the per-degree segment formulas for the Hilbert coefficients b_i of a
   type-(m, 1^n) arrangement, and the series coefficients of a numerator;
 - membership of a homogeneous polynomial in the quasi-invariants, read off
@@ -109,6 +111,26 @@ def f_to_ehat(f: Sequence[Fraction]) -> List[Fraction]:
         power = power * s_plus_1
     v = v.scale(Fraction((-1) ** nu, 1) / f[-1])
     return [(-1) ** r * v[nu - r] for r in range(1, nu + 1)]
+
+
+# --- the slope recurrence of the k = 1 light-line conditions ----------------
+
+
+def slope_recurrence(m: int, n: int, mt: int = 0) -> List[Fraction]:
+    """r_0..r_n of the monic R whose roots are the light slopes, with m at
+    phi = 0 and mt at pi/2 (README, "One closed form for both families"):
+    r_n = 1, r_(n-1) = 0 and, for k = n-1..1,
+
+        r_(k-1) = -(k+1)(k+2mt) r_(k+1) / ((k-1-n)(k-n-2m)),
+
+    whose denominator is nonzero: both factors are negative for k < n."""
+    r = [Fraction(0)] * (n + 1)
+    r[n] = Fraction(1)
+    for k in range(n - 1, 0, -1):
+        den = (k - 1 - n) * (k - n - 2 * m)
+        assert den != 0, (m, n, mt, k)
+        r[k - 1] = Fraction(-(k + 1) * (k + 2 * mt), den) * r[k + 1]
+    return r
 
 
 # --- the two Saalschutz-backed identities ------------------------------------

@@ -16,16 +16,17 @@ from balines.darboux import (build_chain, q_scaling_check, verify_eigen,
                              verify_factorization, verify_potential)
 from balines.locus import solve_general_locus
 from balines.numeric import log2_abs, working
+from balines.poly import DensePoly
 from balines.quasi import (am1n_hilbert_numerator, hilbert_coefficients,
                            hilbert_rational_form, is_gorenstein,
                            qi_dimension_numeric, r_parameter)
-from balines.symfunc import e_values, ehat_values
+from balines.symfunc import e_values, ehat_values, r_poly_from_ehat
 
 from oracles import (brute_force_qi_dimension, config_to_oracle_lines,
                      qi_dimension_exact)
 from paper import (expand_numerator, f_to_e, f_to_ehat, f_values,
                    identity_a_lhs, identity_a_rhs, identity_b_lhs,
-                   identity_b_rhs, segment_oracles)
+                   identity_b_rhs, segment_oracles, slope_recurrence)
 
 PRECISION = 256
 AM1N_GRID = [(m, n) for m in range(1, 5) for n in range(1, 7)]
@@ -170,6 +171,21 @@ def test_criterion_5_symmetric_function_identities():
             assert f_to_ehat(f_values(m, n)) == ehat_values(m, n)
     print("\n[criterion 5] PASS: binomial-sum identities and the conversion "
           "chain hold as exact rational equalities for m <= 6, n <= 12")
+
+
+def test_slope_recurrence_builds_both_families():
+    # the k = 1 light-line conditions fix R (README, "One closed form for
+    # both families"); its product solution is ehat_values(m, n, mt)
+    charts = [(build_am1n, m, 0, n) for m in range(1, 9) for n in range(1, 31)]
+    charts += [(build_two_mult, m, mt, n) for m in range(1, 6) for mt in range(0, m + 1)
+               for n in range(2, 21, 2)]
+    for build, m, mt, n in charts:
+        R = DensePoly(slope_recurrence(m, n, mt))
+        assert R == r_poly_from_ehat(ehat_values(m, n, mt), n), (m, mt, n)
+        built = build(m, n, 64) if build is build_am1n else build(m, mt, n, 64)
+        assert built.R == R, (build.__name__, m, mt, n)
+    print(f"\n[slope recurrence] PASS: R and ehat on {len(charts)} am1n and "
+          "twomult charts")
 
 
 def test_criterion_6_darboux_identities():

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
-from oracles import (cartesian_condition_value, fraction_am1n_ode_residual,
-                     fraction_two_mult_ode_residual, loop_decide, loop_sums,
-                     mpf_certificate, polar_condition_residual)
+from oracles import (_two_mult_recurrence, cartesian_condition_value,
+                     fraction_am1n_ode_residual, fraction_two_mult_ode_residual,
+                     loop_decide, loop_sums, mpf_certificate, polar_condition_residual)
 
 
 def residuals(c):
@@ -163,8 +163,6 @@ def test_ode_residual_two_mult_zero():
 
 
 def test_ode_residual_wrong_branch_nonzero():
-    from balines.config import _two_mult_recurrence
-
     c = build_two_mult(3, 1, 4, 192)
     bad_e = _two_mult_recurrence(3, 1, 4, -c.e_branch_sign)
     bad = replace(c, e=tuple(bad_e))
@@ -174,7 +172,7 @@ def test_ode_residual_wrong_branch_nonzero():
 def test_exactly_one_sign_branch_solves_ode():
     # the integer residual equals the Fraction one on both branches, zero
     # or not
-    from balines.config import _two_mult_ode_residual, _two_mult_recurrence
+    from balines.config import _two_mult_ode_residual
     from balines.symfunc import poly_from_elementary
 
     for m in range(1, 7):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from balines.cli import main, parse_range
+from balines.cli import UsageError, main, parse_range
 
 
 def run(args):
@@ -15,6 +15,17 @@ def test_parse_range():
     assert parse_range("2,4,6") == [2, 4, 6]
     assert parse_range("3") == [3]
     assert parse_range("1..2,5") == [1, 2, 5]
+
+
+def test_parse_range_checks_ends_before_expanding():
+    # a range's ends are held to the option's bounds before range() runs
+    assert parse_range("998..1000", "n") == [998, 999, 1000]
+    assert parse_range("0..2", "mt") == [0, 1, 2]
+    for text, message in [(f"1..{10 ** 20}", "--n must be <= 1000"),
+                          (f"{-10 ** 20}..1", "--n must be >= 1"),
+                          ("2,1001", "--n must be <= 1000")]:
+        with pytest.raises(UsageError, match=message):
+            parse_range(text, "n")
 
 
 def test_construct_am1n(tmp_path):
@@ -375,10 +386,12 @@ GENERAL_EDITED = {
     **{f"general-precision-{bits}": _general_at(bits) for bits in (300.0, 300.5)},
 }
 # Edits of the twomult (3, 1, 4) record, written to INPUT in its place, that
-# leave its e or branch sign other than those build_two_mult picks, by name.
+# leave its e or branch sign other than those build_two_mult picks, or its n
+# odd, by name.
 TWOMULT_EDITED = {
     "twomult-m-2": lambda d: (d.update(m=2), d["lines"][0].update(mult=2)),
     "twomult-sign-flipped": lambda d: d.update(e_branch_sign=-d["e_branch_sign"]),
+    "twomult-n-3": lambda d: d.update(n=3),
 }
 
 
@@ -420,6 +433,18 @@ LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
 # it, by name: (family, field, value) as in RECORD_EDITED.
 TOO_LARGE = {"twomult-precision-10^400": ("twomult", "precision_bits", 10 ** 400),
              "random-q-10^400": ("random", "q", 10 ** 400)}
+
+
+# Integer options above their bounds (cli._BOUNDS), each of which ran for
+# longer than 8 s or ended in an OverflowError traceback before it was bounded.
+OPTION_TOO_LARGE = [
+    ["certify", "--family", "am1n", "--m", "2", "--n", "3", "--q", str(10 ** 41)],
+    ["hilbert", "--m", "2", "--n", "3", "--D", str(10 ** 41)],
+    ["construct", "am1n", "--m", "2", "--n", str(10 ** 20)],
+    ["certify", "--family", "am1n", "--m", "2", "--n", "3", "--precision", str(10 ** 8)],
+    ["certify", "--family", "am1n", "--m", "1", "--n", "2", "--threshold-log2", str(10 ** 24)],
+    ["scan", "certify", "--m", "1", "--n", f"1..{10 ** 20}"],
+]
 
 
 def _case_id(argv, drop):
@@ -521,6 +546,8 @@ BAD_INPUT = [pytest.param(argv, drop, id=f"argv{k}-{drop}")
         (["certify", "--input", "INPUT"], "alpha-inf"),
         (["certify", "--input", "INPUT"], "twomult-precision-10^400"),
         (["construct", "tq", "--input", "INPUT", "--q", "2"], "random-q-10^400"),
+        (["certify", "--input", "INPUT"], "twomult-n-3"),
+        *[(argv, None) for argv in OPTION_TOO_LARGE],
     ]]
 
 
@@ -584,6 +611,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         assert err.startswith(f"error: {path}: ")
     if drop == "alpha-inf":
         assert err == f"error: {path}: line 1: alpha inf is not finite"
+    if drop == "twomult-n-3":
+        assert err == f"error: {path}: the two-multiplicity family needs even n >= 2"
+    if argv in OPTION_TOO_LARGE:
+        assert " must be <= " in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -718,6 +749,13 @@ def test_malformed_env_precision_exit_two(monkeypatch, capsys):
     monkeypatch.setenv("BA_PRECISION", "abc")
     assert run(["construct", "am1n", "--m", "1", "--n", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: BA_PRECISION")
+
+
+@pytest.mark.parametrize("bits,message", [("100000000", "<= 65536"), ("32", ">= 64")])
+def test_env_precision_out_of_bounds_exit_two(monkeypatch, capsys, bits, message):
+    monkeypatch.setenv("BA_PRECISION", bits)
+    assert run(["construct", "am1n", "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr().err == f"error: BA_PRECISION must be {message}\n"
 
 
 def _write_numeric_chart(cfg, path) -> None:

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 
 from mpmath.libmp import from_man_exp, mpf_pi, round_down, round_nearest
 
-from balines.config import (INF, Configuration, Line, angle_multiset_distance,
-                            build_am1n, build_two_mult, from_alphas,
-                            general_from_angles, perturb_line,
+from balines.config import (INF, Configuration, Line, _two_mult_ode_residual,
+                            angle_multiset_distance, build_am1n, build_two_mult,
+                            from_alphas, general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
 from balines.numeric import (GUARD_BITS, angle_gap, hex_to_mpf, mpf_to_hex, order_keys, to_mp,
                              working)
 from balines.poly import DensePoly
+from balines.symfunc import e_from_ehat, e_values, ehat_values, poly_from_elementary
 
 from balines.locus import solve_general_locus
 
-from oracles import (elementary_from_values, eval_numeric, line_z,
+from oracles import (_two_mult_recurrence, elementary_from_values, eval_numeric, line_z,
                      mpf_t_q_expand_angles, mult1_lines, slope_lines)
 
 
@@ -114,27 +115,57 @@ def test_two_mult_branch_sign_reported():
         assert c.e[-2] == F(-(m - mt) * n, n + m + mt - 1)
 
 
-def test_two_mult_branch_is_the_only_ode_branch(monkeypatch):
+def test_two_mult_branch_is_the_only_ode_branch():
     # off m = mt the sign -1 branch satisfies the ODE and the sign 1 branch
-    # does not, on mt below, at and above m; with a wrong recurrence the
-    # one exact check raises
-    from balines import config
-    from balines.errors import IdentityFailed
-    from balines.symfunc import poly_from_elementary
-
+    # does not, on mt below, at and above m
     for m in range(1, 7):
         for mt in range(0, m + 6):
             for n in range(2, 21, 2):
-                sign, e = config._two_mult_branch(m, mt, n)
+                sign = build_two_mult(m, mt, n, 64).e_branch_sign
                 assert sign == (1 if m == mt else -1)
                 if m != mt:
-                    other = poly_from_elementary(config._two_mult_recurrence(m, mt, n, 1), n)
-                    assert not config._two_mult_ode_residual(m, mt, n, other).is_zero
-    recurrence = config._two_mult_recurrence
-    monkeypatch.setattr(config, "_two_mult_recurrence",
-                        lambda m, mt, n, sign: recurrence(m, mt, n, -sign))
-    with pytest.raises(IdentityFailed, match=r"sign -1 branch .* \(2, 1, 4\)"):
-        config._two_mult_branch(2, 1, 4)
+                    other = poly_from_elementary(_two_mult_recurrence(m, mt, n, 1), n)
+                    assert not _two_mult_ode_residual(m, mt, n, other).is_zero
+
+
+def test_two_mult_closed_form_is_the_recurrence_ode_branch():
+    # e from ehat_values(m, n, mt) and e_from_ehat is the three-term
+    # recurrence's branch of the recorded sign, and its P solves the ODE;
+    # with mt = 0 the transform gives am1n's closed-form e
+    for m in range(1, 9):
+        for mt in range(0, m + 6):
+            for n in range(2, 41, 2):
+                c = build_two_mult(m, mt, n, 64)
+                assert list(c.e) == _two_mult_recurrence(m, mt, n, c.e_branch_sign), (m, mt, n)
+                assert _two_mult_ode_residual(m, mt, n, c.P).is_zero, (m, mt, n)
+        for n in range(2, 41, 2):
+            assert e_from_ehat(ehat_values(m, n), n) == e_values(m, n), (m, n)
+
+
+# A builder's arguments that are no record's integer fields, each with the
+# field its message names: the builders refuse what Configuration.load
+# refuses, with the same rule.
+REFUSED_BUILDS = {
+    "twomult-m-true": (build_two_mult, (True, 0, 2), "integer m >= 1"),
+    "twomult-n-4.0": (build_two_mult, (2, 1, 4.0), "integer n >= 2"),
+    "twomult-mt--1": (build_two_mult, (2, -1, 4), "integer mtilde >= 0"),
+    "twomult-n-3": (build_two_mult, (2, 1, 3), "needs even n >= 2"),
+    "am1n-n-true": (build_am1n, (2, True), "integer n >= 1"),
+    "am1n-m-2.0": (build_am1n, (2.0, 3), "integer m >= 1"),
+    "am1n-m-0": (build_am1n, (0, 3), "integer m >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_BUILDS)
+def test_builders_refuse_what_load_refuses(tmp_path, name):
+    build, args, message = REFUSED_BUILDS[name]
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+    fields = dict(zip(("m", "mtilde", "n") if build is build_two_mult else ("m", "n"), args))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**build(*[4] * len(args)).to_json_dict(), **fields}))
+    with pytest.raises(ValueError, match=message):
+        Configuration.load(str(path))
 
 
 def test_two_mult_mt0_equals_am1n():
