@@ -135,7 +135,8 @@ def _require(args, what: str, *names: str) -> None:
 def _load(path: str, integral: bool = False) -> Configuration:
     """The configuration in path; with integral, also check that every
     multiplicity is a positive integer, as certify and hilbert need.  A
-    number too large for the arithmetic that reads it is an input error."""
+    number too large for the arithmetic that reads it, and JSON nested too
+    deeply for the parser, are input errors."""
     try:
         cfg = Configuration.load(path)
         if integral:
@@ -143,7 +144,7 @@ def _load(path: str, integral: bool = False) -> Configuration:
         return cfg
     except KeyError as ex:
         raise UsageError(f"{path} lacks the key {ex}") from None
-    except (TypeError, ValueError, OverflowError, CollisionError) as ex:
+    except (TypeError, ValueError, OverflowError, RecursionError, CollisionError) as ex:
         raise UsageError(f"{path}: {ex}") from None
     except OSError as ex:
         raise UsageError(f"cannot read {path}: {ex.strerror}") from None
@@ -509,11 +510,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except BalinesError as ex:
+    except (BalinesError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -26,13 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div, mpf_ge,
-                          mpf_gt, mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest,
-                          to_fixed)
+                          mpf_mul_int, mpf_pi, mpf_pos, mpf_sub, round_nearest, to_fixed)
 
 from .errors import CollisionError, MissingExactData
 from .jsontext import to_json_text
-from .numeric import (GUARD_BITS, angle_gap, check_precision, hex_to_mpf, mpf_to_hex,
-                      order_keys, reduce_angle_mod_pi, to_mp, working)
+from .numeric import (GUARD_BITS, angle_gap, angle_residues, check_precision, hex_to_mpf,
+                      mod_pi, mpf_to_hex, order_keys, to_mp, working)
 from .poly import DensePoly
 from .roots import poly_roots
 from .symfunc import (cayley, e_from_ehat, e_values, ehat_values, poly_from_elementary,
@@ -315,12 +314,21 @@ def _check_int_fields(kind: str, **values) -> None:
 
 def _check_record(c: Configuration) -> None:
     """ValueError unless each integer field of c's kind (_INT_FIELDS) passes
-    _check_int_fields, an am1n record has the closed-form e and ehat of its
-    m and n, and a twomult record the e and branch sign of build_two_mult."""
+    _check_int_fields, only a qexpanded record has a q, m, mtilde, n and q
+    count the lines, an am1n record has the closed-form e and ehat of its m
+    and n, and a twomult record the e and branch sign of build_two_mult.  The
+    counts come before the closed forms, whose cost grows with n and q."""
     fields = {name: getattr(c, name) for name in _INT_FIELDS.get(c.kind, {})}
     if c.kind == "qexpanded":  # an expansion of a general chart, or of one without mtilde
         fields = {name: v for name, v in fields.items() if v is not None or name == "q"}
+    elif c.q is not None:
+        raise ValueError(f"the record has q = {c.q!r}, which only a qexpanded record has")
     _check_int_fields(c.kind, **fields)
+    if c.m is not None and c.n is not None:
+        want = (c.q or 1) * (1 + bool(c.mtilde)) + c.n
+        if want != len(c.lines):
+            raise ValueError(f"the record has n = {c.n}, which with its m, mtilde and q "
+                             f"counts {want} lines, not {len(c.lines)}")
     if c.kind == "am1n" and (list(c.e or ()) != e_values(c.m, c.n)
                              or list(c.ehat or ()) != ehat_values(c.m, c.n)):
         raise ValueError(f"e and ehat are not those of am1n ({c.m}, {c.n})")
@@ -469,31 +477,24 @@ def t_q_expand(c: Configuration, q: int) -> Configuration:
 
     Exact data transforms too: the multiplicity-1 polynomial becomes
     P(w^q) (roots are the q-th roots of the z_i), read off e, and the
-    record's q is the total expansion.  Raises CollisionError when two
-    expanded lines coincide."""
+    record's q is the total expansion.  Each stored angle is reduced mod pi
+    once, by numeric.mod_pi, which only rounds one in [0, 3].  Raises
+    CollisionError when two expanded lines coincide."""
     if q < 1:
         raise ValueError("need q >= 1")
     if q == 1:
         return c
-    # With phi = phi0 + k*pi, phi0 in [0, pi), the q angles (phi + pi*s)/q
-    # mod pi are phi0/q + r*pi/q, r = 0..q-1, each in [0, pi).  Formed with
-    # extra guard bits, they need no reduction that cancels, and phi0 = 0
-    # keeps its copy at exactly 0.  The arithmetic is on libmp values:
-    # phi0/q + r*(pi/q) at p + 2*GUARD_BITS bits, one rounding to p +
-    # GUARD_BITS, which may reach pi and then has pi subtracted.
+    # The q angles (phi + pi*s)/q mod pi are phi0/q + r*pi/q, r = 0..q-1, with
+    # phi0 = mod_pi(phi), on libmp values at p + 2*GUARD_BITS bits, then
+    # rounded once to p + GUARD_BITS, less pi if that reaches pi: no
+    # cancelling reduction, and phi0 = 0 keeps its copy at exactly 0.
     wide, prec = c.precision + 2 * GUARD_BITS, c.precision + GUARD_BITS
-    rnd, three, div = round_nearest, from_int(3), from_int(q)
+    rnd, div = round_nearest, from_int(q)
     step = mpf_div(mpf_pi(wide, rnd), div, wide, rnd)
     pi = mpf_pi(prec, rnd)
     new_lines = []
     for ln in c.lines:
-        phi = ln.phi._mpf_
-        if phi[0] or mpf_gt(phi, three):  # below 0 or above 3: reduce mod pi
-            with mp.workprec(wide):
-                phi = reduce_angle_mod_pi(ln.phi)._mpf_
-        else:  # phi/pi < 0.96 has floor 0, so the reduction only rounds phi
-            phi = mpf_pos(phi, wide, rnd)
-        base = mpf_div(phi, div, wide, rnd)
+        base = mpf_div(mod_pi(ln.phi, wide)._mpf_, div, wide, rnd)
         for r in range(q):
             angle = mpf_pos(mpf_add(base, mpf_mul_int(step, r, wide, rnd), wide, rnd),
                             prec, rnd)
@@ -559,11 +560,9 @@ def general_from_angles(mults: Sequence, phis: Sequence, precision: int = 256) -
     Multiplicities(tuple(mults))  # ValueError on a value no file can store
     check_precision(precision)
     with working(precision):
-        lines = []
-        for mu, phi in zip(mults, phis):
-            phi = reduce_angle_mod_pi(mp.mpf(phi))
-            alpha = INF if phi == 0 else None
-            lines.append(Line(mult=mu, phi=phi, alpha_exact=alpha))
+        phis = [mod_pi(mp.mpf(phi), precision + GUARD_BITS) for phi in phis]
+    lines = [Line(mult=mu, phi=phi, alpha_exact=INF if phi == 0 else None)
+             for mu, phi in zip(mults, phis)]
     _check_distinct_angles([ln.phi for ln in lines], precision)
     return Configuration(kind="general", precision=precision, chart=_sorted_lines(lines))
 
@@ -580,43 +579,26 @@ def perturb_line(c: Configuration, index: int, delta: float) -> Configuration:
 # --- equivalence of arrangements ---------------------------------------------
 
 
-def _circular_angle_distance(a, b):
-    d = abs(a - b)
-    return min(d, abs(mp.pi - d))
-
-
-def _matched_distance(pairs_a, pairs_b):
-    """Max distance after sorting both (phi, mult) lists; inf on mult mismatch."""
-    pa = sorted(pairs_a)
-    pb = sorted(pairs_b)
-    worst = mp.mpf(0)
-    for (phi1, m1), (phi2, m2) in zip(pa, pb):
-        if m1 != m2:
-            return mp.inf
-        worst = max(worst, _circular_angle_distance(phi1, phi2))
-    return worst
-
-
 def angle_multiset_distance(c1: Configuration, c2: Configuration):
     """Distance between arrangements modulo rotation.
 
-    Tries every rotation aligning a line of c1 to the first line of c2,
-    then reports the smallest max mismatch of the sorted angle multisets;
-    equal multiplicity multisets are required."""
-    if len(c1) != len(c2):
-        return mp.inf
+    Tries every rotation aligning a line of c1 to the first line of c2, and
+    none, then reports the smallest max circular mismatch of the sorted
+    (angle, mult) lists; equal multiplicity multisets are required.  The
+    angles are compared mod pi on angle_residues' exact ints, at the lower
+    working precision, and the distance is one mpf rounding of that int."""
     if sorted(ln.mult for ln in c1.lines) != sorted(ln.mult for ln in c2.lines):
         return mp.inf
-    precision = min(c1.precision, c2.precision)
-    with working(precision):
-        b = [(ln.phi, ln.mult) for ln in c2.lines]
-        base = c2.lines[0].phi
-        best = mp.inf
-        for ref in c1.lines:
-            delta = base - ref.phi
-            a = [(reduce_angle_mod_pi(ln.phi + delta), ln.mult) for ln in c1.lines]
-            best = min(best, _matched_distance(a, b))
-        # also the un-rotated comparison
-        a0 = [(ln.phi, ln.mult) for ln in c1.lines]
-        best = min(best, _matched_distance(a0, b))
-        return best
+    bits = min(c1.precision, c2.precision) + GUARD_BITS
+    pi, residues, e = angle_residues([ln.phi for ln in c1.lines + c2.lines], bits)
+    a, b = residues[:len(c1)], residues[len(c1):]
+    pb = sorted(zip(b, (ln.mult for ln in c2.lines)))
+    best = math.inf
+    for delta in {0, *(b[0] - x for x in a)}:
+        pa = sorted(zip([(x + delta) % pi for x in a], (ln.mult for ln in c1.lines)))
+        if all(m1 == m2 for (_, m1), (_, m2) in zip(pa, pb)):
+            gaps = [abs(x - y) for (x, _), (y, _) in zip(pa, pb)]
+            best = min(best, max(min(d, pi - d) for d in gaps))
+    if best == math.inf:
+        return mp.inf
+    return mp.mp.make_mpf(from_man_exp(best, e, bits, round_nearest))

@@ -5,7 +5,10 @@ Conventions used throughout the package:
 - every public operation takes a ``precision`` in bits (>= 64) and runs its
   mpmath arithmetic under ``working(precision)``, which adds guard bits;
 - mpf values serialize as hex-float strings built from the exact internal
-  (sign, mantissa, exponent) triple, so round-trips are bit-exact.
+  (sign, mantissa, exponent) triple, so round-trips are bit-exact;
+- angles are reduced mod pi in one place, exactly on ints (angle_residues),
+  on which the separation check (angle_gap), the builders and t_q_expand
+  (mod_pi) and config.angle_multiset_distance build.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from operator import sub
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_pi, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_le, mpf_pi, mpf_pos, round_nearest
 
 GUARD_BITS = 64
 MIN_PRECISION = 64
@@ -85,33 +88,41 @@ def order_keys(xs):
             if man else 0 for sign, man, exp, bc in parts]
 
 
-def angle_gap(phis, precision: int):
-    """(gap, at, e): the least gap between the angles mod the working-precision
-    pi, the one across the pi wrap included, and the angle it starts at, as
-    exact ints over 2^-e, e the least exponent but at least twice pi's (lower
-    bits floored); ValueError on an angle of 2^(precision/2) or more, which
-    that pi cannot place."""
+def angle_residues(phis, bits: int):
+    """(pi, residues, e): pi rounded to bits bits and each angle mod that pi,
+    in [0, pi), as exact ints over 2^-e, e the least exponent but at least
+    twice pi's (lower bits floored); ValueError on an angle of
+    2^((bits - GUARD_BITS)/2) or more, which that pi cannot place."""
+    precision = bits - GUARD_BITS
     if any(sum(phi._mpf_[2:]) > precision // 2 for phi in phis):  # exponent plus bit count
         raise ValueError(f"an angle of 2^{precision // 2} or more is too large to reduce "
                          f"mod pi at {precision} bits")
-    pi = mpf_pi(precision + GUARD_BITS, round_nearest)
+    pi = mpf_pi(bits, round_nearest)
     parts = [(-man if sign else man, exp) for sign, man, exp, _ in [pi, *(x._mpf_ for x in phis)]]
     e = max(min(exp for _, exp in parts), 2 * pi[2])
-    ints = [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in parts]
-    s = sorted(x % ints[0] for x in ints[1:])
-    return (*min(zip(map(sub, s[1:] + [s[0] + ints[0]], s), s)), e)
+    pi, *ints = [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in parts]
+    return pi, [x % pi for x in ints], e
 
 
-def reduce_angle_mod_pi(phi):
-    """Map an angle to the representative in [0, pi)."""
-    pi = mp.pi
-    k = mp.floor(phi / pi)
-    out = phi - k * pi
-    if out >= pi:
-        out -= pi
-    if out < 0:
-        out += pi
-    return out
+def angle_gap(phis, precision: int):
+    """(gap, at, e): the least gap between the angles mod the working-precision
+    pi, the one across the pi wrap included, and the angle it starts at, as
+    exact ints over 2^-e (angle_residues at precision + GUARD_BITS bits)."""
+    pi, residues, e = angle_residues(phis, precision + GUARD_BITS)
+    s = sorted(residues)
+    return (*min(zip(map(sub, s[1:] + [s[0] + pi], s), s)), e)
+
+
+def mod_pi(phi, bits: int):
+    """phi mod pi as an mpf in [0, pi), the residue of angle_residues rounded
+    once to bits bits, and 0 where that rounds to pi; an angle in [0, 3] is
+    only rounded."""
+    x = phi._mpf_
+    if not x[0] and mpf_le(x, from_int(3)):
+        return mp.mp.make_mpf(mpf_pos(x, bits, round_nearest))
+    pi, (r,), e = angle_residues([phi], bits)
+    out = from_man_exp(r, e, bits, round_nearest)
+    return mp.mp.make_mpf(fzero if out == mpf_pi(bits, round_nearest) else out)
 
 
 def log2_abs(x) -> float:

@@ -755,18 +755,32 @@ def fraction_am1n_ode_residual(m: int, n: int, P):
     return (w * (w - one)) * P2 - term2 * P1 - P.scale(Fraction(m * n))
 
 
+def mpf_reduce_angle_mod_pi(phi):
+    """phi mod pi in [0, pi) in mpf arithmetic at the working precision:
+    floor(phi/pi), then phi - k pi, rounded once when |k| <= 1 and twice
+    otherwise; the rule the package followed before it reduced on ints."""
+    pi = mp.pi
+    k = mp.floor(phi / pi)
+    out = phi - k * pi
+    if out >= pi:
+        out -= pi
+    if out < 0:
+        out += pi
+    return out
+
+
 def mpf_t_q_expand_angles(c, q: int) -> list:
     """(mult, phi) of c's q-expansion, sorted by phi, in mpf arithmetic: each
     phi reduced mod pi and divided by q, plus r pi/q, at precision + 128
     bits, then rounded to precision + 64 bits, with pi subtracted from a
     result that reaches pi."""
-    from balines.numeric import GUARD_BITS, reduce_angle_mod_pi, working
+    from balines.numeric import GUARD_BITS, working
 
     with working(c.precision + GUARD_BITS):
         step = mp.pi / q
         wide = []
         for ln in c.lines:
-            base = reduce_angle_mod_pi(ln.phi) / q
+            base = mpf_reduce_angle_mod_pi(ln.phi) / q
             wide += [(ln.mult, base + r * step) for r in range(q)]
     with working(c.precision):
         pi = mp.pi
@@ -776,6 +790,38 @@ def mpf_t_q_expand_angles(c, q: int) -> list:
             out.append((mult, phi - pi if phi >= pi else phi))
         out.sort(key=lambda t: t[1])
     return out
+
+
+def _mpf_matched_distance(pairs_a, pairs_b):
+    """Max circular distance after sorting both (phi, mult) lists; inf on a
+    multiplicity mismatch."""
+    worst = mp.mpf(0)
+    for (phi1, m1), (phi2, m2) in zip(sorted(pairs_a), sorted(pairs_b)):
+        if m1 != m2:
+            return mp.inf
+        d = abs(phi1 - phi2)
+        worst = max(worst, min(d, abs(mp.pi - d)))
+    return worst
+
+
+def mpf_angle_multiset_distance(c1, c2):
+    """config.angle_multiset_distance in mpf arithmetic at the lower working
+    precision: c1 rotated to put each of its lines on c2's first and reduced
+    mod pi, and c1 as stored, each matched to c2 as stored."""
+    from balines.numeric import working
+
+    if len(c1) != len(c2):
+        return mp.inf
+    if sorted(ln.mult for ln in c1.lines) != sorted(ln.mult for ln in c2.lines):
+        return mp.inf
+    with working(min(c1.precision, c2.precision)):
+        b = [(ln.phi, ln.mult) for ln in c2.lines]
+        best = _mpf_matched_distance([(ln.phi, ln.mult) for ln in c1.lines], b)
+        for ref in c1.lines:
+            delta = c2.lines[0].phi - ref.phi
+            a = [(mpf_reduce_angle_mod_pi(ln.phi + delta), ln.mult) for ln in c1.lines]
+            best = min(best, _mpf_matched_distance(a, b))
+        return best
 
 
 # --- existence conditions in the unit-circle chart --------------------------------

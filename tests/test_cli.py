@@ -335,8 +335,10 @@ def test_usage_error_exit_two():
     assert err.value.code == 2
 
 
-# Texts written to INPUT in place of a configuration, by name.
-RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": '}
+# Texts written to INPUT in place of a configuration, by name; the deep one
+# overflows the JSON parser's recursion.
+RAW_INPUT = {"not-an-object": "[1, 2]", "not-json": '{"kind": ',
+             "deep-json": "[" * 200000}
 # Keys of INPUT (the am1n (2, 2) record) overwritten with those of am1n
 # (3, 2), which has as many slope lines, by name.
 FOREIGN = {"e-of-am1n-3-2": "e", "ehat-of-am1n-3-2": "ehat"}
@@ -433,6 +435,11 @@ LOCUS_EDITED = {f"locus-mult-{name}": value for name, value in
 # it, by name: (family, field, value) as in RECORD_EDITED.
 TOO_LARGE = {"twomult-precision-10^400": ("twomult", "precision_bits", 10 ** 400),
              "random-q-10^400": ("random", "q", 10 ** 400)}
+# Fields of a record given a valid value that its lines refute, by name:
+# (family, field, value) as in RECORD_EDITED.  Each ran in the closed forms
+# or in the slope groups for 0.3 s to minutes before the line count or the
+# stray q refused it.
+INFLATED = {"am1n-n-20000": ("am1n", "n", 20000), "random-q-1000": ("random", "q", 1000)}
 
 
 # Integer options above their bounds (cli._BOUNDS), each of which ran for
@@ -455,7 +462,7 @@ def _case_id(argv, drop):
 
 # (argv, key dropped from the --input JSON written to INPUT, or a RAW_INPUT,
 # FOREIGN, EDITED, GENERAL_EDITED, TWOMULT_EDITED, GROUP_EDITED,
-# RECORD_EDITED, LOCUS, LOCUS_EDITED or TOO_LARGE name);
+# RECORD_EDITED, LOCUS, LOCUS_EDITED, TOO_LARGE or INFLATED name);
 # MISSING stands for a path that does not exist, UNWRITABLE for an output
 # path in a directory that does not exist.  The cases of _NUMBERED keep the
 # positional ids they were first collected under (argv<k>-<name>), so that
@@ -548,11 +555,16 @@ BAD_INPUT = [pytest.param(argv, drop, id=f"argv{k}-{drop}")
         (["construct", "tq", "--input", "INPUT", "--q", "2"], "random-q-10^400"),
         (["certify", "--input", "INPUT"], "twomult-n-3"),
         *[(argv, None) for argv in OPTION_TOO_LARGE],
+        (["certify", "--input", "INPUT"], "am1n-n-20000"),
+        (["hilbert", "--input", "INPUT"], "random-q-1000"),
+        (["certify", "--input", "INPUT"], "deep-json"),
     ]]
 
 
 @pytest.mark.parametrize("argv,drop", BAD_INPUT)
 def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
+    import time
+
     from balines.config import build_am1n, build_two_mult, random_type_m1n, t_q_expand
     from balines.locus import solve_general_locus
 
@@ -569,9 +581,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         data = build_two_mult(3, 1, 4, 128).to_json_dict()
         TWOMULT_EDITED[drop](data)
         path.write_text(json.dumps(data))
-    elif drop in RECORD_EDITED or drop in TOO_LARGE:
-        family, key, value = RECORD_EDITED.get(drop) or TOO_LARGE[drop]
-        build = {"tq": lambda: t_q_expand(build_am1n(1, 3, 128), 2),
+    elif drop in RECORD_EDITED or drop in TOO_LARGE or drop in INFLATED:
+        family, key, value = {**RECORD_EDITED, **TOO_LARGE, **INFLATED}[drop]
+        build = {"am1n": lambda: build_am1n(2, 3, 128),
+                 "tq": lambda: t_q_expand(build_am1n(1, 3, 128), 2),
                  "twomult": lambda: build_two_mult(3, 1, 4, 128),
                  "random": lambda: random_type_m1n(2, 4, 1, 128)}[family]
         data = build().to_json_dict()
@@ -596,7 +609,9 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         path.write_text(json.dumps(data))
     paths = {"INPUT": str(path), "MISSING": str(tmp_path / "absent.json"),
              "UNWRITABLE": str(tmp_path / "absent" / "out.json")}
+    start = time.perf_counter()
     assert run([paths.get(a, a) for a in argv]) == 2
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     if "UNWRITABLE" in argv:
@@ -615,6 +630,23 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, drop):
         assert err == f"error: {path}: the two-multiplicity family needs even n >= 2"
     if argv in OPTION_TOO_LARGE:
         assert " must be <= " in err
+    if drop in INFLATED or drop == "deep-json":
+        assert elapsed < 1
+    if drop in INFLATED:
+        assert err.startswith(f"error: {path}: the record has {INFLATED[drop][1]} = ")
+
+
+def test_memory_error_exits_three(monkeypatch, capsys):
+    """A MemoryError from a kernel is a computation error, exit 3 with one
+    error line, not a traceback."""
+    import balines.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(balines.cli, "certify_ba", exhausted)
+    assert run(["certify", "--family", "am1n", "--m", "1", "--n", "2"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -6,21 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmath.libmp import from_man_exp, mpf_pi, round_down, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pi, round_down, round_nearest, round_up
 
 from balines.config import (INF, Configuration, Line, _two_mult_ode_residual,
                             angle_multiset_distance, build_am1n, build_two_mult,
                             from_alphas, general_from_angles, perturb_line,
                             random_type_m1n, t_q_expand)
 from balines.errors import CollisionError
-from balines.numeric import (GUARD_BITS, angle_gap, hex_to_mpf, mpf_to_hex, order_keys, to_mp,
-                             working)
+from balines.numeric import (GUARD_BITS, angle_gap, hex_to_mpf, mod_pi, mpf_to_hex, order_keys,
+                             to_mp, working)
 from balines.poly import DensePoly
 from balines.symfunc import e_from_ehat, e_values, ehat_values, poly_from_elementary
 
 from balines.locus import solve_general_locus
 
 from oracles import (_two_mult_recurrence, elementary_from_values, eval_numeric, line_z,
+                     mpf_angle_multiset_distance, mpf_reduce_angle_mod_pi,
                      mpf_t_q_expand_angles, mult1_lines, slope_lines)
 
 
@@ -628,3 +631,110 @@ def test_separation_is_exact_at_the_tolerance_mod_pi(turns):
     record = Configuration(kind="general", precision=p, chart=tuple(lines)).to_json_dict()
     with pytest.raises(CollisionError, match="coincide near phi = 1.0"):
         Configuration.from_json_dict(record)
+
+
+# --- one exact reduction of angles mod pi -------------------------------------
+
+
+def _reduction_angles(bits, seed):
+    """Angles in [-pi, 2pi) of at most bits bits: 0, +-2^-700, 3, the
+    working pi rounded down and up, its negatives and doubles, and seeded
+    floats and bits-bit mpfs."""
+    rng = random.Random(seed)
+    with mp.workprec(bits):
+        special = [mp.mpf(0), mp.mpf(-0.0), mp.mpf(2) ** -700, -mp.mpf(2) ** -700, mp.mpf(3)]
+        for rnd in (round_down, round_up):
+            pi = mp.mp.make_mpf(mpf_pi(bits, rnd))
+            special += [pi, -pi, 2 * pi - mp.mpf(2) ** (3 - bits)]
+        lo, width = -mp.pi, 3 * mp.pi
+        floats = [rng.uniform(-math.pi, 2 * math.pi) for _ in range(150)]
+        wide = [lo + width * mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in range(150)]
+        return special + [mp.mpf(x) for x in floats] + [+x for x in wide]
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_mod_pi_equals_the_mpf_reduction_below_two_turns(precision):
+    # where |floor(phi/pi)| <= 1 the mpf reduction rounds phi - k pi once,
+    # as mod_pi rounds the exact residue once: bit for bit the same
+    bits = precision + GUARD_BITS
+    for phi in _reduction_angles(bits, precision):
+        with mp.workprec(bits):
+            want = mpf_reduce_angle_mod_pi(phi)
+        assert mod_pi(phi, bits)._mpf_ == want._mpf_, mpf_to_hex(phi)
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_mod_pi_within_one_ulp_of_the_reduction_at_twice_the_precision(precision):
+    # angles up to 2^(precision/2 - 1) against phi - floor(phi/pi) pi at
+    # twice the working precision, pi the working pi: the residue is
+    # exact, so one rounding leaves it within one ulp (mod pi, as one that
+    # rounds to pi is 0)
+    bits = precision + GUARD_BITS
+    rng = random.Random(precision)
+    pi = mp.mp.make_mpf(mpf_pi(bits, round_nearest))
+    for _ in range(300):
+        with mp.workprec(bits):
+            phi = mp.ldexp(mp.mpf(rng.getrandbits(bits)) / 2 ** bits,
+                           rng.randint(2, precision // 2 - 1)) * rng.choice((-1, 1))
+        got = mod_pi(phi, bits)
+        assert 0 <= got < pi
+        with mp.workprec(2 * bits + precision):
+            ref = phi - mp.floor(phi / pi) * pi
+            ulp = mp.ldexp(1, max(mp.frexp(ref)[1], 2) - bits)
+            assert min(abs(got - ref), abs(got + pi - ref)) <= ulp, mpf_to_hex(phi)
+
+
+def test_mod_pi_refuses_a_huge_angle_at_once():
+    # 2^(precision/2) is refused as angle_gap refuses it; 2^(10^12) is
+    # refused before any int of 10^12 bits is built
+    p = 256
+    mod_pi(mp.mp.make_mpf(from_man_exp(2 ** (p // 2) - 1, 0)), p + GUARD_BITS)
+    for exp in (p // 2, 10 ** 12):
+        phi = mp.mp.make_mpf(from_man_exp(1, exp))
+        with pytest.raises(ValueError, match=f"an angle of 2\\^{p // 2} or more"):
+            mod_pi(phi, p + GUARD_BITS)
+        with pytest.raises(ValueError, match=f"an angle of 2\\^{p // 2} or more"):
+            general_from_angles([1], [phi], p)
+
+
+def _stored_moved(c, turns):
+    """c as a general chart with each line's angle moved by its number of
+    turns of pi, stored as it is, outside [0, pi)."""
+    with mp.workprec(c.precision + GUARD_BITS):
+        lines = tuple(Line(ln.mult, ln.phi + k * mp.pi) for ln, k in zip(c.lines, turns))
+    return Configuration(kind="general", precision=c.precision, chart=lines)
+
+
+def test_angle_multiset_distance_equals_the_mpf_oracle():
+    # the test pairs, the bench's five am1n-shaped loci and a chart stored
+    # outside [0, pi): the same mpf as the reduction in mpf arithmetic
+    base = build_am1n(2, 3, 256)
+    pairs = [(build_two_mult(m, 0, n, 192), build_am1n(m, n, 192)) for m, n in [(1, 2), (3, 4)]]
+    pairs += [(build_two_mult(2, 1, 2, 256), build_am1n(2, 3, 256)),
+              (build_am1n(2, 2, 128), random_type_m1n(2, 2, seed=2, precision=128)),
+              (_stored_moved(base, [0, 1, 0, -1]), base),
+              (build_am1n(2, 2, 128), build_am1n(3, 2, 128)),
+              (build_am1n(2, 2, 128), build_am1n(2, 3, 128))]
+    for mults in [(1, 1, 1), (2, 1, 1), (3, 1, 1, 1, 1), (1,) * 13, (2,) + (1,) * 6,
+                  (3,) + (1,) * 10, (4,) + (1,) * 16, (3,) + (1,) * 6]:
+        pairs.append((solve_general_locus(mults, 256), build_am1n(mults[0], len(mults) - 1, 256)))
+    values = [angle_multiset_distance(a, b) for a, b in pairs]
+    assert values == [mpf_angle_multiset_distance(a, b) for a, b in pairs]
+    assert values[5:7] == [mp.inf, mp.inf]
+    assert all(v in (0, mp.mpf(2) ** -318, mp.mpf(2) ** -319) for v in values[-5:])
+
+
+def test_angle_multiset_distance_is_exact_mod_pi():
+    # one line of the (1, 1^4) locus is one unit of 2^-319 off build_am1n,
+    # and no rotation hides it (the mpf oracle reads 0 there, its rotated
+    # angles rounded); a chart stored outside [0, pi) is compared mod pi
+    # whichever side it is on (the mpf oracle, which leaves the second
+    # chart unreduced, reads pi/2 there)
+    locus, ref = solve_general_locus((1,) * 5, 256), build_am1n(1, 4, 256)
+    assert angle_multiset_distance(locus, ref) == mp.mpf(2) ** -319
+    assert mpf_angle_multiset_distance(locus, ref) == 0
+    base = build_am1n(2, 3, 256)
+    moved = _stored_moved(base, [0, 1, 0, -1])
+    assert angle_multiset_distance(base, moved) == angle_multiset_distance(moved, base) \
+        == mp.mpf(2) ** -320
+    assert mpf_angle_multiset_distance(base, moved) > 1

@@ -203,3 +203,20 @@ def test_no_mp_cot(path):
     angle, not from an mpf cotangent."""
     lines = _mp_cot_calls(path)
     assert not lines, f"{path.name} calls mp.cot at lines {lines}"
+
+
+def _mp_floor_calls(path):
+    """Line numbers where a module calls mp.floor or mpmath.floor."""
+    return [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "floor" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("mp", "mpmath")]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=lambda p: p.name)
+def test_no_mp_floor(path):
+    """Angles are reduced mod pi once, exactly on ints
+    (numeric.angle_residues), not by an mpf floor(phi/pi), which rounds
+    phi - k pi twice when |k| >= 2."""
+    lines = _mp_floor_calls(path)
+    assert not lines, f"{path.name} calls mp.floor at lines {lines}"
